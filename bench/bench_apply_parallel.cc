@@ -1,18 +1,18 @@
-// bench_apply_parallel — conflict-aware parallel warehouse apply vs the
-// serial integrator, plus the prepared-statement cache's effect.
+// bench_apply_parallel — conflict-aware parallel warehouse apply vs
+// inline apply, plus the prepared-statement cache's effect.
 //
-// Two op-delta workloads replay through warehouse::ParallelApplyScheduler
-// at 1/2/4/8 apply threads:
+// Two op-delta workloads replay through warehouse::OpDeltaIntegrator at
+// 1/2/4/8 apply threads:
 //   disjoint    — every transaction writes its own key range; the conflict
 //                 DAG is empty, so apply should scale with threads (on
-//                 hardware that has them — on a single core the scheduler
+//                 hardware that has them — on a single core the pool
 //                 only proves it adds no overhead).
 //   conflicting — every transaction updates one hot row; the barrier chain
 //                 forces source order, so all thread counts should match
-//                 the serial baseline (the fallback guarantee).
-// Threads=1 is the exact serial OpDeltaIntegrator path and the speedup
-// baseline. The statement cache is on for all rows; its hit rate is
-// reported (steady-state shapes repeat, so it should exceed 99%).
+//                 the inline baseline.
+// Threads=1 applies every transaction inline and is the speedup baseline.
+// The statement cache is on for all rows; its hit rate is reported
+// (steady-state shapes repeat, so it should exceed 99%).
 #include <string>
 #include <vector>
 
@@ -20,7 +20,7 @@
 #include "common/thread_pool.h"
 #include "sql/statement_cache.h"
 #include "warehouse/apply_ledger.h"
-#include "warehouse/apply_scheduler.h"
+#include "warehouse/integrator.h"
 #include "workload/workload.h"
 
 namespace opdelta::bench {
@@ -94,11 +94,11 @@ RunResult RunConfig(const std::vector<extract::OpDeltaTxn>& txns,
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   sql::StatementCache cache;
-  warehouse::ParallelApplyScheduler::Options options;
+  warehouse::OpDeltaIntegrator::Options options;
   options.pool = pool.get();
   options.max_inflight = threads;
   options.cache = &cache;
-  warehouse::ParallelApplyScheduler scheduler(wh.get(), options);
+  warehouse::OpDeltaIntegrator integrator(wh.get(), options);
 
   RunResult result;
   Stopwatch wall;
@@ -112,7 +112,7 @@ RunResult RunConfig(const std::vector<extract::OpDeltaTxn>& txns,
     id.epoch = 1;
     id.seq = seq++;
     warehouse::IntegrationStats stats;
-    BENCH_OK(scheduler.Apply(batch, id, &ledger, &stats));
+    BENCH_OK(integrator.Apply(batch, id, &ledger, &stats));
     result.txns_applied += stats.transactions;
     result.txns_parallel += stats.txns_parallel;
   }
@@ -161,9 +161,9 @@ void Run(JsonReport* report) {
   }
   table.Print();
   std::printf(
-      "\nspeedup is vs threads=1 (the serial integrator) on the same "
+      "\nspeedup is vs threads=1 (inline apply) on the same "
       "workload. Disjoint scaling needs real cores: on a single-CPU host "
-      "expect ~1.0x, the scheduler's no-overhead floor. The conflicting "
+      "expect ~1.0x, the pool's no-overhead floor. The conflicting "
       "rows *should* read ~1.0x at every width — that is the barrier "
       "chain preserving source order.\n");
 }

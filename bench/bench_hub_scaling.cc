@@ -4,8 +4,9 @@
 // Each configuration registers N log-method sources (one warehouse table
 // per source), preloads every source with the same transaction mix, then
 // times hub rounds until all deltas are integrated. The single-source,
-// single-worker row is the sequential CdcPipeline-equivalent baseline;
-// speedup is relative to it at the same per-source volume.
+// single-worker row (one extract-ship-apply loop, nothing concurrent) is
+// the sequential baseline; speedup is relative to it at the same
+// per-source volume.
 #include <string>
 #include <vector>
 

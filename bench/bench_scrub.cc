@@ -75,7 +75,8 @@ ScrubResult RunScrub(const ScratchDir& dir, const std::string& tag,
       Status st = leg->PeekShipped(&message);
       if (st.IsNotFound()) return Status::OK();
       OPDELTA_RETURN_IF_ERROR(st);
-      OPDELTA_RETURN_IF_ERROR(leg->Integrate(wh.get(), message, nullptr));
+      OPDELTA_RETURN_IF_ERROR(
+          leg->Integrate(wh.get(), nullptr, message, {}, nullptr));
       OPDELTA_RETURN_IF_ERROR(leg->AckShipped());
     }
   };

@@ -1,12 +1,13 @@
 // A miniature "dashboard" deployment: the source system takes sales
-// transactions; a CDC pipeline keeps a warehouse replica current; aggregate
-// and join views maintained directly from the Op-Delta stream power the
-// dashboard queries — all without ever re-extracting the base tables.
+// transactions; a one-source CDC hub keeps a warehouse replica current;
+// aggregate and join views maintained directly from the Op-Delta stream
+// power the dashboard queries — all without ever re-extracting the base
+// tables.
 #include <cstdio>
 
 #include "engine/database.h"
 #include "extract/op_delta.h"
-#include "pipeline/cdc_pipeline.h"
+#include "hub/delta_hub.h"
 #include "sql/executor.h"
 #include "warehouse/aggregate_view.h"
 #include "workload/workload.h"
@@ -56,20 +57,24 @@ int main() {
   DIE_ON_ERROR(source->CreateTable("sales", SalesSchema()));
   DIE_ON_ERROR(warehouse->CreateTable("sales", SalesSchema()));
 
-  // Replica pipeline: the archive-log method reads the WAL the engine
+  // Replica hub: the archive-log method reads the WAL the engine
   // writes anyway, so it needs no capture hooks of its own — the business
   // statements run exactly once, through the dashboard's Op-Delta capture
   // below.
-  pipeline::PipelineOptions popts;
-  popts.method = pipeline::Method::kLog;
-  popts.source_table = "sales";
-  popts.warehouse_table = "sales";
-  popts.work_dir = root + "/pipeline";
-  Result<std::unique_ptr<pipeline::CdcPipeline>> p =
-      pipeline::CdcPipeline::Create(source.get(), warehouse.get(), popts);
-  DIE_ON_ERROR(p.status());
-  pipeline::CdcPipeline* pipe = p->get();
-  DIE_ON_ERROR(pipe->Setup());
+  hub::HubOptions hopts;
+  hopts.work_dir = root + "/hub";
+  Result<std::unique_ptr<hub::DeltaHub>> h =
+      hub::DeltaHub::Create(warehouse.get(), hopts);
+  DIE_ON_ERROR(h.status());
+  hub::DeltaHub* replica = h->get();
+  hub::SourceSpec spec;
+  spec.name = "sales";
+  spec.source = source.get();
+  spec.method = pipeline::Method::kLog;
+  spec.source_table = "sales";
+  spec.warehouse_table = "sales";
+  DIE_ON_ERROR(replica->AddSource(spec));
+  DIE_ON_ERROR(replica->Setup());
 
   // Dashboard aggregate: revenue by region, maintained from the SAME
   // op-delta stream the replica consumes. A second file-sink capture feeds
@@ -98,7 +103,7 @@ int main() {
 
   // ---- Business day 1 ---------------------------------------------------
   // Every business transaction runs once, through the Op-Delta capture;
-  // the replica pipeline picks the same changes up from the archive log.
+  // the replica hub picks the same changes up from the archive log.
   auto run = [&](const sql::Statement& stmt) -> Status {
     return agg_capture.RunTransaction({stmt}).status();
   };
@@ -106,7 +111,7 @@ int main() {
   DIE_ON_ERROR(run(Sale(2, "west", 80)));
   DIE_ON_ERROR(run(Sale(3, "east", 200)));
 
-  DIE_ON_ERROR(pipe->RunOnce());
+  DIE_ON_ERROR(replica->RunRound());
   std::vector<extract::OpDeltaTxn> txns;
   DIE_ON_ERROR(extract::OpDeltaLogReader::ReadFile(root + "/agg_ops.log",
                                                    SalesSchema(), &txns));
@@ -124,9 +129,9 @@ int main() {
     }
     Result<uint64_t> replica_rows = warehouse->CountRows("sales");
     OPDELTA_RETURN_IF_ERROR(replica_rows.status());
-    std::printf("  (replica: %llu rows, pipeline round %llu)\n",
+    std::printf("  (replica: %llu rows, hub round %llu)\n",
                 static_cast<unsigned long long>(*replica_rows),
-                static_cast<unsigned long long>(pipe->stats().rounds));
+                static_cast<unsigned long long>(replica->Stats().rounds));
     return Status::OK();
   };
   DIE_ON_ERROR(print_dashboard("dashboard after day 1"));
@@ -144,7 +149,7 @@ int main() {
   DIE_ON_ERROR(run(sql::Statement(correct)));
   DIE_ON_ERROR(run(sql::Statement(refund)));
 
-  DIE_ON_ERROR(pipe->RunOnce());
+  DIE_ON_ERROR(replica->RunRound());
   txns.clear();
   DIE_ON_ERROR(extract::OpDeltaLogReader::ReadFile(root + "/agg_ops.log",
                                                    SalesSchema(), &txns));
@@ -156,5 +161,6 @@ int main() {
 
   std::printf("\nexpected: west 2 sales / 230 revenue, east gone; replica 2 "
               "rows\n");
+  DIE_ON_ERROR(replica->Stop());
   return 0;
 }

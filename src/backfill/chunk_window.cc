@@ -160,11 +160,13 @@ Status ChunkWindow::InspectShipped(const std::string& message, uint64_t id,
                                    std::vector<WindowRow>* rows,
                                    bool* saw_low, bool* saw_high,
                                    bool* touched) {
-  extract::BatchId batch_id;
-  std::string payload;
-  OPDELTA_RETURN_IF_ERROR(
-      pipeline::DecodeBatchFrame(message, &batch_id, &payload));
-  if (payload.empty()) return Status::Corruption("empty shipped message");
+  // Other tables can share this leg's capture wrapper; op-delta payloads
+  // decode against the source's all-tables map of their frame's epoch.
+  pipeline::ShippedBatch batch;
+  OPDELTA_RETURN_IF_ERROR(pipeline::DecodeShipped(
+      message,
+      [this](uint64_t epoch) { return source_->SchemaMapAt(epoch); },
+      &batch));
 
   std::set<int64_t> have;
   if (collect) {
@@ -185,11 +187,9 @@ Status ChunkWindow::InspectShipped(const std::string& message, uint64_t id,
     for (int64_t key : keys) note_key(key);
   };
 
-  if (pipeline::IsValueDeltaMessage(payload)) {
-    extract::DeltaBatch batch;
-    OPDELTA_RETURN_IF_ERROR(
-        pipeline::DecodeValueDeltaMessage(payload, &batch));
-    if (batch.table != table_ || batch.records.empty()) return Status::OK();
+  if (!batch.op_delta) {
+    const extract::DeltaBatch& delta = batch.delta;
+    if (delta.table != table_ || delta.records.empty()) return Status::OK();
     if (mode == CloseMode::kDetect) {
       // Value-delta streams carry no watermark markers (windows close on a
       // dry drain), so every drained event is potentially in-window. No
@@ -198,7 +198,7 @@ Status ChunkWindow::InspectShipped(const std::string& message, uint64_t id,
       return Status::OK();
     }
     std::set<int64_t> keys;
-    for (const extract::DeltaRecord& rec : batch.records) {
+    for (const extract::DeltaRecord& rec : delta.records) {
       if (static_cast<size_t>(key_col_) < rec.image.size() &&
           rec.image[static_cast<size_t>(key_col_)].type() ==
               ValueType::kInt64) {
@@ -208,20 +208,7 @@ Status ChunkWindow::InspectShipped(const std::string& message, uint64_t id,
     mark_keys(keys);
     return Status::OK();
   }
-  if (!pipeline::IsOpDeltaMessage(payload)) {
-    return Status::Corruption("unknown pipeline message tag");
-  }
-
-  const std::string body = payload.substr(1);
-  // Other tables can share this leg's capture wrapper; hybrid-mode before
-  // images need every touched table's schema to parse — decode against
-  // the cached all-tables map of the epoch the frame was encoded under.
-  OPDELTA_ASSIGN_OR_RETURN(
-      std::shared_ptr<const catalog::SchemaMap> schemas,
-      source_->SchemaMapAt(batch_id.schema_epoch));
-  std::vector<extract::OpDeltaTxn> txns;
-  OPDELTA_RETURN_IF_ERROR(extract::ParseOpDeltaLog(body, *schemas, &txns));
-  for (const extract::OpDeltaTxn& t : txns) {
+  for (const extract::OpDeltaTxn& t : batch.txns) {
     for (const extract::OpDeltaRecord& op : t.ops) {
       if (op.is_schema_event()) {
         // DDL on this table mid-window changes the row shape under the
@@ -233,7 +220,7 @@ Status ChunkWindow::InspectShipped(const std::string& message, uint64_t id,
       }
       OPDELTA_ASSIGN_OR_RETURN(
           sql::Statement stmt,
-          stmt_cache_.Parse(op.sql, batch_id.schema_epoch));
+          stmt_cache_.Parse(op.sql, batch.id.schema_epoch));
       if (stmt.is_insert()) {
         const sql::InsertStmt& ins = stmt.insert();
         if (ins.table == options_.signal_table) {

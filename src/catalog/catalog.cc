@@ -7,11 +7,9 @@ namespace opdelta::catalog {
 
 namespace {
 
-// Versioned catalog file: legacy files lead with varint32 next_id_, which
-// is always >= 1, so a leading varint32 0 is free to act as the
-// new-format sentinel. kCatalogFormatV1 added ddl_epoch, per-table
-// schema_epoch/file_gen, v2 schemas (column defaults) and the
-// SchemaHistory.
+// Catalog file: a leading varint32 0 sentinel, then the format version.
+// kCatalogFormatV1 carries ddl_epoch, per-table schema_epoch/file_gen, v2
+// schemas (column defaults) and the SchemaHistory.
 constexpr uint32_t kVersionSentinel = 0;
 constexpr uint32_t kCatalogFormatV1 = 1;
 
@@ -149,39 +147,18 @@ void Catalog::EncodeTo(std::string* dst) const {
 }
 
 Status Catalog::DecodeFrom(Slice input, Catalog* out) {
-  uint32_t first = 0;
-  if (!GetVarint32(&input, &first)) {
+  uint32_t sentinel = 0;
+  if (!GetVarint32(&input, &sentinel)) {
     return Status::Corruption("catalog header");
+  }
+  if (sentinel != kVersionSentinel) {
+    return Status::Corruption(
+        "catalog file lacks the format-version sentinel; this build reads "
+        "only catalog format version " + std::to_string(kCatalogFormatV1));
   }
   std::lock_guard<common::OrderedMutex> lock(out->mutex_);
   out->tables_.clear();
   out->history_.clear();
-  out->ddl_epoch_ = 1;
-
-  if (first != kVersionSentinel) {
-    // Legacy (pre-versioning) layout: `first` is next_id_ itself, schemas
-    // have no defaults, and there is no epoch state — the database starts
-    // its evolution history at epoch 1.
-    uint32_t count = 0;
-    if (!GetVarint32(&input, &count)) {
-      return Status::Corruption("catalog header");
-    }
-    out->next_id_ = first;
-    for (uint32_t i = 0; i < count; ++i) {
-      TableInfo info;
-      if (!GetVarint32(&input, &info.id)) {
-        return Status::Corruption("catalog id");
-      }
-      Slice name;
-      if (!GetLengthPrefixed(&input, &name)) {
-        return Status::Corruption("catalog name");
-      }
-      info.name = name.ToString();
-      OPDELTA_RETURN_IF_ERROR(Schema::DecodeFrom(&input, &info.schema));
-      out->tables_.emplace(info.name, std::move(info));
-    }
-    return Status::OK();
-  }
 
   uint32_t version = 0;
   if (!GetVarint32(&input, &version)) {

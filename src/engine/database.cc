@@ -347,8 +347,7 @@ std::shared_ptr<const catalog::SchemaMap> Database::CurrentSchemaMap() {
 
 Result<std::shared_ptr<const catalog::SchemaMap>> Database::SchemaMapAt(
     uint64_t epoch) {
-  // Epoch 0 marks frames from before epoch stamping existed: decode them
-  // against the current schemas, exactly as the pre-DDL code did.
+  // Epoch 0 is an unstamped identity: decode against the current schemas.
   if (epoch == 0 || epoch == catalog_.ddl_epoch()) return CurrentSchemaMap();
   Result<catalog::SchemaMap> schemas = catalog_.SchemasAt(epoch);
   OPDELTA_RETURN_IF_ERROR(schemas.status());

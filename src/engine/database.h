@@ -190,8 +190,8 @@ class Database {
   std::shared_ptr<const catalog::SchemaMap> CurrentSchemaMap();
 
   /// Schemas as of `epoch`, for decoding epoch-stamped frames. Epoch 0
-  /// (legacy frames predating epoch stamping) means "current". Unknown or
-  /// future epochs fail with kSchemaMismatch rather than guessing.
+  /// (an unstamped BatchId) means "current". Unknown or future epochs fail
+  /// with kSchemaMismatch rather than guessing.
   Result<std::shared_ptr<const catalog::SchemaMap>> SchemaMapAt(
       uint64_t epoch);
   txn::Wal* wal() { return &wal_; }

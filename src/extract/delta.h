@@ -50,17 +50,16 @@ struct BatchId {
   /// carries point-in-time row images selected by the backfiller, not
   /// captured changes. Snapshot batches share the source's (epoch, seq)
   /// sequence — the ledger dedupes them exactly like live batches — and
-  /// the marker travels in the transport frame ('C' instead of 'B').
+  /// the marker travels as the 'F' frame's kind byte ('C' instead of 'B').
   bool snapshot = false;
 
-  /// Source DDL epoch the batch's payload was encoded under. 0 = legacy
-  /// frame predating epoch stamping (decode against current schemas, the
-  /// pre-DDL behaviour). Readers with no schema for a non-zero epoch fail
-  /// with kSchemaMismatch instead of guessing.
+  /// Source DDL epoch the batch's payload was encoded under, stamped in
+  /// every frame. Readers with no schema for the epoch fail with
+  /// kSchemaMismatch instead of guessing.
   uint64_t schema_epoch = 0;
 
-  /// Identity-less batches (legacy frames, unstamped tooling) apply
-  /// without deduplication.
+  /// Identity-less batches (unstamped tooling) apply without
+  /// deduplication.
   bool valid() const { return !source_id.empty() && epoch != 0 && seq != 0; }
 
   /// "source@epoch:seq" — log/CLI display form.

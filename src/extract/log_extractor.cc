@@ -19,13 +19,19 @@ Result<DeltaBatch> LogExtractor::ExtractSince(txn::Lsn watermark,
                                               const std::string& table_name,
                                               const catalog::Schema& schema,
                                               txn::Lsn* new_watermark) {
-  // Pass 1: committed transactions.
+  // Pass 1: transactions whose commit record lies above the watermark.
+  // Records are selected by their transaction's commit, not their own LSN:
+  // a transaction still open at the previous extraction has records below
+  // that watermark and commits above it, and must ship now (the commit
+  // order rule DBLog uses).
   std::unordered_set<txn::TxnId> committed;
   txn::Lsn max_lsn = watermark;
   OPDELTA_RETURN_IF_ERROR(
       txn::Wal::ReadAll(wal_dir_, [&](const LogRecord& r) {
         if (r.lsn > max_lsn) max_lsn = r.lsn;
-        if (r.type == LogRecordType::kCommit) committed.insert(r.txn_id);
+        if (r.type == LogRecordType::kCommit && r.lsn > watermark) {
+          committed.insert(r.txn_id);
+        }
         return true;
       }));
 
@@ -37,8 +43,9 @@ Result<DeltaBatch> LogExtractor::ExtractSince(txn::Lsn watermark,
 
   OPDELTA_RETURN_IF_ERROR(
       txn::Wal::ReadAll(wal_dir_, [&](const LogRecord& r) {
-        if (r.lsn <= watermark || r.table_id != table_id) return true;
-        if (!committed.count(r.txn_id)) return true;
+        if (r.table_id != table_id || !committed.count(r.txn_id)) {
+          return true;
+        }
         auto decode = [&](const std::string& enc, Row* row) {
           decode_status = RowCodec::Decode(schema, Slice(enc), row);
           return decode_status.ok();

@@ -29,9 +29,11 @@ class LogExtractor {
   /// (db->wal()->dir()).
   explicit LogExtractor(std::string wal_dir) : wal_dir_(std::move(wal_dir)) {}
 
-  /// Extracts committed deltas for `table_id` with LSN > `watermark`.
-  /// `schema` must be the exact source schema. Updates *new_watermark to
-  /// the highest LSN seen (committed or not).
+  /// Extracts the deltas of every transaction on `table_id` whose commit
+  /// record has LSN > `watermark`, in log order. `schema` must be the exact
+  /// source schema. Updates *new_watermark to the highest LSN seen
+  /// (committed or not); a transaction still open then ships with the
+  /// extraction that first sees its commit.
   Result<DeltaBatch> ExtractSince(txn::Lsn watermark,
                                   catalog::TableId table_id,
                                   const std::string& table_name,

@@ -106,36 +106,20 @@ namespace {
 Status ApplyEntry(engine::Database* warehouse, warehouse::ApplyLedger* ledger,
                   const std::string& table, const DeadLetterEntry& entry,
                   warehouse::IntegrationStats* istats) {
-  extract::BatchId id;
-  std::string payload;
-  OPDELTA_RETURN_IF_ERROR(
-      pipeline::DecodeBatchFrame(entry.message, &id, &payload));
-  if (payload.empty()) return Status::Corruption("empty dead-letter message");
-  if (pipeline::IsValueDeltaMessage(payload)) {
-    extract::DeltaBatch batch;
-    OPDELTA_RETURN_IF_ERROR(
-        pipeline::DecodeValueDeltaMessage(payload, &batch));
-    return warehouse::ApplyNetChanges(warehouse, table, batch, id, ledger,
-                                      istats);
-  }
-  if (payload[0] == 'O') {
-    if (warehouse->GetTable(table) == nullptr) {
-      return Status::NotFound("warehouse table " + table);
-    }
-    // Hub invariant: op-delta sources use matching source/warehouse table
-    // names, so the statements parse against the warehouse schemas — the
-    // shared cached snapshot covers every table, because captured
-    // statements can touch auxiliary tables (e.g. the backfill signal
-    // table) besides the one dead-lettered for.
-    std::shared_ptr<const catalog::SchemaMap> schemas =
-        warehouse->CurrentSchemaMap();
-    std::vector<extract::OpDeltaTxn> txns;
-    OPDELTA_RETURN_IF_ERROR(extract::ParseOpDeltaLog(
-        payload.substr(1), *schemas, &txns));
-    warehouse::OpDeltaIntegrator integrator(warehouse);
-    return integrator.Apply(txns, id, ledger, istats);
-  }
-  return Status::Corruption("unknown dead-letter message tag");
+  // Hub invariant: op-delta sources use matching source/warehouse table
+  // names, so the statements decode against the warehouse's current
+  // schemas (the source need not be reachable from here).
+  pipeline::ShippedBatch batch;
+  OPDELTA_RETURN_IF_ERROR(pipeline::DecodeShipped(
+      entry.message,
+      [warehouse](uint64_t) {
+        return Result<std::shared_ptr<const catalog::SchemaMap>>(
+            warehouse->CurrentSchemaMap());
+      },
+      &batch));
+  return pipeline::ApplyShipped(warehouse, table, batch, ledger,
+                                warehouse::OpDeltaIntegrator::Options(),
+                                istats);
 }
 
 }  // namespace

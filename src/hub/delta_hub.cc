@@ -166,11 +166,6 @@ Status DeltaHub::AddSource(const SourceSpec& spec) {
     }
   }
   if (spec.method == pipeline::Method::kOpDelta &&
-      spec.warehouse_table != spec.source_table) {
-    return Status::NotSupported(
-        "op-delta source requires matching table names: " + spec.name);
-  }
-  if (spec.method == pipeline::Method::kOpDelta &&
       !spec.replica_group.empty()) {
     // §4.1: op-delta captures one authoritative stream at the wrapper, so
     // there is nothing to reconcile — replica groups are value-delta only.
@@ -321,7 +316,7 @@ Status DeltaHub::Setup() {
   }
 
   // A dedicated pool for parallel apply, created only when asked for.
-  // Sized to the widest source: lanes share it, and the scheduler's
+  // Sized to the widest source: lanes share it, and the integrator's
   // strict-ascending dispatch stays deadlock-free at any width.
   size_t max_apply_threads = 1;
   for (const auto& source : sources_) {
@@ -438,8 +433,9 @@ Status DeltaHub::DrainBacklog(Group* group) {
     std::string staged;
     extract::BatchId staged_id;
     if (group->members.size() == 1) {
-      OPDELTA_RETURN_IF_ERROR(
-          pipeline::DecodeBatchHeader(Slice(messages[0]), &staged_id));
+      // Identity is best effort: a message whose frame does not decode
+      // still goes to apply, fails there, and is dead-lettered.
+      (void)pipeline::DecodeBatchHeader(Slice(messages[0]), &staged_id);
       staged = std::move(messages[0]);
     } else {
       // Replica group: merge this round's per-replica batches into one
@@ -450,13 +446,19 @@ Status DeltaHub::DrainBacklog(Group* group) {
       std::vector<extract::DeltaBatch> batches(messages.size());
       std::vector<const extract::DeltaBatch*> replica_order;
       for (size_t i = 0; i < messages.size(); ++i) {
-        extract::BatchId member_id;
-        std::string inner;
-        OPDELTA_RETURN_IF_ERROR(
-            pipeline::DecodeBatchFrame(messages[i], &member_id, &inner));
-        if (i == 0) staged_id = member_id;
-        OPDELTA_RETURN_IF_ERROR(
-            pipeline::DecodeValueDeltaMessage(inner, &batches[i]));
+        engine::Database* source = present[i]->leg->source();
+        pipeline::ShippedBatch member;
+        OPDELTA_RETURN_IF_ERROR(pipeline::DecodeShipped(
+            messages[i],
+            [source](uint64_t epoch) { return source->SchemaMapAt(epoch); },
+            &member));
+        if (member.op_delta) {
+          return Status::Corruption("replica group member " +
+                                    present[i]->spec.name +
+                                    " shipped an op-delta batch");
+        }
+        if (i == 0) staged_id = member.id;
+        batches[i] = std::move(member.delta);
         replica_order.push_back(&batches[i]);
       }
       extract::Reconciler::Stats rstats;
@@ -465,11 +467,7 @@ Status DeltaHub::DrainBacklog(Group* group) {
           extract::Reconciler::Reconcile(replica_order, &rstats));
       std::string inner;
       pipeline::EncodeValueDeltaMessage(merged, &inner);
-      if (staged_id.valid()) {
-        pipeline::EncodeBatchFrame(staged_id, inner, &staged);
-      } else {
-        staged = std::move(inner);
-      }
+      pipeline::EncodeBatchFrame(staged_id, inner, &staged);
       std::lock_guard<common::OrderedMutex> lock(stats_mutex_);
       stats_.batches_reconciled += present.size();
       stats_.duplicates_dropped += rstats.duplicates_dropped;
@@ -615,22 +613,20 @@ void DeltaHub::ApplyWorkerLoop(size_t worker_index) {
     }
 
     Stopwatch apply_timer;
-    // The apply context is per-source configuration over hub-shared
-    // machinery: with apply_threads > 1 the scheduler fans this batch's
-    // disjoint transactions out on the dedicated pool; at 1 (or for any
-    // batch the planner cannot prove safe) the path is the serial
-    // integrator, statement cache included.
-    pipeline::ApplyContext apply_ctx;
-    apply_ctx.pool = parallel_apply_pool_.get();
-    apply_ctx.apply_threads =
-        batch->group->members.front()->spec.apply_threads;
-    apply_ctx.statement_cache = &stmt_cache_;
+    // Per-source configuration over hub-shared machinery: with
+    // apply_threads > 1 this batch's disjoint op-delta transactions fan out
+    // on the dedicated pool; at 1 they apply inline. The statement cache
+    // serves both.
+    warehouse::OpDeltaIntegrator::Options apply;
+    apply.pool = parallel_apply_pool_.get();
+    apply.max_inflight = batch->group->members.front()->spec.apply_threads;
+    apply.cache = &stmt_cache_;
     warehouse::IntegrationStats istats;
     Status st;
     for (int attempt = 0;; ++attempt) {
       istats = warehouse::IntegrationStats();  // Integrate accumulates
       st = batch->group->members.front()->leg->Integrate(
-          warehouse_, ledger_.get(), batch->message, apply_ctx, &istats);
+          warehouse_, ledger_.get(), batch->message, apply, &istats);
       // Retry only transient errors; a deterministic failure would replay
       // the same poison message forever. A retried batch whose first
       // attempt partially committed resumes via the ledger, never repeats.
@@ -888,9 +884,9 @@ Status DeltaHub::Stop() {
     if (t.joinable()) t.join();
   }
   apply_threads_.clear();
-  // 3. Only now is no scheduler task in flight: the apply workers (the
-  //    sole submitters) are joined, so the pool drains empty and shuts
-  //    down without stranding a ticket.
+  // 3. Only now is no parallel-apply task in flight: the apply workers
+  //    (the sole submitters) are joined, so the pool drains empty and
+  //    shuts down without stranding a ticket.
   if (parallel_apply_pool_ != nullptr) parallel_apply_pool_->Shutdown();
   return result;
 }

@@ -69,9 +69,9 @@ struct SourceSpec {
   /// Per-batch apply parallelism for this source's op-delta batches:
   /// transactions with disjoint key footprints apply concurrently on the
   /// hub's parallel-apply pool; conflicting ones keep source commit order,
-  /// and ledger semantics are unchanged (warehouse::ParallelApplyScheduler).
-  /// 1 = serial apply, the exact pre-existing path. Only meaningful for
-  /// Method::kOpDelta.
+  /// and ledger semantics are unchanged (warehouse::OpDeltaIntegrator).
+  /// 1 = every transaction applies inline on the apply worker. Only
+  /// meaningful for Method::kOpDelta.
   size_t apply_threads = 1;
 };
 
@@ -153,7 +153,7 @@ struct SourceStats {
 
   // Parallel apply.
   uint64_t apply_threads = 1;      // configured per-batch apply parallelism
-  uint64_t txns_parallel = 0;      // txns committed by the parallel scheduler
+  uint64_t txns_parallel = 0;      // txns committed on the apply pool
 
   // Self-healing.
   uint64_t errors = 0;             // supervised rounds that failed
@@ -191,7 +191,7 @@ struct HubStats {
   // Warehouse apply.
   uint64_t batches_applied = 0;
   uint64_t transactions_applied = 0;
-  uint64_t txns_parallel = 0;       // via the conflict-aware scheduler
+  uint64_t txns_parallel = 0;       // on the parallel-apply pool
   Micros apply_micros_total = 0;    // staging-pop → integrated, summed
   Micros apply_micros_max = 0;
 
@@ -216,10 +216,14 @@ struct HubStats {
 /// partitioned by warehouse table. Batches from a replica group pass
 /// through extract::Reconciler first, yielding one authoritative stream.
 ///
-/// Restart safety: per-source watermarks persist exactly as CdcPipeline's
-/// do (after the durable ship), and staged-but-unacknowledged batches
-/// replay from each source's PersistentQueue — a batch is acknowledged
-/// only after successful integration.
+/// Restart safety: each source leg persists its watermark after the
+/// durable ship, and staged-but-unacknowledged batches replay from each
+/// source's PersistentQueue — a batch is acknowledged only after
+/// successful integration, and the warehouse ApplyLedger drops
+/// redeliveries, so apply is exactly-once.
+///
+/// One source is the paper's Figure-1 loop (extract → ship → integrate) as
+/// a library object; N sources share one warehouse.
 ///
 /// Usage: Create → AddSource×N → Setup → RunRound loop or Start/Stop.
 class DeltaHub {
@@ -317,16 +321,16 @@ class DeltaHub {
 
   std::unique_ptr<ThreadPool> extract_pool_;
 
-  // Parallel apply: a dedicated pool for the conflict-aware scheduler's
+  // Parallel apply: a dedicated pool for the op-delta integrator's
   // per-transaction tasks, created by Setup only when a source asks for
   // apply_threads > 1. Never the extract pool — producer tasks block on
   // StageAndApply completion, and apply subtasks queued behind a full
   // complement of blocked producers would deadlock. Destroyed after the
-  // apply workers join, so no scheduler task can outlive it.
+  // apply workers join, so no apply task can outlive it.
   std::unique_ptr<ThreadPool> parallel_apply_pool_;
 
-  // Parsed-statement skeletons shared by every apply path (parallel and
-  // serial); internally synchronized, epoch-keyed against warehouse DDL.
+  // Parsed-statement skeletons shared by every apply lane (pool and
+  // inline); internally synchronized, epoch-keyed against warehouse DDL.
   sql::StatementCache stmt_cache_;
 
   // Staging area: per-worker FIFO lanes sharing one byte budget. The

@@ -55,14 +55,6 @@ struct PipelineOptions {
   uint64_t queue_max_bytes = 0;
 };
 
-struct PipelineStats {
-  uint64_t rounds = 0;
-  uint64_t records_extracted = 0;  // value-delta images / op statements
-  uint64_t batches_shipped = 0;
-  uint64_t bytes_shipped = 0;
-  uint64_t transactions_applied = 0;
-};
-
 }  // namespace opdelta::pipeline
 
 #endif  // OPDELTA_PIPELINE_PIPELINE_OPTIONS_H_

@@ -1,5 +1,7 @@
 #include "pipeline/source_leg.h"
 
+#include <algorithm>
+
 #include "common/clock.h"
 #include "common/coding.h"
 #include "common/crc32.h"
@@ -13,51 +15,31 @@ namespace opdelta::pipeline {
 using extract::DeltaBatch;
 
 namespace {
-// Message framing: one byte discriminates value-delta batches from
-// serialized op-delta transaction logs. An identity frame wraps either
-// with the batch identity the warehouse ApplyLedger dedupes on. Two frame
-// generations coexist:
-//   'B' / 'C' — legacy: tag, source, epoch, seq, crc, payload. 'C' marks
-//               a backfill snapshot chunk (BatchId::snapshot). No schema
-//               epoch; decoders stamp 0 ("current schemas", the pre-DDL
-//               behaviour).
-//   'F'       — versioned: 'F', version byte, fixed32 feature bits, kind
-//               byte ('B' live / 'C' snapshot), then source, epoch, seq,
-//               schema_epoch, crc, payload. Unknown versions, feature
-//               bits, or kinds are a reader/writer skew — they fail with
-//               kSchemaMismatch naming the offender, never a guess.
+// Message framing (see source_leg.h): an 'F' identity frame around a
+// 'V'/'O' payload. The kind byte inside the frame marks live ('B') versus
+// backfill snapshot ('C') batches.
 constexpr char kValueDeltaMessage = 'V';
 constexpr char kOpDeltaMessage = 'O';
-constexpr char kBatchFrame = 'B';
-constexpr char kSnapshotFrame = 'C';
-constexpr char kVersionedFrame = 'F';
+constexpr char kFrame = 'F';
+constexpr char kLiveKind = 'B';
+constexpr char kSnapshotKind = 'C';
 constexpr uint8_t kFrameVersion = 1;
 // Feature bits reserved for additive frame extensions. None are defined
 // yet, so any set bit comes from a newer writer this build cannot decode.
 constexpr uint32_t kKnownFeatureBits = 0;
 
-bool IsFramed(char tag) {
-  return tag == kBatchFrame || tag == kSnapshotFrame || tag == kVersionedFrame;
-}
-
-// Decodes the fields after the frame preamble (shared by both
-// generations; `versioned` adds the schema_epoch field).
-Status DecodeFrameFields(Slice* input, bool versioned, extract::BatchId* id,
-                         uint32_t* crc) {
-  Slice source;
-  if (!GetLengthPrefixed(input, &source) ||
-      !GetFixed64(input, &id->epoch) || !GetFixed64(input, &id->seq) ||
-      (versioned && !GetFixed64(input, &id->schema_epoch)) ||
-      !GetFixed32(input, crc)) {
-    return Status::Corruption("batch identity frame");
+// Consumes an 'F' frame up to its payload: the preamble (version, feature
+// bits, kind — anything this build does not understand is a reader/writer
+// skew and fails with kSchemaMismatch naming it), the identity and the
+// payload CRC. *id is assigned only on success.
+Status DecodeFrameHeader(Slice* input, extract::BatchId* id, uint32_t* crc) {
+  if (input->empty()) return Status::Corruption("empty pipeline message");
+  if ((*input)[0] != kFrame) {
+    return Status::Corruption(
+        std::string("unknown pipeline message frame tag '") + (*input)[0] +
+        "'");
   }
-  id->source_id = source.ToString();
-  return Status::OK();
-}
-
-// Consumes a versioned-frame preamble (version, feature bits, kind),
-// rejecting anything this build does not understand.
-Status DecodeVersionedPreamble(Slice* input, extract::BatchId* id) {
+  input->remove_prefix(1);
   if (input->empty()) return Status::Corruption("batch frame preamble");
   const uint8_t version = static_cast<uint8_t>((*input)[0]);
   input->remove_prefix(1);
@@ -83,12 +65,21 @@ Status DecodeVersionedPreamble(Slice* input, extract::BatchId* id) {
   if (input->empty()) return Status::Corruption("batch frame kind");
   const char kind = (*input)[0];
   input->remove_prefix(1);
-  if (kind != kBatchFrame && kind != kSnapshotFrame) {
+  if (kind != kLiveKind && kind != kSnapshotKind) {
     return Status::SchemaMismatch(
         std::string("batch frame has unknown kind tag '") + kind +
         "'; a newer writer produced it");
   }
-  id->snapshot = kind == kSnapshotFrame;
+  extract::BatchId decoded;
+  decoded.snapshot = kind == kSnapshotKind;
+  Slice source;
+  if (!GetLengthPrefixed(input, &source) ||
+      !GetFixed64(input, &decoded.epoch) || !GetFixed64(input, &decoded.seq) ||
+      !GetFixed64(input, &decoded.schema_epoch) || !GetFixed32(input, crc)) {
+    return Status::Corruption("batch identity frame");
+  }
+  decoded.source_id = source.ToString();
+  *id = std::move(decoded);
   return Status::OK();
 }
 }  // namespace
@@ -122,16 +113,12 @@ bool ParseMethod(const std::string& name, Method* out) {
   return true;
 }
 
-bool IsValueDeltaMessage(const std::string& message) {
-  return !message.empty() && message[0] == kValueDeltaMessage;
-}
-
 bool IsOpDeltaMessage(const std::string& message) {
   return !message.empty() && message[0] == kOpDeltaMessage;
 }
 
 Status DecodeValueDeltaMessage(const std::string& message, DeltaBatch* out) {
-  if (!IsValueDeltaMessage(message)) {
+  if (message.empty() || message[0] != kValueDeltaMessage) {
     return Status::InvalidArgument("not a value-delta message");
   }
   return DeltaBatch::DecodeFrom(
@@ -147,10 +134,10 @@ void EncodeValueDeltaMessage(const DeltaBatch& batch, std::string* out) {
 void EncodeBatchFrame(const extract::BatchId& id, const std::string& inner,
                       std::string* out) {
   out->clear();
-  out->push_back(kVersionedFrame);
+  out->push_back(kFrame);
   out->push_back(static_cast<char>(kFrameVersion));
   PutFixed32(out, kKnownFeatureBits);
-  out->push_back(id.snapshot ? kSnapshotFrame : kBatchFrame);
+  out->push_back(id.snapshot ? kSnapshotKind : kLiveKind);
   PutLengthPrefixed(out, Slice(id.source_id));
   PutFixed64(out, id.epoch);
   PutFixed64(out, id.seq);
@@ -166,38 +153,18 @@ void EncodeBatchFrame(const extract::BatchId& id, const std::string& inner,
 
 Status DecodeBatchHeader(Slice message, extract::BatchId* id) {
   *id = extract::BatchId();
-  if (message.empty() || !IsFramed(message[0])) return Status::OK();
-  const char tag = message[0];
-  message.remove_prefix(1);
-  const bool versioned = tag == kVersionedFrame;
-  if (versioned) {
-    OPDELTA_RETURN_IF_ERROR(DecodeVersionedPreamble(&message, id));
-  } else {
-    id->snapshot = tag == kSnapshotFrame;
-  }
   // Header-only read: the payload CRC is verified by DecodeBatchFrame on
   // the apply path, not here.
   uint32_t crc = 0;
-  return DecodeFrameFields(&message, versioned, id, &crc);
+  return DecodeFrameHeader(&message, id, &crc);
 }
 
 Status DecodeBatchFrame(const std::string& message, extract::BatchId* id,
                         std::string* inner) {
   *id = extract::BatchId();
-  if (message.empty() || !IsFramed(message[0])) {
-    *inner = message;  // legacy / identity-less message
-    return Status::OK();
-  }
-  const char tag = message[0];
-  Slice input(message.data() + 1, message.size() - 1);
-  const bool versioned = tag == kVersionedFrame;
-  if (versioned) {
-    OPDELTA_RETURN_IF_ERROR(DecodeVersionedPreamble(&input, id));
-  } else {
-    id->snapshot = tag == kSnapshotFrame;
-  }
+  Slice input(message);
   uint32_t crc = 0;
-  OPDELTA_RETURN_IF_ERROR(DecodeFrameFields(&input, versioned, id, &crc));
+  OPDELTA_RETURN_IF_ERROR(DecodeFrameHeader(&input, id, &crc));
   if (Crc32c(input.data(), input.size()) != crc) {
     // Deterministic Corruption: the hub's apply path diverts the batch to
     // the dead-letter log instead of retrying a damaged payload forever.
@@ -205,6 +172,60 @@ Status DecodeBatchFrame(const std::string& message, extract::BatchId* id,
                               id->ToString());
   }
   inner->assign(input.data(), input.size());
+  return Status::OK();
+}
+
+Status DecodeShipped(const std::string& message, const SchemaSource& schemas,
+                     ShippedBatch* out) {
+  std::string payload;
+  OPDELTA_RETURN_IF_ERROR(DecodeBatchFrame(message, &out->id, &payload));
+  if (payload.empty()) return Status::Corruption("empty pipeline message");
+  out->op_delta = false;
+  switch (payload[0]) {
+    case kValueDeltaMessage:
+      return DecodeValueDeltaMessage(payload, &out->delta);
+    case kOpDeltaMessage: {
+      // Decode against the all-tables map of the epoch the frame was
+      // *encoded* under; an epoch the schema source does not know fails
+      // with kSchemaMismatch instead of a guessed decode.
+      out->op_delta = true;
+      OPDELTA_ASSIGN_OR_RETURN(std::shared_ptr<const catalog::SchemaMap> map,
+                               schemas(out->id.schema_epoch));
+      return extract::ParseOpDeltaLog(payload.substr(1), *map, &out->txns);
+    }
+    default:
+      return Status::Corruption("unknown pipeline message tag");
+  }
+}
+
+Status ApplyShipped(engine::Database* warehouse, const std::string& table,
+                    const ShippedBatch& batch, warehouse::ApplyLedger* ledger,
+                    const warehouse::OpDeltaIntegrator::Options& apply,
+                    warehouse::IntegrationStats* stats) {
+  // Net-change integration is idempotent under at-least-once delivery, and
+  // exactly-once when a ledger dedupes the redeliveries outright. Both
+  // appliers overwrite their stats; accumulate into the caller's.
+  warehouse::IntegrationStats local;
+  if (batch.op_delta) {
+    warehouse::OpDeltaIntegrator integrator(warehouse, apply);
+    OPDELTA_RETURN_IF_ERROR(
+        integrator.Apply(batch.txns, batch.id, ledger, &local));
+  } else {
+    OPDELTA_RETURN_IF_ERROR(warehouse::ApplyNetChanges(
+        warehouse, table, batch.delta, batch.id, ledger, &local));
+  }
+  if (stats != nullptr) {
+    stats->statements_executed += local.statements_executed;
+    stats->rows_affected += local.rows_affected;
+    stats->transactions += local.transactions;
+    stats->txns_parallel += local.txns_parallel;
+    stats->wall_micros += local.wall_micros;
+    stats->outage_micros += local.outage_micros;
+    stats->duplicate_batches += local.duplicate_batches;
+    stats->duplicate_txns += local.duplicate_txns;
+    stats->schema_migrations += local.schema_migrations;
+    stats->schema_epoch = std::max(stats->schema_epoch, batch.id.schema_epoch);
+  }
   return Status::OK();
 }
 
@@ -220,6 +241,13 @@ Result<std::unique_ptr<SourceLeg>> SourceLeg::Create(
     return Status::NotFound("source table " + options.source_table);
   }
   if (options.source_id.empty()) options.source_id = options.source_table;
+  if (options.method == Method::kOpDelta &&
+      options.warehouse_table != options.source_table) {
+    // Captured statements name the source table; they replay verbatim.
+    return Status::NotSupported(
+        "op-delta source requires matching table names: " +
+        options.source_id);
+  }
   return std::unique_ptr<SourceLeg>(
       new SourceLeg(source, std::move(options)));
 }
@@ -257,9 +285,7 @@ Status SourceLeg::Setup() {
     epoch_ = static_cast<uint64_t>(RealClock::Default()->NowMicros());
     next_seq_ = 1;
   }
-  // Legacy state files predate the drained DDL epoch. Seeding from the
-  // source's current epoch is exact for legs that never saw DDL (the only
-  // legs such a file can belong to).
+  // A fresh leg drains from the source's current epoch.
   if (drained_epoch_ == 0) drained_epoch_ = source_->ddl_epoch();
 
   switch (options_.method) {
@@ -298,23 +324,13 @@ Status SourceLeg::LoadState() {
   std::string data;
   OPDELTA_RETURN_IF_ERROR(Env::Default()->ReadFileToString(path, &data));
   Slice input(data);
-  uint64_t ts = 0, lsn = 0;
-  if (!GetFixed64(&input, &ts) || !GetFixed64(&input, &lsn)) {
+  uint64_t ts = 0;
+  if (!GetFixed64(&input, &ts) || !GetFixed64(&input, &lsn_watermark_) ||
+      !GetFixed64(&input, &epoch_) || !GetFixed64(&input, &next_seq_) ||
+      !GetFixed64(&input, &drained_epoch_)) {
     return Status::Corruption("pipeline watermark file");
   }
   ts_watermark_ = static_cast<Micros>(ts);
-  lsn_watermark_ = lsn;
-  // Identity fields, absent from pre-ledger state files: those legacy legs
-  // mint a fresh epoch in Setup.
-  uint64_t epoch = 0, next_seq = 0;
-  if (GetFixed64(&input, &epoch) && GetFixed64(&input, &next_seq)) {
-    epoch_ = epoch;
-    next_seq_ = next_seq == 0 ? 1 : next_seq;
-  }
-  // Drained DDL epoch, absent from pre-schema-evolution state files: Setup
-  // seeds those from the source's current epoch.
-  uint64_t drained = 0;
-  if (GetFixed64(&input, &drained)) drained_epoch_ = drained;
   return Status::OK();
 }
 
@@ -516,83 +532,14 @@ Result<uint64_t> SourceLeg::Backlog() { return queue_.Backlog(); }
 Status SourceLeg::Integrate(engine::Database* warehouse,
                             warehouse::ApplyLedger* ledger,
                             const std::string& message,
-                            const ApplyContext& ctx,
+                            const warehouse::OpDeltaIntegrator::Options& apply,
                             warehouse::IntegrationStats* stats) {
-  if (message.empty()) return Status::Corruption("empty pipeline message");
-  extract::BatchId id;
-  std::string payload;
-  OPDELTA_RETURN_IF_ERROR(DecodeBatchFrame(message, &id, &payload));
-  if (payload.empty()) return Status::Corruption("empty pipeline message");
-  const char tag = payload[0];
-  const std::string body = payload.substr(1);
-
-  if (tag == kValueDeltaMessage) {
-    DeltaBatch batch;
-    OPDELTA_RETURN_IF_ERROR(DeltaBatch::DecodeFrom(Slice(body), &batch));
-    // Net-change integration: idempotent under at-least-once delivery, and
-    // exactly-once when a ledger dedupes the redeliveries outright.
-    // ApplyNetChanges overwrites its stats; accumulate into the caller's.
-    warehouse::IntegrationStats local;
-    OPDELTA_RETURN_IF_ERROR(warehouse::ApplyNetChanges(
-        warehouse, options_.warehouse_table, batch, id, ledger, &local));
-    if (stats != nullptr) {
-      stats->statements_executed += local.statements_executed;
-      stats->rows_affected += local.rows_affected;
-      stats->transactions += local.transactions;
-      stats->wall_micros += local.wall_micros;
-      stats->outage_micros += local.outage_micros;
-      stats->duplicate_batches += local.duplicate_batches;
-      stats->duplicate_txns += local.duplicate_txns;
-      if (id.schema_epoch > stats->schema_epoch) {
-        stats->schema_epoch = id.schema_epoch;
-      }
-    }
-    return Status::OK();
-  }
-  if (tag == kOpDeltaMessage) {
-    // Captured statements can touch auxiliary tables besides the source
-    // table (e.g. the backfill signal table), and hybrid-mode before
-    // images need each touched table's schema to parse — decode against
-    // the all-tables map of the epoch the frame was *encoded* under. A
-    // frame from an epoch this source no longer knows (or does not know
-    // yet) fails with kSchemaMismatch instead of a guessed decode.
-    OPDELTA_ASSIGN_OR_RETURN(
-        std::shared_ptr<const catalog::SchemaMap> schemas,
-        source_->SchemaMapAt(id.schema_epoch));
-    std::vector<extract::OpDeltaTxn> txns;
-    OPDELTA_RETURN_IF_ERROR(extract::ParseOpDeltaLog(body, *schemas, &txns));
-    // Rewrite table names when source and warehouse tables differ.
-    if (options_.warehouse_table != options_.source_table) {
-      return Status::NotSupported(
-          "op-delta pipeline requires matching table names");
-    }
-    warehouse::IntegrationStats local;
-    // The scheduler applies disjoint-footprint transactions concurrently
-    // and falls back to the serial integrator on anything it cannot prove
-    // safe; with no pool it *is* the serial integrator (plus the cache).
-    warehouse::ParallelApplyScheduler::Options sched;
-    sched.pool = ctx.pool;
-    sched.max_inflight = ctx.apply_threads;
-    sched.cache = ctx.statement_cache;
-    warehouse::ParallelApplyScheduler scheduler(warehouse, sched);
-    OPDELTA_RETURN_IF_ERROR(scheduler.Apply(txns, id, ledger, &local));
-    if (stats != nullptr) {
-      stats->statements_executed += local.statements_executed;
-      stats->rows_affected += local.rows_affected;
-      stats->transactions += local.transactions;
-      stats->txns_parallel += local.txns_parallel;
-      stats->wall_micros += local.wall_micros;
-      stats->outage_micros += local.outage_micros;
-      stats->duplicate_batches += local.duplicate_batches;
-      stats->duplicate_txns += local.duplicate_txns;
-      stats->schema_migrations += local.schema_migrations;
-      if (id.schema_epoch > stats->schema_epoch) {
-        stats->schema_epoch = id.schema_epoch;
-      }
-    }
-    return Status::OK();
-  }
-  return Status::Corruption("unknown pipeline message tag");
+  ShippedBatch batch;
+  OPDELTA_RETURN_IF_ERROR(DecodeShipped(
+      message, [this](uint64_t epoch) { return source_->SchemaMapAt(epoch); },
+      &batch));
+  return ApplyShipped(warehouse, options_.warehouse_table, batch, ledger,
+                      apply, stats);
 }
 
 }  // namespace opdelta::pipeline

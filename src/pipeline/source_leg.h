@@ -2,8 +2,10 @@
 #define OPDELTA_PIPELINE_SOURCE_LEG_H_
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -12,26 +14,10 @@
 #include "extract/op_delta.h"
 #include "pipeline/pipeline_options.h"
 #include "sql/executor.h"
-#include "sql/statement_cache.h"
 #include "transport/persistent_queue.h"
-#include "warehouse/apply_scheduler.h"
 #include "warehouse/integrator.h"
 
 namespace opdelta::pipeline {
-
-/// Shared apply-side machinery a consumer may hand to Integrate. Default
-/// construction means "serial, parse every statement" — the behaviour of
-/// the plain Integrate overloads. All members are caller-owned and may be
-/// shared across legs and threads (the scheduler runs each batch's
-/// transactions on `pool`; the cache is internally synchronized).
-struct ApplyContext {
-  /// Worker pool for conflict-aware parallel apply. nullptr = serial.
-  ThreadPool* pool = nullptr;
-  /// Per-batch apply parallelism; <= 1 = serial even with a pool.
-  size_t apply_threads = 1;
-  /// Prepared-statement cache; nullptr = full parse per statement.
-  sql::StatementCache* statement_cache = nullptr;
-};
 
 /// Counters for one extract→ship leg.
 struct LegStats {
@@ -44,8 +30,8 @@ struct LegStats {
 /// One source table's extract→ship half of the Figure-1 loop: watermarked
 /// extraction by any Method, durable shipping through a PersistentQueue,
 /// restart-safe persisted state. The integrate half is pulled by whoever
-/// consumes the queue — `CdcPipeline` inline, or a `hub::DeltaHub` apply
-/// worker — via PeekShipped / Integrate / AckShipped.
+/// consumes the queue — a `hub::DeltaHub` apply worker, or a test or tool
+/// driving one leg by hand — via PeekShipped / Integrate / AckShipped.
 ///
 /// The watermark persists after a successful durable enqueue: once a batch
 /// is staged in the queue it is never re-extracted, and a crash before
@@ -99,28 +85,14 @@ class SourceLeg {
   Result<uint64_t> Backlog();
 
   /// Applies one shipped message to `warehouse` (table
-  /// options().warehouse_table). Value-delta messages integrate as
-  /// idempotent net changes; op-delta messages replay per-transaction.
-  Status Integrate(engine::Database* warehouse, const std::string& message,
-                   warehouse::IntegrationStats* stats) {
-    return Integrate(warehouse, nullptr, message, stats);
-  }
-
-  /// Exactly-once form: the message's stamped BatchId is checked against
-  /// and advanced in `ledger` (may be nullptr) atomically with the apply.
+  /// options().warehouse_table) through DecodeShipped and ApplyShipped,
+  /// decoding op-delta payloads against this leg's source schemas. The
+  /// message's stamped BatchId is checked against and advanced in `ledger`
+  /// (may be nullptr) atomically with the apply; `apply` configures op-delta
+  /// replay. Accumulates into *stats (may be nullptr).
   Status Integrate(engine::Database* warehouse,
                    warehouse::ApplyLedger* ledger, const std::string& message,
-                   warehouse::IntegrationStats* stats) {
-    return Integrate(warehouse, ledger, message, ApplyContext(), stats);
-  }
-
-  /// Full form: `ctx` supplies the parallel-apply pool and the statement
-  /// cache. Op-delta batches go through the conflict-aware scheduler when
-  /// ctx enables it; ledger and digest semantics are identical to serial
-  /// apply either way.
-  Status Integrate(engine::Database* warehouse,
-                   warehouse::ApplyLedger* ledger, const std::string& message,
-                   const ApplyContext& ctx,
+                   const warehouse::OpDeltaIntegrator::Options& apply,
                    warehouse::IntegrationStats* stats);
 
   const PipelineOptions& options() const { return options_; }
@@ -160,8 +132,7 @@ class SourceLeg {
   // with the watermarks). The source catalog may already be several DDL
   // changes ahead of rows still sitting in the log; drained before images
   // must decode against the schemas of *this* epoch, not the current one.
-  // 0 = not yet initialized (legacy state file); Setup seeds it from the
-  // source's current epoch, which is exact for legs that never saw DDL.
+  // 0 = a fresh leg; Setup seeds it from the source's current epoch.
   uint64_t drained_epoch_ = 0;
   LegStats stats_;
 
@@ -180,36 +151,65 @@ class SourceLeg {
   std::deque<PendingFrame> pending_;
 };
 
-/// Message framing helpers. A shipped message is a one-byte tag ('V' for a
-/// value-delta batch, 'O' for an op-delta transaction log) plus the encoded
-/// body, wrapped in an identity frame that prepends the stamped
-/// extract::BatchId. New frames are versioned ('F' + version + feature
-/// bits + kind) and carry the payload's schema epoch; the legacy 'B'/'C'
-/// frames (no version, no epoch) still decode, stamped schema_epoch 0.
-/// Unknown frame versions, feature bits, or kinds fail with
-/// kSchemaMismatch naming the offender — never a guessed decode. The hub
-/// uses these to reconcile value-delta messages from replica groups before
-/// integration.
-bool IsValueDeltaMessage(const std::string& message);
-bool IsOpDeltaMessage(const std::string& message);
+/// Message framing. A shipped message is an 'F' identity frame — 'F',
+/// version byte, fixed32 feature bits, kind ('B' live batch, 'C' backfill
+/// snapshot chunk), the stamped extract::BatchId with the payload's schema
+/// epoch, and a CRC32C over the payload — around a payload that is a
+/// one-byte tag ('V' value-delta batch, 'O' op-delta transaction log) plus
+/// the encoded body. Unknown frame versions, feature bits, or kinds fail
+/// with kSchemaMismatch naming the offender — never a guessed decode.
 Status DecodeValueDeltaMessage(const std::string& message,
                                extract::DeltaBatch* out);
 void EncodeValueDeltaMessage(const extract::DeltaBatch& batch,
                              std::string* out);
+/// True for an op-delta payload ('O').
+bool IsOpDeltaMessage(const std::string& message);
 
-/// Wraps `inner` (a 'V'/'O' message) in a versioned 'F' identity frame.
+/// Wraps `inner` (a 'V'/'O' payload) in an 'F' identity frame.
 void EncodeBatchFrame(const extract::BatchId& id, const std::string& inner,
                       std::string* out);
 
-/// Splits a message into its identity and inner 'V'/'O' payload. Messages
-/// without a frame (legacy, hand-injected) yield an invalid id and the
-/// whole message as payload — they apply without deduplication.
+/// Splits an 'F' frame into its identity and verified payload. Anything
+/// else, and a payload whose CRC does not match, fails with Corruption.
 Status DecodeBatchFrame(const std::string& message, extract::BatchId* id,
                         std::string* inner);
 
-/// Reads just the identity (invalid for unframed messages) without copying
-/// the payload.
+/// Reads just the identity without copying or verifying the payload. On
+/// failure *id is left invalid.
 Status DecodeBatchHeader(Slice message, extract::BatchId* id);
+
+/// A shipped message, decoded: its stamped identity and exactly one of a
+/// value-delta batch or op-delta transactions.
+struct ShippedBatch {
+  extract::BatchId id;
+  bool op_delta = false;
+  extract::DeltaBatch delta;              // !op_delta
+  std::vector<extract::OpDeltaTxn> txns;  // op_delta
+};
+
+/// The schemas an op-delta payload decodes against, given the schema epoch
+/// stamped in its frame: captured statements can touch auxiliary tables
+/// besides the shipped one, and hybrid before images need each touched
+/// table's schema to parse.
+using SchemaSource =
+    std::function<Result<std::shared_ptr<const catalog::SchemaMap>>(
+        uint64_t schema_epoch)>;
+
+/// The one decoder of shipped messages: frame, CRC, then the payload by its
+/// tag. An unknown tag fails with Corruption.
+Status DecodeShipped(const std::string& message, const SchemaSource& schemas,
+                     ShippedBatch* out);
+
+/// The one applier of shipped batches. Value-delta batches integrate into
+/// `table` as idempotent net changes (one indivisible transaction);
+/// op-delta transactions replay through warehouse::OpDeltaIntegrator with
+/// `apply`, one warehouse transaction each. `ledger` (may be nullptr)
+/// dedupes on batch.id and records progress atomically with the apply.
+/// Accumulates into *stats (may be nullptr).
+Status ApplyShipped(engine::Database* warehouse, const std::string& table,
+                    const ShippedBatch& batch, warehouse::ApplyLedger* ledger,
+                    const warehouse::OpDeltaIntegrator::Options& apply,
+                    warehouse::IntegrationStats* stats);
 
 }  // namespace opdelta::pipeline
 

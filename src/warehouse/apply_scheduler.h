@@ -1,20 +1,16 @@
 #ifndef OPDELTA_WAREHOUSE_APPLY_SCHEDULER_H_
 #define OPDELTA_WAREHOUSE_APPLY_SCHEDULER_H_
 
+// Conflict planning for op-delta apply: which transactions of a batch may
+// run concurrently (warehouse::OpDeltaIntegrator runs them).
+
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "common/status.h"
-#include "common/thread_pool.h"
 #include "engine/database.h"
-#include "extract/delta.h"
-#include "extract/op_delta.h"
 #include "sql/statement.h"
-#include "sql/statement_cache.h"
-#include "warehouse/apply_ledger.h"
-#include "warehouse/integrator.h"
 
 namespace opdelta::warehouse {
 
@@ -34,7 +30,7 @@ using TxnFootprint = std::map<std::string, TableFootprint>;
 /// Folds one parsed statement into `footprint`. Returns false when the
 /// statement cannot be given a safe footprint at all (non-DML, unknown
 /// table, trigger-bearing table whose trigger bodies write elsewhere) —
-/// the batch then falls back to serial apply.
+/// its transaction then applies as a full barrier.
 ///
 /// Footprint rules (DESIGN.md §15):
 ///   INSERT               -> the key cell of each inserted row
@@ -48,69 +44,12 @@ bool StatementFootprint(engine::Database* db, const sql::Statement& stmt,
                         TxnFootprint* footprint);
 
 /// Barrier for each transaction: the index of the newest earlier
-/// transaction whose footprint overlaps it, or -1. Because the scheduler
-/// commits strictly in index order, "all my conflicting predecessors have
-/// committed" reduces to "the commit cursor has passed my barrier" — the
-/// full conflict DAG collapses to one index per node.
+/// transaction whose footprint overlaps it, or -1. Because the op-delta
+/// applier commits strictly in index order, "all my conflicting
+/// predecessors have committed" reduces to "the commit cursor has passed
+/// my barrier" — the full conflict DAG collapses to one index per node.
 std::vector<int64_t> ComputeConflictBarriers(
     const std::vector<TxnFootprint>& footprints);
-
-/// Conflict-aware parallel replay of one op-delta batch. Transactions
-/// execute concurrently on a shared ThreadPool when their footprints are
-/// disjoint; conflicting transactions retain source commit order. Ledger
-/// semantics are byte-for-byte those of the serial OpDeltaIntegrator:
-/// every transaction's ApplyLedger::Advance commits in source-serial order
-/// (each worker executes eagerly, then waits for its commit ticket), so
-/// the watermark always covers a contiguous applied prefix — duplicate
-/// drop and crash-resume behave identically to serial apply, and on any
-/// failure the committed prefix is exactly the transactions before the
-/// first failing one.
-///
-/// Scheduling is deadlock-free by construction: dispatch is strictly
-/// ascending in batch order, and the pool starts tasks FIFO, so a worker
-/// waiting for its ticket is always waiting on a task that is already
-/// running or finished — never on one parked behind it in the queue. This
-/// holds even when several batches (from different hub apply lanes) share
-/// one pool. The pool must not be shut down while Apply is in flight.
-///
-/// Batches the planner cannot prove safe — schema events, statements that
-/// fail to parse, statements without a footprint — apply through the
-/// serial integrator, preserving its exact semantics.
-class ParallelApplyScheduler {
- public:
-  struct Options {
-    /// Shared worker pool (required for parallelism; nullptr = serial).
-    ThreadPool* pool = nullptr;
-    /// Transactions of one batch in flight at once; <= 1 means serial.
-    size_t max_inflight = 1;
-    /// Optional prepared-statement cache (also used by the serial
-    /// fallback).
-    sql::StatementCache* cache = nullptr;
-  };
-
-  ParallelApplyScheduler(engine::Database* warehouse, Options options)
-      : db_(warehouse), options_(options) {}
-
-  /// Drop-in replacement for OpDeltaIntegrator::Apply (exactly-once form).
-  Status Apply(const std::vector<extract::OpDeltaTxn>& txns,
-               const extract::BatchId& id, ApplyLedger* ledger,
-               IntegrationStats* stats);
-
- private:
-  struct TxnPlan;
-  struct Run;
-
-  /// Parses and footprints txns[skip..); false when any transaction is not
-  /// safely parallelizable (the caller then applies serially).
-  bool PlanBatch(const std::vector<extract::OpDeltaTxn>& txns, uint64_t skip,
-                 std::vector<TxnPlan>* plans);
-
-  static void ExecuteOne(Run* run, size_t index);
-  static void DispatchLocked(Run* run);
-
-  engine::Database* db_;
-  Options options_;
-};
 
 }  // namespace opdelta::warehouse
 

@@ -1,13 +1,15 @@
-// Conflict-aware parallel apply (warehouse/apply_scheduler.h) and the
-// prepared-statement cache (sql/statement_cache.h).
+// Conflict-aware parallel apply (warehouse::OpDeltaIntegrator with a pool,
+// footprints in warehouse/apply_scheduler.h) and the prepared-statement
+// cache (sql/statement_cache.h).
 //
-// The load-bearing property is convergence: for any op-delta batch, the
-// parallel scheduler must produce byte-for-byte the warehouse state and
-// ledger semantics of the serial OpDeltaIntegrator — same final rows,
-// same committed prefix on failure, same duplicate/resume decisions.
-// The randomized suites drive that with seeded workloads, both disjoint
-// (everything runs concurrently) and conflicting (barriers force source
-// order).
+// The load-bearing property is convergence: for any op-delta batch, apply
+// on a 4-wide pool must produce byte-for-byte the warehouse state and
+// ledger semantics of inline apply — same final rows, same committed
+// prefix on failure, same duplicate/resume decisions — and both must equal
+// an independent oracle that replays each transaction through a plain
+// executor. The randomized suites drive that with seeded workloads, both
+// disjoint (everything runs concurrently) and conflicting (barriers force
+// source order).
 #include "warehouse/apply_scheduler.h"
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include "sql/executor.h"
 #include "sql/parser.h"
 #include "sql/statement_cache.h"
+#include "extract/schema_event.h"
 #include "warehouse/apply_ledger.h"
 #include "warehouse/integrator.h"
 #include "workload/workload.h"
@@ -259,6 +262,7 @@ TEST_F(FootprintTest, KeyEncodingMatchesExecutorCoercion) {
   EXPECT_EQ(a["parts"].keys, b["parts"].keys);
 }
 
+// Statements without a footprint make their transaction a full barrier.
 TEST_F(FootprintTest, UnfootprintableStatementsForceSerialFallback) {
   TxnFootprint fp;
   EXPECT_FALSE(Fold("DELETE FROM ghost WHERE id = 1", &fp));  // unknown table
@@ -331,21 +335,21 @@ TEST(ConflictBarrierTest, RepeatedKeyWithinOneTxnIsNotASelfConflict) {
   EXPECT_EQ(ComputeConflictBarriers(fps), (std::vector<int64_t>{-1}));
 }
 
-// ---------------------------------------------------- scheduler semantics
+// -------------------------------------------------------- apply semantics
 
-/// Applies `txns` through the parallel scheduler in `batch` -sized ledger
-/// batches, accumulating stats.
+/// Applies `txns` through OpDeltaIntegrator at `threads` width (1 =
+/// inline) in `batch` -sized ledger batches, accumulating stats.
 Status ApplyAll(engine::Database* wh, ApplyLedger* ledger,
                 const std::vector<extract::OpDeltaTxn>& txns, size_t threads,
                 size_t batch, IntegrationStats* total) {
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   sql::StatementCache cache;
-  ParallelApplyScheduler::Options options;
+  OpDeltaIntegrator::Options options;
   options.pool = pool.get();
   options.max_inflight = threads;
   options.cache = &cache;
-  ParallelApplyScheduler scheduler(wh, options);
+  OpDeltaIntegrator integrator(wh, options);
   uint64_t seq = 1;
   for (size_t off = 0; off < txns.size(); off += batch) {
     const size_t n = std::min(batch, txns.size() - off);
@@ -353,7 +357,7 @@ Status ApplyAll(engine::Database* wh, ApplyLedger* ledger,
                                            txns.begin() + off + n);
     IntegrationStats stats;
     OPDELTA_RETURN_IF_ERROR(
-        scheduler.Apply(slice, Batch(seq++), ledger, &stats));
+        integrator.Apply(slice, Batch(seq++), ledger, &stats));
     total->statements_executed += stats.statements_executed;
     total->transactions += stats.transactions;
     total->txns_parallel += stats.txns_parallel;
@@ -411,19 +415,44 @@ std::vector<extract::OpDeltaTxn> RandomWorkload(uint64_t seed,
   return txns;
 }
 
+/// Independent oracle: every source transaction replayed through a plain
+/// sql::Executor in its own engine transaction, in source order — none of
+/// the integrator's planning, pool, cache or ledger involved.
+Status ReplayThroughExecutor(engine::Database* wh,
+                             const std::vector<extract::OpDeltaTxn>& txns) {
+  sql::Executor executor(wh);
+  for (const extract::OpDeltaTxn& source_txn : txns) {
+    std::unique_ptr<txn::Transaction> txn = wh->Begin();
+    for (const extract::OpDeltaRecord& op : source_txn.ops) {
+      Result<sql::Statement> stmt =
+          sql::Parser::Parse(op.sql);  // NOLINT(opdelta-R6: cache-free oracle)
+      Status st = stmt.status();
+      if (st.ok()) st = executor.Execute(txn.get(), stmt.value()).status();
+      if (!st.ok()) {
+        (void)wh->Abort(txn.get());
+        return st;
+      }
+    }
+    OPDELTA_RETURN_IF_ERROR(wh->Commit(txn.get()));
+  }
+  return Status::OK();
+}
+
 class ConvergenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ConvergenceTest, ParallelEqualsSerialOnSeededWorkloads) {
-  // The acceptance property: for the same batch stream, the parallel
-  // scheduler and the serial integrator converge to identical warehouse
-  // states — disjoint and conflicting workloads alike.
+  // The acceptance property: for the same batch stream, 4-wide and inline
+  // apply converge to identical warehouse states — disjoint and
+  // conflicting workloads alike — and both equal the executor oracle.
   for (const bool conflicting : {false, true}) {
     const std::vector<extract::OpDeltaTxn> txns =
         RandomWorkload(GetParam(), conflicting, 48);
     TempDir dir;
+    auto oracle_wh = OpenDb(dir, "oracle", NoTimestampOptions());
     auto serial_wh = OpenDb(dir, "serial", NoTimestampOptions());
     auto parallel_wh = OpenDb(dir, "parallel", NoTimestampOptions());
-    for (engine::Database* db : {serial_wh.get(), parallel_wh.get()}) {
+    for (engine::Database* db :
+         {oracle_wh.get(), serial_wh.get(), parallel_wh.get()}) {
       OPDELTA_ASSERT_OK(
           db->CreateTable("parts", workload::PartsWorkload::Schema()));
       OPDELTA_ASSERT_OK(db->CreateIndex("parts", "id"));
@@ -433,6 +462,7 @@ TEST_P(ConvergenceTest, ParallelEqualsSerialOnSeededWorkloads) {
     OPDELTA_ASSERT_OK(serial_ledger.Setup());
     OPDELTA_ASSERT_OK(parallel_ledger.Setup());
 
+    OPDELTA_ASSERT_OK(ReplayThroughExecutor(oracle_wh.get(), txns));
     IntegrationStats serial_stats, parallel_stats;
     OPDELTA_ASSERT_OK(ApplyAll(serial_wh.get(), &serial_ledger, txns,
                                /*threads=*/1, /*batch=*/12, &serial_stats));
@@ -446,18 +476,26 @@ TEST_P(ConvergenceTest, ParallelEqualsSerialOnSeededWorkloads) {
     EXPECT_GT(parallel_stats.txns_parallel, 0u);
     EXPECT_EQ(parallel_stats.statements_executed,
               serial_stats.statements_executed);
+    const SetDigest oracle_digest = DigestTable(oracle_wh.get(), "parts");
     const SetDigest serial_digest = DigestTable(serial_wh.get(), "parts");
     const SetDigest parallel_digest = DigestTable(parallel_wh.get(), "parts");
     // Digest, not TableContents: the workload can insert duplicate key
     // values, and a map keyed by the key column would arbitrarily keep
     // whichever duplicate the scan visits last — physical placement, not
     // semantics. The multiset digest compares full contents exactly.
+    const std::string where =
+        "seed " + std::to_string(GetParam()) +
+        (conflicting ? " conflicting" : " disjoint");
+    EXPECT_TRUE(oracle_digest == serial_digest)
+        << where << ": " << oracle_digest.ToString() << " vs "
+        << serial_digest.ToString();
     EXPECT_TRUE(serial_digest == parallel_digest)
-        << "seed " << GetParam() << (conflicting ? " conflicting" : " disjoint")
-        << ": " << serial_digest.ToString() << " vs "
+        << where << ": " << serial_digest.ToString() << " vs "
         << parallel_digest.ToString();
     EXPECT_EQ(CountRows(serial_wh.get(), "parts"),
               CountRows(parallel_wh.get(), "parts"));
+    EXPECT_EQ(CountRows(oracle_wh.get(), "parts"),
+              CountRows(serial_wh.get(), "parts"));
   }
 }
 
@@ -504,20 +542,20 @@ TEST(ParallelApplyTest, DuplicateBatchIsDroppedWhole) {
   }
   ThreadPool pool(4);
   sql::StatementCache cache;
-  ParallelApplyScheduler::Options options;
+  OpDeltaIntegrator::Options options;
   options.pool = &pool;
   options.max_inflight = 4;
   options.cache = &cache;
-  ParallelApplyScheduler scheduler(wh.get(), options);
+  OpDeltaIntegrator integrator(wh.get(), options);
 
   IntegrationStats first;
-  OPDELTA_ASSERT_OK(scheduler.Apply(txns, Batch(1), &ledger, &first));
+  OPDELTA_ASSERT_OK(integrator.Apply(txns, Batch(1), &ledger, &first));
   EXPECT_EQ(first.transactions, 8u);
   EXPECT_EQ(CountRows(wh.get(), "parts"), 8u);
 
   // Redelivery: op-delta INSERTs applied twice would add physical rows.
   IntegrationStats second;
-  OPDELTA_ASSERT_OK(scheduler.Apply(txns, Batch(1), &ledger, &second));
+  OPDELTA_ASSERT_OK(integrator.Apply(txns, Batch(1), &ledger, &second));
   EXPECT_EQ(second.duplicate_batches, 1u);
   EXPECT_EQ(second.transactions, 0u);
   EXPECT_EQ(CountRows(wh.get(), "parts"), 8u);
@@ -540,18 +578,18 @@ TEST(ParallelApplyTest, FailureCommitsExactPrefixAndResumes) {
     txns.push_back(Txn(t + 1, {"INSERT INTO parts VALUES (" +
                                std::to_string(t) + ", 's', 'p', TS:0)"}));
   }
-  // Footprintable (key-equality UPDATE) but fails at execution: the
-  // parallel path, not the planner fallback, must produce the prefix.
+  // Footprintable (key-equality UPDATE) but fails at execution: a pool
+  // worker, not a barrier, must produce the prefix.
   txns[kPoison] =
       Txn(kPoison + 1, {"UPDATE parts SET nosuch = 'x' WHERE id = 5"});
 
   ThreadPool pool(4);
-  ParallelApplyScheduler::Options options;
+  OpDeltaIntegrator::Options options;
   options.pool = &pool;
   options.max_inflight = 4;
-  ParallelApplyScheduler scheduler(wh.get(), options);
+  OpDeltaIntegrator integrator(wh.get(), options);
 
-  EXPECT_FALSE(scheduler.Apply(txns, Batch(1), &ledger, nullptr).ok());
+  EXPECT_FALSE(integrator.Apply(txns, Batch(1), &ledger, nullptr).ok());
   EXPECT_EQ(CountRows(wh.get(), "parts"), kPoison);
   Result<ApplyLedger::Watermark> mark = ledger.Get("src");
   OPDELTA_ASSERT_OK(mark.status());
@@ -562,15 +600,15 @@ TEST(ParallelApplyTest, FailureCommitsExactPrefixAndResumes) {
   txns[kPoison] = Txn(kPoison + 1, {"INSERT INTO parts VALUES (5, 's', 'p', "
                                     "TS:0)"});
   IntegrationStats stats;
-  OPDELTA_ASSERT_OK(scheduler.Apply(txns, Batch(1), &ledger, &stats));
+  OPDELTA_ASSERT_OK(integrator.Apply(txns, Batch(1), &ledger, &stats));
   EXPECT_EQ(stats.duplicate_txns, kPoison);
   EXPECT_EQ(stats.transactions, txns.size() - kPoison);
   EXPECT_EQ(CountRows(wh.get(), "parts"), 8u);
 }
 
 TEST(ParallelApplyTest, SerialFallbacksMatchParallelResults) {
-  // No pool, single inflight, and unfootprintable batches all take the
-  // serial integrator path — and land the same warehouse state.
+  // No pool and a single inflight slot apply every transaction inline —
+  // and land the same warehouse state as the 4-wide pool.
   const std::vector<extract::OpDeltaTxn> txns =
       RandomWorkload(31337, /*conflicting=*/true, 24);
   TempDir dir;
@@ -596,8 +634,9 @@ TEST(ParallelApplyTest, SerialFallbacksMatchParallelResults) {
 }
 
 TEST(ParallelApplyTest, UnfootprintableBatchFallsBackToSerialApply) {
-  // A batch the planner cannot prove safe routes through the serial
-  // integrator, whose error and committed prefix become the batch's.
+  // A transaction the planner cannot footprint runs alone as a full
+  // barrier; its error and the committed prefix before it become the
+  // batch's, exactly as inline apply would leave them.
   TempDir dir;
   auto wh = OpenDb(dir, "wh", NoTimestampOptions());
   OPDELTA_ASSERT_OK(
@@ -611,14 +650,12 @@ TEST(ParallelApplyTest, UnfootprintableBatchFallsBackToSerialApply) {
   txns.push_back(Txn(3, {"INSERT INTO parts VALUES (2, 's', 'p', TS:0)"}));
 
   ThreadPool pool(4);
-  ParallelApplyScheduler::Options options;
+  OpDeltaIntegrator::Options options;
   options.pool = &pool;
   options.max_inflight = 4;
-  ParallelApplyScheduler scheduler(wh.get(), options);
+  OpDeltaIntegrator integrator(wh.get(), options);
   IntegrationStats stats;
-  // The unfootprintable statement fails in both paths; what matters is
-  // that the error and prefix are the serial integrator's.
-  const Status st = scheduler.Apply(txns, Batch(1), &ledger, &stats);
+  const Status st = integrator.Apply(txns, Batch(1), &ledger, &stats);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(CountRows(wh.get(), "parts"), 1u);
   Result<ApplyLedger::Watermark> mark = ledger.Get("src");
@@ -626,12 +663,143 @@ TEST(ParallelApplyTest, UnfootprintableBatchFallsBackToSerialApply) {
   EXPECT_EQ(mark.value().txns, 1u);
 }
 
+/// Captured ADD COLUMN qty INT64 DEFAULT 4 on `wh`'s parts table.
+extract::OpDeltaTxn AddQtyColumn(engine::Database* wh, txn::TxnId id) {
+  auto event = std::make_shared<extract::SchemaEvent>();
+  event->table = "parts";
+  event->ddl_epoch = 2;
+  event->spec.kind = catalog::AlterTableSpec::Kind::kAddColumn;
+  event->spec.column = catalog::Column{"qty", catalog::ValueType::kInt64,
+                                       catalog::Value::Int64(4)};
+  event->old_schema = wh->GetTable("parts")->schema();
+  EXPECT_TRUE(catalog::ApplyAlter(event->old_schema, event->spec,
+                                  &event->new_schema)
+                  .ok());
+  event->ddl_sql = "ALTER TABLE parts " + event->spec.ToString();
+  extract::OpDeltaTxn txn = Txn(id, {});
+  extract::OpDeltaRecord op = Op(1, event->ddl_sql);
+  op.schema_event = std::move(event);
+  txn.ops.push_back(std::move(op));
+  return txn;
+}
+
+/// One warehouse with parts and a trigger-bearing `audited` table.
+struct BarrierWarehouse {
+  BarrierWarehouse(TempDir* dir, const std::string& name) {
+    db = OpenDb(*dir, name, NoTimestampOptions());
+    EXPECT_TRUE(
+        db->CreateTable("parts", workload::PartsWorkload::Schema()).ok());
+    EXPECT_TRUE(
+        db->CreateTable("audited", workload::PartsWorkload::Schema()).ok());
+    class NullSink : public engine::TriggerSink {
+     public:
+      Status Write(engine::Database*, txn::Transaction*,
+                   engine::TriggerEvents, const catalog::Row&,
+                   const catalog::Row&) override {
+        return Status::OK();
+      }
+    };
+    EXPECT_TRUE(db->CreateTrigger("audited",
+                                  engine::TriggerDef{
+                                      "t", engine::kOnAll,
+                                      std::make_shared<NullSink>()})
+                    .ok());
+    ledger = std::make_unique<ApplyLedger>(db.get());
+    EXPECT_TRUE(ledger->Setup().ok());
+  }
+
+  std::unique_ptr<engine::Database> db;
+  std::unique_ptr<ApplyLedger> ledger;
+};
+
+std::string PartsInsert(int64_t key, bool with_qty) {
+  return "INSERT INTO parts VALUES (" + std::to_string(key) +
+         ", 's', 'p', TS:0" + (with_qty ? ", 9)" : ")");
+}
+
+TEST(ParallelApplyTest, BarriersMatchInlineApplyWithPoolOnBothSides) {
+  // Full barriers — a trigger-table transaction, a captured ADD COLUMN, an
+  // unknown-table transaction — inside batches of disjoint inserts. At 4
+  // threads the outcome (digest, ledger watermark, error, committed prefix)
+  // must be inline apply's, while every footprinted transaction, before
+  // and after each barrier, still commits on the pool.
+  TempDir dir;
+  BarrierWarehouse inline_wh(&dir, "inline");
+  BarrierWarehouse pool_wh(&dir, "pool");
+  ThreadPool pool(4);
+
+  for (BarrierWarehouse* wh : {&inline_wh, &pool_wh}) {
+    const bool on_pool = wh == &pool_wh;
+    OpDeltaIntegrator::Options options;
+    options.pool = on_pool ? &pool : nullptr;
+    options.max_inflight = on_pool ? 4 : 1;
+    OpDeltaIntegrator integrator(wh->db.get(), options);
+
+    // Batch 1: both barriers commit.
+    std::vector<extract::OpDeltaTxn> first = {
+        Txn(1, {PartsInsert(1, false)}),
+        Txn(2, {PartsInsert(2, false)}),
+        Txn(3, {"INSERT INTO audited VALUES (1, 's', 'p', TS:0)"}),
+        Txn(4, {PartsInsert(3, false)}),
+        Txn(5, {PartsInsert(4, false)}),
+        AddQtyColumn(wh->db.get(), 6),
+        Txn(7, {PartsInsert(5, true)}),
+        Txn(8, {PartsInsert(6, true)}),
+    };
+    IntegrationStats stats;
+    OPDELTA_ASSERT_OK(
+        integrator.Apply(first, Batch(1), wh->ledger.get(), &stats));
+    EXPECT_EQ(stats.transactions, 8u);
+    EXPECT_EQ(stats.schema_migrations, 1u);
+    // Six footprinted inserts, two on each side of each barrier; the
+    // barriers themselves run alone and never count.
+    EXPECT_EQ(stats.txns_parallel, on_pool ? 6u : 0u);
+
+    // Batch 2: the unknown-table barrier fails; the prefix before it
+    // stays committed and nothing after it applies.
+    std::vector<extract::OpDeltaTxn> second = {
+        Txn(9, {PartsInsert(7, true)}),
+        Txn(10, {PartsInsert(8, true)}),
+        Txn(11, {"DELETE FROM ghost WHERE id = 1"}),
+        Txn(12, {PartsInsert(9, true)}),
+    };
+    const Status st =
+        integrator.Apply(second, Batch(2), wh->ledger.get(), nullptr);
+    EXPECT_TRUE(st.IsNotFound()) << st.ToString();
+  }
+
+  EXPECT_TRUE(DigestTable(inline_wh.db.get(), "parts") ==
+              DigestTable(pool_wh.db.get(), "parts"));
+  EXPECT_TRUE(DigestTable(inline_wh.db.get(), "audited") ==
+              DigestTable(pool_wh.db.get(), "audited"));
+  EXPECT_EQ(CountRows(pool_wh.db.get(), "parts"), 8u);
+  EXPECT_EQ(CountRows(pool_wh.db.get(), "audited"), 1u);
+  for (BarrierWarehouse* wh : {&inline_wh, &pool_wh}) {
+    Result<ApplyLedger::Watermark> mark = wh->ledger->Get("src");
+    OPDELTA_ASSERT_OK(mark.status());
+    ASSERT_TRUE(mark.value().exists);
+    EXPECT_EQ(mark.value().seq, 2u);
+    EXPECT_EQ(mark.value().txns, 2u);
+  }
+  // Same error text at both widths, not just the same code.
+  OpDeltaIntegrator inline_apply(inline_wh.db.get());
+  OpDeltaIntegrator::Options options;
+  options.pool = &pool;
+  options.max_inflight = 4;
+  OpDeltaIntegrator pool_apply(pool_wh.db.get(), options);
+  const std::vector<extract::OpDeltaTxn> ghost = {
+      Txn(13, {PartsInsert(10, true)}),
+      Txn(14, {"DELETE FROM ghost WHERE id = 1"})};
+  EXPECT_EQ(inline_apply.Apply(ghost, nullptr).ToString(),
+            pool_apply.Apply(ghost, nullptr).ToString());
+}
+
 // ------------------------------------------------------------- hub e2e
 
 TEST(HubParallelApplyTest, OpDeltaSourceAppliesInParallelEndToEnd) {
   // apply_threads on a SourceSpec turns the hub's op-delta lane parallel;
   // the warehouse must still converge to the source and the stats must
-  // show scheduler commits and statement-cache hits.
+  // show pool commits and statement-cache hits.
   TempDir dir;
   auto src = OpenDb(dir, "src", NoTimestampOptions());
   auto wh = OpenDb(dir, "wh", NoTimestampOptions());
@@ -658,7 +826,7 @@ TEST(HubParallelApplyTest, OpDeltaSourceAppliesInParallelEndToEnd) {
   ASSERT_NE(capture, nullptr);
   for (int round = 0; round < 3; ++round) {
     // Several disjoint transactions per round: one batch, empty conflict
-    // DAG, so the scheduler genuinely runs them through the pool.
+    // DAG, so the integrator genuinely runs them through the pool.
     for (int t = 0; t < 4; ++t) {
       const int64_t base = round * 80 + t * 20;
       OPDELTA_ASSERT_OK(

@@ -190,7 +190,8 @@ struct LegFixture {
       Status st = leg->PeekShipped(&message);
       if (st.IsNotFound()) return Status::OK();
       OPDELTA_RETURN_IF_ERROR(st);
-      OPDELTA_RETURN_IF_ERROR(leg->Integrate(wh.get(), message, nullptr));
+      OPDELTA_RETURN_IF_ERROR(
+          leg->Integrate(wh.get(), nullptr, message, {}, nullptr));
       OPDELTA_RETURN_IF_ERROR(leg->AckShipped());
     }
   }

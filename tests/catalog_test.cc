@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
+#include "common/env.h"
 #include "common/random.h"
 #include "catalog/catalog.h"
 #include "catalog/row_codec.h"
@@ -266,6 +268,28 @@ TEST(CatalogTest, PersistsToFile) {
   TableId id3;
   OPDELTA_ASSERT_OK(reloaded.CreateTable("c", TestSchema(), &id3));
   EXPECT_GT(id3, id2);
+}
+
+TEST(CatalogTest, RejectsFileWithoutFormatVersion) {
+  // The pre-versioning layout — varint next_id, table count, then
+  // id/name/v1-schema per table — is read by no build any more: it fails
+  // naming the format instead of decoding.
+  TempDir dir;
+  const std::string path = dir.Sub("catalog.meta");
+  std::string legacy;
+  PutVarint32(&legacy, 2);  // next_id
+  PutVarint32(&legacy, 1);  // one table
+  PutVarint32(&legacy, 1);  // its id
+  PutLengthPrefixed(&legacy, Slice("parts"));
+  TestSchema().EncodeTo(&legacy);
+  OPDELTA_ASSERT_OK(WriteFileAtomic(Env::Default(), path, Slice(legacy)));
+
+  Catalog catalog;
+  const Status st = catalog.LoadFromFile(path);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.ToString().find("catalog format version"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(catalog.GetTable("parts"), nullptr);
 }
 
 TEST(CatalogTest, TableNamesSorted) {

@@ -431,6 +431,40 @@ TEST_F(ExtractTest, LogExtractorWatermarkIsIncremental) {
   EXPECT_EQ(second->records[1].op, DeltaOp::kUpdateAfter);
 }
 
+TEST_F(ExtractTest, LogExtractorShipsTransactionStraddlingAnExtraction) {
+  // Transaction A writes, then B commits — B's commit syncs the log, so
+  // A's uncommitted records land in the segment below the watermark the
+  // next extraction sets. A commits afterwards; its rows must ship with the
+  // extraction that sees the commit, exactly once.
+  engine::Table* t = db_->GetTable("parts");
+  std::unique_ptr<txn::Transaction> a = db_->Begin();
+  OPDELTA_ASSERT_OK(db_->Insert(a.get(), "parts", wl_.MakeRow(100)));
+  OPDELTA_ASSERT_OK(db_->Insert(a.get(), "parts", wl_.MakeRow(101)));
+  OPDELTA_ASSERT_OK(wl_.Populate(db_.get(), "parts", 5));  // B
+
+  LogExtractor extractor(db_->wal()->dir());
+  txn::Lsn first_mark = 0;
+  Result<DeltaBatch> first = extractor.ExtractSince(
+      0, t->id(), "parts", t->schema(), &first_mark);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->records.size(), 5u);  // B only: A has not committed
+
+  OPDELTA_ASSERT_OK(db_->Commit(a.get()));
+  txn::Lsn second_mark = 0;
+  Result<DeltaBatch> second = extractor.ExtractSince(
+      first_mark, t->id(), "parts", t->schema(), &second_mark);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_EQ(second->records.size(), 2u);
+  EXPECT_EQ(second->records[0].op, DeltaOp::kInsert);
+  EXPECT_EQ(second->records[0].image[0].AsInt64(), 100);
+  EXPECT_EQ(second->records[1].image[0].AsInt64(), 101);
+
+  Result<DeltaBatch> third = extractor.ExtractSince(
+      second_mark, t->id(), "parts", t->schema(), nullptr);
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  EXPECT_TRUE(third->records.empty());
+}
+
 TEST_F(ExtractTest, ReplayIntoRebuildsExactReplica) {
   // "These logs contain deltas and can be shipped to another similar
   // database and applied using tools based on the DBMS recovery managers."

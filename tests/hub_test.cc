@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "common/fault_env.h"
-#include "pipeline/cdc_pipeline.h"
 #include "pipeline/source_leg.h"
 #include "sql/executor.h"
 #include "workload/workload.h"
@@ -222,10 +221,11 @@ TEST_F(HubIntegrationTest, FourSourcesConvergeWithOrderPreserved) {
 }
 
 TEST_F(HubIntegrationTest, SequentialPipelineBaselineMatchesHubResult) {
-  // Ground truth via the single-threaded path: a CdcPipeline over the
-  // same archive log (log extraction is non-destructive, so the hub and
-  // the baseline can both consume it) applied sequentially to a second
-  // warehouse must produce exactly the table the hub produced.
+  // Ground truth via the single-threaded path: a one-source hub with one
+  // extract thread and one apply worker over the same archive log (log
+  // extraction is non-destructive, so the hub and the baseline can both
+  // consume it) applied sequentially to a second warehouse must produce
+  // exactly the table the hub produced.
   Result<std::unique_ptr<DeltaHub>> hub = MakeHub(HubOptions());
   ASSERT_TRUE(hub.ok()) << hub.status().ToString();
   for (int round = 0; round < 3; ++round) {
@@ -237,16 +237,23 @@ TEST_F(HubIntegrationTest, SequentialPipelineBaselineMatchesHubResult) {
   auto baseline_wh = OpenDb(dir_, "baseline_wh", NoTimestampOptions());
   OPDELTA_ASSERT_OK(
       baseline_wh->CreateTable("parts", workload::PartsWorkload::Schema()));
-  pipeline::PipelineOptions popts;
-  popts.method = pipeline::Method::kLog;
-  popts.source_table = "parts";
-  popts.warehouse_table = "parts";
-  popts.work_dir = dir_.Sub("baseline_pipeline");
-  Result<std::unique_ptr<pipeline::CdcPipeline>> baseline =
-      pipeline::CdcPipeline::Create(src_log_.get(), baseline_wh.get(), popts);
+  HubOptions options;
+  options.work_dir = dir_.Sub("baseline_hub");
+  options.extract_threads = 1;
+  options.apply_workers = 1;
+  Result<std::unique_ptr<DeltaHub>> baseline =
+      DeltaHub::Create(baseline_wh.get(), options);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  SourceSpec log;
+  log.name = "log";
+  log.source = src_log_.get();
+  log.method = pipeline::Method::kLog;
+  log.source_table = "parts";
+  log.warehouse_table = "parts";
+  OPDELTA_ASSERT_OK((*baseline)->AddSource(log));
   OPDELTA_ASSERT_OK((*baseline)->Setup());
-  OPDELTA_ASSERT_OK((*baseline)->RunOnce());
+  OPDELTA_ASSERT_OK((*baseline)->RunRound());
+  OPDELTA_EXPECT_OK((*baseline)->Stop());
 
   EXPECT_TRUE(
       TablesEqual(baseline_wh.get(), "parts", wh_.get(), "parts_log"));
@@ -288,15 +295,19 @@ TEST_F(HubIntegrationTest, BackgroundDriverIntegratesContinuously) {
 
   for (int round = 0; round < 3; ++round) DriveRound(hub->get(), round);
 
-  // Wait (bounded) for the driver to absorb everything. The bound is
-  // generous: under `ctest -j$(nproc)` with the runtime lock checker on,
-  // the driver thread can be starved for seconds at a time.
-  const uint64_t want = CountRows(src_log_.get(), "parts");
-  for (int i = 0; i < 3000; ++i) {
-    if (CountRows(wh_.get(), "parts_log") == want &&
-        (*hub)->Stats().staging_bytes == 0) {
-      break;
-    }
+  // Wait (bounded) until every mirrored table equals its source — the
+  // predicate ExpectWarehouseConverged then asserts — and nothing is
+  // staged. The bound is generous: under `ctest -j$(nproc)` with the
+  // runtime lock checker on, the driver thread can be starved for seconds
+  // at a time.
+  const auto converged = [&] {
+    return TablesEqual(src_ts_.get(), "parts", wh_.get(), "parts_ts") &&
+           TablesEqual(src_log_.get(), "parts", wh_.get(), "parts_log") &&
+           TablesEqual(src_op_.get(), "parts", wh_.get(), "parts") &&
+           TablesEqual(replica1_.get(), "parts", wh_.get(), "parts_rep") &&
+           (*hub)->Stats().staging_bytes == 0;
+  };
+  for (int i = 0; i < 3000 && !converged(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   OPDELTA_ASSERT_OK((*hub)->Stop());

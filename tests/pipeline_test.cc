@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "pipeline/cdc_pipeline.h"
+#include "hub/delta_hub.h"
 #include "pipeline/source_leg.h"
 #include "sql/executor.h"
 #include "workload/workload.h"
@@ -15,6 +15,26 @@ using opdelta::testing::OpenDb;
 using opdelta::testing::TablesEqual;
 using opdelta::testing::TempDir;
 
+/// The paper's Figure-1 loop over one table: a one-source DeltaHub, driven
+/// one synchronous round at a time.
+Result<std::unique_ptr<hub::DeltaHub>> OneSourceHub(
+    engine::Database* source, engine::Database* warehouse, Method method,
+    const std::string& work_dir) {
+  hub::HubOptions options;
+  options.work_dir = work_dir;
+  OPDELTA_ASSIGN_OR_RETURN(std::unique_ptr<hub::DeltaHub> hub,
+                           hub::DeltaHub::Create(warehouse, options));
+  hub::SourceSpec spec;
+  spec.name = "parts";
+  spec.source = source;
+  spec.method = method;
+  spec.source_table = "parts";
+  spec.warehouse_table = "parts";
+  OPDELTA_RETURN_IF_ERROR(hub->AddSource(spec));
+  OPDELTA_RETURN_IF_ERROR(hub->Setup());
+  return hub;
+}
+
 class PipelineTest : public ::testing::TestWithParam<Method> {
  protected:
   void SetUp() override {
@@ -27,48 +47,48 @@ class PipelineTest : public ::testing::TestWithParam<Method> {
     OPDELTA_ASSERT_OK(wl_.CreateTable(src_.get(), "parts"));
     OPDELTA_ASSERT_OK(wl_.CreateTable(wh_.get(), "parts"));
 
-    PipelineOptions popts;
-    popts.method = GetParam();
-    popts.source_table = "parts";
-    popts.warehouse_table = "parts";
-    popts.work_dir = dir_.Sub("pipeline");
-    Result<std::unique_ptr<CdcPipeline>> p =
-        CdcPipeline::Create(src_.get(), wh_.get(), popts);
-    ASSERT_TRUE(p.ok()) << p.status().ToString();
-    pipeline_ = std::move(*p);
-    OPDELTA_ASSERT_OK(pipeline_->Setup());
+    Result<std::unique_ptr<hub::DeltaHub>> hub = OneSourceHub(
+        src_.get(), wh_.get(), GetParam(), dir_.Sub("pipeline"));
+    ASSERT_TRUE(hub.ok()) << hub.status().ToString();
+    hub_ = std::move(*hub);
     exec_ = std::make_unique<sql::Executor>(src_.get());
+  }
+
+  void TearDown() override {
+    if (hub_ != nullptr) OPDELTA_EXPECT_OK(hub_->Stop());
   }
 
   /// Runs one source transaction through the right entry point.
   Status RunSource(const sql::Statement& stmt) {
     if (GetParam() == Method::kOpDelta) {
-      return pipeline_->capture()->RunTransaction({stmt}).status();
+      return hub_->capture("parts")->RunTransaction({stmt}).status();
     }
     return exec_->ExecuteSql(stmt.ToSql()).status();
   }
 
+  hub::SourceStats leg_stats() const { return hub_->Stats().sources[0]; }
+
   TempDir dir_;
   workload::PartsWorkload wl_;
   std::unique_ptr<engine::Database> src_, wh_;
-  std::unique_ptr<CdcPipeline> pipeline_;
+  std::unique_ptr<hub::DeltaHub> hub_;
   std::unique_ptr<sql::Executor> exec_;
 };
 
 TEST_P(PipelineTest, ConvergesOverMultipleRounds) {
   // Round 1: inserts.
   OPDELTA_ASSERT_OK(RunSource(wl_.MakeInsert("parts", 0, 200)));
-  OPDELTA_ASSERT_OK(pipeline_->RunOnce());
+  OPDELTA_ASSERT_OK(hub_->RunRound());
   EXPECT_TRUE(TablesEqual(src_.get(), "parts", wh_.get(), "parts"));
 
   // Round 2: updates.
   OPDELTA_ASSERT_OK(RunSource(wl_.MakeUpdate("parts", 50, 150, "v2")));
-  OPDELTA_ASSERT_OK(pipeline_->RunOnce());
+  OPDELTA_ASSERT_OK(hub_->RunRound());
   EXPECT_TRUE(TablesEqual(src_.get(), "parts", wh_.get(), "parts"));
 
   // Round 3: deletes — visible to every method except timestamp.
   OPDELTA_ASSERT_OK(RunSource(wl_.MakeDelete("parts", 0, 30)));
-  OPDELTA_ASSERT_OK(pipeline_->RunOnce());
+  OPDELTA_ASSERT_OK(hub_->RunRound());
   if (GetParam() == Method::kTimestamp) {
     // Documented blind spot: the warehouse keeps the deleted rows.
     EXPECT_EQ(CountRows(wh_.get(), "parts"), 200u);
@@ -77,21 +97,21 @@ TEST_P(PipelineTest, ConvergesOverMultipleRounds) {
     EXPECT_TRUE(TablesEqual(src_.get(), "parts", wh_.get(), "parts"));
   }
 
-  EXPECT_EQ(pipeline_->stats().rounds, 3u);
+  EXPECT_EQ(hub_->Stats().rounds, 3u);
   // The timestamp method ships nothing for the delete-only round (the
   // deletes are invisible to it); every other method ships three batches.
-  EXPECT_GE(pipeline_->stats().batches_shipped,
+  EXPECT_GE(leg_stats().batches_shipped,
             GetParam() == Method::kTimestamp ? 2u : 3u);
-  EXPECT_GT(pipeline_->stats().bytes_shipped, 0u);
+  EXPECT_GT(leg_stats().bytes_shipped, 0u);
 }
 
 TEST_P(PipelineTest, IdleRoundsShipNothing) {
   OPDELTA_ASSERT_OK(RunSource(wl_.MakeInsert("parts", 0, 10)));
-  OPDELTA_ASSERT_OK(pipeline_->RunOnce());
-  const uint64_t shipped = pipeline_->stats().batches_shipped;
-  OPDELTA_ASSERT_OK(pipeline_->RunOnce());
-  OPDELTA_ASSERT_OK(pipeline_->RunOnce());
-  EXPECT_EQ(pipeline_->stats().batches_shipped, shipped);  // no new batches
+  OPDELTA_ASSERT_OK(hub_->RunRound());
+  const uint64_t shipped = leg_stats().batches_shipped;
+  OPDELTA_ASSERT_OK(hub_->RunRound());
+  OPDELTA_ASSERT_OK(hub_->RunRound());
+  EXPECT_EQ(leg_stats().batches_shipped, shipped);  // no new batches
   EXPECT_TRUE(TablesEqual(src_.get(), "parts", wh_.get(), "parts"));
 }
 
@@ -108,7 +128,7 @@ TEST_P(PipelineTest, InterleavedChangesAcrossRounds) {
           "parts", lo, lo + 1 + rng.Uniform(10),
           "r" + std::to_string(round))));
     }
-    OPDELTA_ASSERT_OK(pipeline_->RunOnce());
+    OPDELTA_ASSERT_OK(hub_->RunRound());
     ASSERT_TRUE(TablesEqual(src_.get(), "parts", wh_.get(), "parts"))
         << "after round " << round;
   }
@@ -143,36 +163,30 @@ TEST(PipelineRestartTest, WatermarkSurvivesRestart) {
   OPDELTA_ASSERT_OK(wl.CreateTable(wh.get(), "parts"));
   sql::Executor exec(src.get());
 
-  PipelineOptions popts;
-  popts.method = Method::kLog;
-  popts.source_table = "parts";
-  popts.warehouse_table = "parts";
-  popts.work_dir = dir.Sub("pipeline");
-
   {
-    Result<std::unique_ptr<CdcPipeline>> p =
-        CdcPipeline::Create(src.get(), wh.get(), popts);
-    ASSERT_TRUE(p.ok());
-    OPDELTA_ASSERT_OK((*p)->Setup());
+    Result<std::unique_ptr<hub::DeltaHub>> hub =
+        OneSourceHub(src.get(), wh.get(), Method::kLog, dir.Sub("pipeline"));
+    ASSERT_TRUE(hub.ok());
     OPDELTA_ASSERT_OK(
         exec.ExecuteSql(wl.MakeInsert("parts", 0, 100).ToSql()).status());
-    OPDELTA_ASSERT_OK((*p)->RunOnce());
+    OPDELTA_ASSERT_OK((*hub)->RunRound());
     EXPECT_TRUE(TablesEqual(src.get(), "parts", wh.get(), "parts"));
+    OPDELTA_ASSERT_OK((*hub)->Stop());
   }
 
-  // "Restart": a new pipeline instance over the same work dir must resume
-  // from the persisted LSN watermark — the first batch must not re-ship.
-  Result<std::unique_ptr<CdcPipeline>> p2 =
-      CdcPipeline::Create(src.get(), wh.get(), popts);
-  ASSERT_TRUE(p2.ok());
-  OPDELTA_ASSERT_OK((*p2)->Setup());
+  // "Restart": a new hub over the same work dir must resume from the
+  // persisted LSN watermark — the first batch must not re-ship.
+  Result<std::unique_ptr<hub::DeltaHub>> hub2 =
+      OneSourceHub(src.get(), wh.get(), Method::kLog, dir.Sub("pipeline"));
+  ASSERT_TRUE(hub2.ok());
   OPDELTA_ASSERT_OK(
       exec.ExecuteSql(wl.MakeUpdate("parts", 0, 10, "after").ToSql())
           .status());
-  OPDELTA_ASSERT_OK((*p2)->RunOnce());
+  OPDELTA_ASSERT_OK((*hub2)->RunRound());
   // Only the update's 20 images (before+after per row) were extracted.
-  EXPECT_EQ((*p2)->stats().records_extracted, 20u);
+  EXPECT_EQ((*hub2)->Stats().sources[0].records_extracted, 20u);
   EXPECT_TRUE(TablesEqual(src.get(), "parts", wh.get(), "parts"));
+  OPDELTA_ASSERT_OK((*hub2)->Stop());
 }
 
 // ------------------------------------------------- batch payload CRC
@@ -219,12 +233,12 @@ TEST(BatchCrcTest, CorruptPayloadRejectedAtApply) {
   std::string payload;
   Status st = DecodeBatchFrame(corrupt, &id, &payload);
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
-  st = (*leg)->Integrate(wh.get(), corrupt, nullptr);
+  st = (*leg)->Integrate(wh.get(), nullptr, corrupt, {}, nullptr);
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
   EXPECT_EQ(CountRows(wh.get(), "parts"), 0u);
 
   // The pristine frame still applies.
-  OPDELTA_ASSERT_OK((*leg)->Integrate(wh.get(), message, nullptr));
+  OPDELTA_ASSERT_OK((*leg)->Integrate(wh.get(), nullptr, message, {}, nullptr));
   OPDELTA_ASSERT_OK((*leg)->AckShipped());
   EXPECT_TRUE(TablesEqual(src.get(), "parts", wh.get(), "parts"));
 }
@@ -278,7 +292,7 @@ TEST(BackpressureTest, FullQueueRetainsBatchUntilDrained) {
   // Drain one message and the retried ship goes through.
   std::string message;
   OPDELTA_ASSERT_OK((*leg)->PeekShipped(&message));
-  OPDELTA_ASSERT_OK((*leg)->Integrate(wh.get(), message, nullptr));
+  OPDELTA_ASSERT_OK((*leg)->Integrate(wh.get(), nullptr, message, {}, nullptr));
   OPDELTA_ASSERT_OK((*leg)->AckShipped());
   OPDELTA_ASSERT_OK((*leg)->ExtractAndShip());
   EXPECT_EQ((*leg)->stats().batches_shipped, shipped_before + 1);
@@ -288,7 +302,8 @@ TEST(BackpressureTest, FullQueueRetainsBatchUntilDrained) {
     Status peek = (*leg)->PeekShipped(&message);
     if (peek.IsNotFound()) break;
     OPDELTA_ASSERT_OK(peek);
-    OPDELTA_ASSERT_OK((*leg)->Integrate(wh.get(), message, nullptr));
+    OPDELTA_ASSERT_OK(
+        (*leg)->Integrate(wh.get(), nullptr, message, {}, nullptr));
     OPDELTA_ASSERT_OK((*leg)->AckShipped());
   }
   EXPECT_TRUE(TablesEqual(src.get(), "parts", wh.get(), "parts"));
@@ -303,11 +318,8 @@ TEST(PipelineValidationTest, RejectsMismatchedSchemas) {
   OPDELTA_ASSERT_OK(wh->CreateTable(
       "parts",
       catalog::Schema({catalog::Column{"x", catalog::ValueType::kInt64}})));
-  PipelineOptions popts;
-  popts.source_table = "parts";
-  popts.warehouse_table = "parts";
-  popts.work_dir = dir.Sub("p");
-  EXPECT_FALSE(CdcPipeline::Create(src.get(), wh.get(), popts).ok());
+  EXPECT_FALSE(
+      OneSourceHub(src.get(), wh.get(), Method::kOpDelta, dir.Sub("p")).ok());
 }
 
 }  // namespace

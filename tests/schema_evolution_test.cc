@@ -226,22 +226,24 @@ std::string LegacyFrame(char tag, const std::string& source_id,
   return frame;
 }
 
-TEST(FrameCompatTest, LegacyFramesDecodeWithSchemaEpochZero) {
-  // Frames written by a pre-epoch build ('B'/'C' tags) must keep decoding:
-  // a queue can hold them across an upgrade.
-  const std::string frame = LegacyFrame('B', "old", 2, 9, "payload");
+TEST(FrameCompatTest, LegacyFramesNoLongerDecode) {
+  // The unversioned 'B'/'C' frames and unframed payloads predate the 'F'
+  // frame; no build writes them, and the decoder refuses them loudly
+  // rather than guessing an identity or a schema epoch.
   extract::BatchId id;
   std::string body;
-  OPDELTA_ASSERT_OK(pipeline::DecodeBatchFrame(frame, &id, &body));
-  EXPECT_EQ(id.source_id, "old");
-  EXPECT_EQ(id.epoch, 2u);
-  EXPECT_EQ(id.seq, 9u);
-  EXPECT_EQ(id.schema_epoch, 0u);  // 0 = decode against current schemas
-  EXPECT_EQ(body, "payload");
-
-  const std::string snapshot = LegacyFrame('C', "old", 2, 10, "rows");
-  OPDELTA_ASSERT_OK(pipeline::DecodeBatchFrame(snapshot, &id, &body));
-  EXPECT_TRUE(id.snapshot);
+  for (const std::string& message :
+       {LegacyFrame('B', "old", 2, 9, "payload"),
+        LegacyFrame('C', "old", 2, 10, "rows"), std::string("Vpayload")}) {
+    const Status st = pipeline::DecodeBatchFrame(message, &id, &body);
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_NE(st.ToString().find("unknown pipeline message"),
+              std::string::npos)
+        << st.ToString();
+    EXPECT_FALSE(id.valid());
+    EXPECT_FALSE(pipeline::DecodeBatchHeader(Slice(message), &id).ok());
+    EXPECT_FALSE(id.valid());
+  }
 }
 
 TEST(FrameCompatTest, UnknownVersionFeatureAndKindFailLoud) {
@@ -454,11 +456,11 @@ TEST_F(WarehouseMigrationTest, ParallelApplyReParsesCachedShapesAcrossDdl) {
 
   ThreadPool pool(2);
   sql::StatementCache cache;
-  warehouse::ParallelApplyScheduler::Options options;
+  warehouse::OpDeltaIntegrator::Options options;
   options.pool = &pool;
   options.max_inflight = 2;
   options.cache = &cache;
-  warehouse::ParallelApplyScheduler scheduler(wh_.get(), options);
+  warehouse::OpDeltaIntegrator integrator(wh_.get(), options);
 
   auto update_txn = [](uint64_t id, uint64_t key, const std::string& tag) {
     extract::OpDeltaTxn txn;
@@ -478,7 +480,7 @@ TEST_F(WarehouseMigrationTest, ParallelApplyReParsesCachedShapesAcrossDdl) {
     warm.push_back(update_txn(t + 1, t, "warm"));
   }
   warehouse::IntegrationStats stats;
-  OPDELTA_ASSERT_OK(scheduler.Apply(warm, Id(1), ledger_.get(), &stats));
+  OPDELTA_ASSERT_OK(integrator.Apply(warm, Id(1), ledger_.get(), &stats));
   const sql::StatementCacheStats warmed = cache.stats();
   EXPECT_EQ(warmed.misses, 1u);
   EXPECT_EQ(warmed.hits, 3u);
@@ -490,7 +492,7 @@ TEST_F(WarehouseMigrationTest, ParallelApplyReParsesCachedShapesAcrossDdl) {
   add.column = Column{"qty", ValueType::kInt64, Value::Int64(4)};
   std::vector<extract::OpDeltaTxn> ddl = {EventTxn(add, 2)};
   warehouse::IntegrationStats ddl_stats;
-  OPDELTA_ASSERT_OK(scheduler.Apply(ddl, Id(2), ledger_.get(), &ddl_stats));
+  OPDELTA_ASSERT_OK(integrator.Apply(ddl, Id(2), ledger_.get(), &ddl_stats));
   EXPECT_EQ(ddl_stats.schema_migrations, 1u);
   EXPECT_GT(wh_->ddl_epoch(), epoch_before);
 
@@ -502,7 +504,7 @@ TEST_F(WarehouseMigrationTest, ParallelApplyReParsesCachedShapesAcrossDdl) {
   }
   warehouse::IntegrationStats post_stats;
   OPDELTA_ASSERT_OK(
-      scheduler.Apply(post, Id(3), ledger_.get(), &post_stats));
+      integrator.Apply(post, Id(3), ledger_.get(), &post_stats));
   const sql::StatementCacheStats after = cache.stats();
   EXPECT_EQ(after.misses, warmed.misses + 1);
   EXPECT_EQ(after.hits, warmed.hits + 3);
@@ -639,7 +641,7 @@ TEST_F(HubSchemaEvolutionTest, DdlMigratesWarehouseAndConverges) {
 
   EXPECT_EQ(wh_->GetTable("parts")->schema().num_columns(), 5u);
   EXPECT_TRUE(TablesEqual(src_.get(), "parts", wh_.get(), "parts"));
-  const hub::SourceStats& s = (*hub)->Stats().sources[0];
+  const hub::SourceStats s = (*hub)->Stats().sources[0];
   EXPECT_EQ(s.source_schema_epoch, 2u);
   EXPECT_EQ(s.applied_schema_epoch, 2u);
   EXPECT_EQ(s.dead_letters, 0u);
@@ -679,7 +681,7 @@ TEST_F(HubSchemaEvolutionTest, RestartBetweenCaptureAndApplyCatchesUp) {
   for (int i = 0; i < 6; ++i) OPDELTA_ASSERT_OK((*hub)->RunRound());
   EXPECT_EQ(wh_->GetTable("parts")->schema().num_columns(), 5u);
   EXPECT_TRUE(TablesEqual(src_.get(), "parts", wh_.get(), "parts"));
-  const hub::SourceStats& s = (*hub)->Stats().sources[0];
+  const hub::SourceStats s = (*hub)->Stats().sources[0];
   EXPECT_EQ(s.source_schema_epoch, s.applied_schema_epoch);
   EXPECT_EQ(s.chunks_mismatched, 0u);
   EXPECT_FALSE(s.quarantined);
@@ -715,7 +717,7 @@ TEST_F(HubSchemaEvolutionTest, MigrationRestartsBackfillForAddedColumns) {
   for (int i = 0; i < 40 && !(*hub)->Stats().sources[0].backfill_done; ++i) {
     OPDELTA_ASSERT_OK((*hub)->RunRound());
   }
-  const hub::SourceStats& s = (*hub)->Stats().sources[0];
+  const hub::SourceStats s = (*hub)->Stats().sources[0];
   EXPECT_TRUE(s.backfill_done);
   EXPECT_EQ(s.rows_backfilled, 64u) << "restart must re-ship every chunk";
   EXPECT_TRUE(TablesEqual(src_.get(), "parts", wh_.get(), "parts"));
@@ -757,7 +759,7 @@ TEST_F(HubSchemaEvolutionTest, IncompatibleDdlQuarantinesWithReason) {
     if (!(*hub)->RunRound().ok()) ++failed_rounds;
   }
   EXPECT_GE(failed_rounds, 2);
-  const hub::SourceStats& s = (*hub)->Stats().sources[0];
+  const hub::SourceStats s = (*hub)->Stats().sources[0];
   EXPECT_TRUE(s.quarantined);
   EXPECT_EQ(s.dead_letters, 0u) << "poison DDL must not be dead-lettered";
   EXPECT_NE(s.last_error.find("incompatible"), std::string::npos)
@@ -983,7 +985,7 @@ TEST_P(RandomizedDdlTest, ConcurrentWritesAndDdlConverge) {
   EXPECT_TRUE(src->GetTable("parts")->schema() ==
               wh->GetTable("parts")->schema())
       << "seed " << seed;
-  const hub::SourceStats& s = (*hub)->Stats().sources[0];
+  const hub::SourceStats s = (*hub)->Stats().sources[0];
   EXPECT_EQ(s.chunks_mismatched, 0u)
       << "seed " << seed << ": epoch-aware scrub false positive";
   EXPECT_EQ(s.dead_letters, 0u) << "seed " << seed;

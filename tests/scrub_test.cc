@@ -153,7 +153,8 @@ struct ScrubFixture {
       Status st = leg->PeekShipped(&message);
       if (st.IsNotFound()) return Status::OK();
       OPDELTA_RETURN_IF_ERROR(st);
-      OPDELTA_RETURN_IF_ERROR(leg->Integrate(wh.get(), message, nullptr));
+      OPDELTA_RETURN_IF_ERROR(
+          leg->Integrate(wh.get(), nullptr, message, {}, nullptr));
       OPDELTA_RETURN_IF_ERROR(leg->AckShipped());
     }
   }

@@ -132,8 +132,8 @@ TEST_F(WarehouseTest, OpDeltaBadStatementAbortsItsTransactionOnly) {
   OpDeltaTxn bad{2, {extract::OpDeltaRecord{2, 2, "NOT SQL AT ALL", false, {}}}};
 
   OpDeltaIntegrator integrator(wh_.get());
-  OPDELTA_ASSERT_OK(integrator.ApplyOne(good, nullptr));
-  EXPECT_FALSE(integrator.ApplyOne(bad, nullptr).ok());
+  OPDELTA_ASSERT_OK(integrator.Apply({good}, nullptr));
+  EXPECT_FALSE(integrator.Apply({bad}, nullptr).ok());
   // The first transaction's effect survives.
   EXPECT_EQ(TableContents(wh_.get(), "parts").at(Value::Int64(0))[1]
                 .AsString(),
