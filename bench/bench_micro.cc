@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the substrate primitives every
 // experiment rests on: row codec, slotted pages, B+tree, WAL append, engine
-// DML, statement parse/render, and CRC. Useful for spotting regressions
+// DML, archive-log extraction rounds, statement parse/render, and CRC. Useful for spotting regressions
 // that would distort the paper-level benches.
 #include <benchmark/benchmark.h>
 
@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "common/sync.h"
 #include "catalog/row_codec.h"
+#include "extract/log_extractor.h"
 #include "index/bplus_tree.h"
 #include "sql/parser.h"
 #include "storage/page.h"
@@ -144,6 +145,59 @@ void BM_EngineScan100k(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100000);
 }
 BENCHMARK(BM_EngineScan100k);
+
+// One log-method extraction round on a kept LogExtractor — a small
+// committed transaction, then one ExtractSince — after `range(0)` MB of
+// prior archive. A round reads only the log written since the previous
+// one, so the time per iteration should be flat across archive sizes.
+void BM_LogExtractorRound(benchmark::State& state) {
+  bench::ScratchDir dir("micro_log_round");
+  workload::PartsWorkload wl;
+  std::unique_ptr<engine::Database> db;
+  BENCH_OK(engine::Database::Open(dir.Sub("db"), engine::DatabaseOptions(),
+                                  &db));
+  BENCH_OK(wl.CreateTable(db.get(), "parts"));
+  constexpr int64_t kRows = 1000;
+  BENCH_OK(wl.Populate(db.get(), "parts", kRows));
+  const uint64_t archive_bytes = static_cast<uint64_t>(state.range(0)) << 20;
+  for (int64_t pass = 0; db->wal()->bytes_appended() < archive_bytes;
+       ++pass) {
+    BENCH_OK(db->WithTransaction([&](txn::Transaction* txn) {
+      return db->UpdateWhere(
+                   txn, "parts", engine::Predicate::True(),
+                   {engine::Assignment{
+                       "status", catalog::Value::String(
+                                     "pass-" + std::to_string(pass))}})
+          .status();
+    }));
+  }
+
+  engine::Table* table = db->GetTable("parts");
+  extract::LogExtractor extractor(db->wal()->dir());
+  // The archive is already shipped: the first call reads all of it once,
+  // as after a restart, and selects nothing.
+  txn::Lsn watermark = db->wal()->last_lsn();
+  BENCH_OK(extractor
+               .ExtractSince(watermark, table->id(), "parts", table->schema(),
+                             &watermark)
+               .status());
+  int64_t id = kRows;
+  for (auto _ : state) {
+    BENCH_OK(db->WithTransaction([&](txn::Transaction* txn) {
+      return db->Insert(txn, "parts", wl.MakeRow(id++));
+    }));
+    Result<extract::DeltaBatch> batch = extractor.ExtractSince(
+        watermark, table->id(), "parts", table->schema(), &watermark);
+    BENCH_OK(batch.status());
+    benchmark::DoNotOptimize(batch->records.size());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LogExtractorRound)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_SqlParseUpdate(benchmark::State& state) {
   const std::string sql =

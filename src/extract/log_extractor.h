@@ -2,12 +2,14 @@
 #define OPDELTA_EXTRACT_LOG_EXTRACTOR_H_
 
 #include <map>
+#include <optional>
 #include <string>
 
 #include "common/status.h"
 #include "engine/database.h"
 #include "extract/delta.h"
 #include "txn/recovery.h"
+#include "txn/wal.h"
 
 namespace opdelta::extract {
 
@@ -34,6 +36,18 @@ class LogExtractor {
   /// source schema. Updates *new_watermark to the highest LSN seen
   /// (committed or not); a transaction still open then ships with the
   /// extraction that first sees its commit.
+  ///
+  /// Reads the log once, buffering each open transaction's records on the
+  /// table until its commit or abort. The instance remembers where the
+  /// next call can resume: the first record on the table of the oldest
+  /// transaction still open when the read ended, or the end of the read if
+  /// none was. A later call resumes there only when handed back the
+  /// watermark this instance returned, for the same table; any other call
+  /// (a restart, a rewind, another table) reads from the start of the log,
+  /// and so does a call after the resume segment was recycled. Either way
+  /// the batch is the one a fresh instance would return. The resume point
+  /// lives in memory only: the watermark stays the sole durable state.
+  /// Calls on one instance must not run concurrently.
   Result<DeltaBatch> ExtractSince(txn::Lsn watermark,
                                   catalog::TableId table_id,
                                   const std::string& table_name,
@@ -51,7 +65,15 @@ class LogExtractor {
                            txn::RecoveryStats* stats = nullptr);
 
  private:
+  /// Where a call handed back `watermark` for `table_id` resumes.
+  struct Cursor {
+    catalog::TableId table_id = 0;
+    txn::Lsn watermark = 0;
+    txn::WalPosition resume;
+  };
+
   std::string wal_dir_;
+  std::optional<Cursor> cursor_;
 };
 
 }  // namespace opdelta::extract

@@ -6,7 +6,6 @@
 #include "common/coding.h"
 #include "common/crc32.h"
 #include "common/env.h"
-#include "extract/log_extractor.h"
 #include "extract/timestamp_extractor.h"
 #include "extract/trigger_extractor.h"
 
@@ -230,7 +229,9 @@ Status ApplyShipped(engine::Database* warehouse, const std::string& table,
 }
 
 SourceLeg::SourceLeg(engine::Database* source, PipelineOptions options)
-    : source_(source), options_(std::move(options)) {}
+    : source_(source),
+      options_(std::move(options)),
+      log_extractor_(source->wal()->dir()) {}
 
 Result<std::unique_ptr<SourceLeg>> SourceLeg::Create(
     engine::Database* source, PipelineOptions options) {
@@ -387,13 +388,12 @@ Status SourceLeg::ExtractPending() {
     }
 
     case Method::kLog: {
-      extract::LogExtractor extractor(source_->wal()->dir());
       txn::Lsn new_watermark = lsn_watermark_;
       OPDELTA_ASSIGN_OR_RETURN(
           DeltaBatch batch,
-          extractor.ExtractSince(lsn_watermark_, src->id(),
-                                 options_.source_table, src->schema(),
-                                 &new_watermark));
+          log_extractor_.ExtractSince(lsn_watermark_, src->id(),
+                                      options_.source_table, src->schema(),
+                                      &new_watermark));
       lsn_watermark_ = new_watermark;
       if (batch.records.empty()) return Status::OK();
       std::string inner;

@@ -11,6 +11,7 @@
 #include "common/thread_pool.h"
 #include "engine/database.h"
 #include "extract/delta.h"
+#include "extract/log_extractor.h"
 #include "extract/op_delta.h"
 #include "pipeline/pipeline_options.h"
 #include "sql/executor.h"
@@ -115,6 +116,9 @@ class SourceLeg {
   transport::PersistentQueue queue_;
   std::unique_ptr<sql::Executor> source_executor_;
   std::unique_ptr<extract::OpDeltaCapture> capture_;
+  // Kept for the leg's lifetime so each kLog round reads only the log
+  // written since the previous one.
+  extract::LogExtractor log_extractor_;
   bool setup_done_ = false;
 
   Micros ts_watermark_ = 0;

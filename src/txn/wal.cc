@@ -29,6 +29,37 @@ bool ParseWalSegmentName(const std::string& name, uint64_t* index) {
   return true;
 }
 
+/// Indexes of the segment files in `dir`, ascending.
+Status ListSegmentIndexes(Env* env, const std::string& dir,
+                          std::vector<uint64_t>* indexes) {
+  std::vector<std::string> children;
+  OPDELTA_RETURN_IF_ERROR(env->ListDir(dir, &children));
+  indexes->clear();
+  for (const std::string& name : children) {
+    uint64_t idx = 0;
+    if (ParseWalSegmentName(name, &idx)) indexes->push_back(idx);
+  }
+  std::sort(indexes->begin(), indexes->end());
+  return Status::OK();
+}
+
+/// Reads `path` from byte `offset` to its current end.
+Status ReadSegmentFrom(Env* env, const std::string& path, uint64_t offset,
+                       std::string* out) {
+  std::unique_ptr<RandomAccessFile> file;
+  OPDELTA_RETURN_IF_ERROR(env->NewRandomAccessFile(path, &file));
+  if (offset > file->Size()) {
+    return Status::Corruption("wal position past the end of " + path);
+  }
+  out->resize(file->Size() - offset);
+  Slice result;
+  OPDELTA_RETURN_IF_ERROR(file->Read(offset, out->size(), &result, out->data()));
+  if (result.size() != out->size()) {
+    return Status::IOError("short read " + path);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string WalSegmentName(uint64_t index) {
@@ -49,25 +80,29 @@ Status Wal::Open(const std::string& dir, const WalOptions& options) {
   OPDELTA_RETURN_IF_ERROR(env->CreateDir(dir));
 
   // Find existing segments so LSNs and indexes continue monotonically.
-  std::vector<std::string> children;
-  OPDELTA_RETURN_IF_ERROR(env->ListDir(dir, &children));
-  segment_indexes_.clear();
-  for (const std::string& name : children) {
-    uint64_t idx = 0;
-    if (ParseWalSegmentName(name, &idx)) segment_indexes_.push_back(idx);
-  }
-  std::sort(segment_indexes_.begin(), segment_indexes_.end());
+  OPDELTA_RETURN_IF_ERROR(ListSegmentIndexes(env, dir, &segment_indexes_));
 
   // Continue the LSN and txn-id sequences from existing records.
-  Lsn max_lsn = 0;
+  WalPosition end;
   if (!segment_indexes_.empty()) {
-    OPDELTA_RETURN_IF_ERROR(ReadAll(dir, [&](const LogRecord& r) {
-      if (r.lsn > max_lsn) max_lsn = r.lsn;
-      if (r.txn_id > max_txn_id_at_open_) max_txn_id_at_open_ = r.txn_id;
-      return true;
-    }));
+    OPDELTA_RETURN_IF_ERROR(ReadFrom(
+        dir, WalPosition{},
+        [&](const LogRecord& r, const WalPosition&) {
+          if (r.txn_id > max_txn_id_at_open_) max_txn_id_at_open_ = r.txn_id;
+          return true;
+        },
+        &end));
+    // A torn frame ends the log only while its segment is the newest one.
+    // Appends are about to move to a fresh segment, so cut the partial
+    // frame off now, or every later read would call it corruption.
+    const std::string newest = dir + "/" + WalSegmentName(end.segment);
+    uint64_t size = 0;
+    OPDELTA_RETURN_IF_ERROR(env->GetFileSize(newest, &size));
+    if (size > end.offset) {
+      OPDELTA_RETURN_IF_ERROR(env->Truncate(newest, end.offset));
+    }
   }
-  next_lsn_ = max_lsn + 1;
+  next_lsn_ = end.prev_lsn + 1;
 
   std::lock_guard<common::OrderedMutex> lock(mutex_);
   active_index_ =
@@ -154,56 +189,95 @@ Status Wal::ListSegments(std::vector<std::string>* paths) const {
 
 Status Wal::ReadAll(const std::string& dir,
                     const std::function<bool(const LogRecord&)>& visitor) {
-  Env* env = Env::Default();
-  std::vector<std::string> children;
-  OPDELTA_RETURN_IF_ERROR(env->ListDir(dir, &children));
-  std::vector<uint64_t> indexes;
-  for (const std::string& name : children) {
-    uint64_t idx = 0;
-    if (ParseWalSegmentName(name, &idx)) indexes.push_back(idx);
-  }
-  std::sort(indexes.begin(), indexes.end());
+  return ReadFrom(
+      dir, WalPosition{},
+      [&](const LogRecord& r, const WalPosition&) { return visitor(r); },
+      nullptr);
+}
 
-  Lsn prev_lsn = 0;
-  for (size_t i = 0; i < indexes.size(); ++i) {
-    const uint64_t idx = indexes[i];
-    const bool last_segment = i + 1 == indexes.size();
+Status Wal::ReadFrom(const std::string& dir, const WalPosition& from,
+                     const PositionedVisitor& visitor, WalPosition* end) {
+  Env* env = Env::Default();
+  auto segment_path = [&](uint64_t idx) {
+    return dir + "/" + WalSegmentName(idx);
+  };
+
+  // Resuming inside a segment that still exists needs no directory
+  // listing, so a resumed read costs the same however long the log is.
+  // Otherwise the read starts at the first remaining segment, with no LSN
+  // to continue from.
+  WalPosition pos = from;
+  if (from.segment == 0 || !env->FileExists(segment_path(from.segment))) {
+    std::vector<uint64_t> indexes;
+    OPDELTA_RETURN_IF_ERROR(ListSegmentIndexes(env, dir, &indexes));
+    for (size_t i = 1; i < indexes.size(); ++i) {
+      if (indexes[i] != indexes[i - 1] + 1) {
+        return Status::Corruption("wal segment " +
+                                  WalSegmentName(indexes[i - 1] + 1) +
+                                  " missing");
+      }
+    }
+    if (indexes.empty()) {
+      if (end != nullptr) *end = WalPosition{};
+      return Status::OK();
+    }
+    if (from.segment > indexes.front()) {
+      return Status::Corruption("wal segment " + WalSegmentName(from.segment) +
+                                " missing");
+    }
+    pos = WalPosition{indexes.front(), 0, 0};
+  }
+
+  // Segment indexes are consecutive (every roll opens index + 1), so the
+  // log continues past a segment exactly when its successor exists.
+  for (;;) {
+    // Probed before reading: a segment with a successor was closed before
+    // the successor was created, so only the newest can end mid-frame.
+    const bool last_segment = !env->FileExists(segment_path(pos.segment + 1));
     std::string data;
     OPDELTA_RETURN_IF_ERROR(
-        env->ReadFileToString(dir + "/" + WalSegmentName(idx), &data));
+        ReadSegmentFrom(env, segment_path(pos.segment), pos.offset, &data));
     Slice input(data);
-    while (!input.empty()) {
+    bool stopped = false;  // by the visitor
+    while (!input.empty() && !stopped) {
       uint32_t len = 0, crc = 0;
       Slice peek = input;
       if (!GetFixed32(&peek, &len) || !GetFixed32(&peek, &crc) ||
           peek.size() < len) {
         // A partial frame at the very end of the newest segment is a torn
-        // append from a crash: the log simply ends here. Anywhere else it
-        // is real corruption.
-        if (last_segment) return Status::OK();
+        // append from a crash (or one still in flight): the log simply
+        // ends here. Anywhere else it is real corruption.
+        if (last_segment) break;
         return Status::Corruption("wal frame truncated in " +
-                                  WalSegmentName(idx));
+                                  WalSegmentName(pos.segment));
       }
       input = peek;
       Slice payload(input.data(), len);
       input.remove_prefix(len);
       if (Crc32c(payload.data(), payload.size()) != crc) {
         return Status::Corruption("wal crc mismatch in " +
-                                  WalSegmentName(idx));
+                                  WalSegmentName(pos.segment));
       }
       LogRecord record;
       OPDELTA_RETURN_IF_ERROR(LogRecord::DecodeFrom(&payload, &record));
       // LSNs are assigned densely, so any gap means frames are missing —
-      // e.g. a truncation that happened to land on a frame boundary.
-      if (prev_lsn != 0 && record.lsn != prev_lsn + 1) {
-        return Status::Corruption(
-            "wal lsn gap: " + std::to_string(prev_lsn) + " -> " +
-            std::to_string(record.lsn) + " in " + WalSegmentName(idx));
+      // e.g. a truncation that happened to land on a frame boundary, or a
+      // frame lost after the position a read resumed from.
+      if (pos.prev_lsn != 0 && record.lsn != pos.prev_lsn + 1) {
+        return Status::Corruption("wal lsn gap: " +
+                                  std::to_string(pos.prev_lsn) + " -> " +
+                                  std::to_string(record.lsn) + " in " +
+                                  WalSegmentName(pos.segment));
       }
-      prev_lsn = record.lsn;
-      if (!visitor(record)) return Status::OK();
+      const WalPosition at = pos;
+      pos.offset += 8 + static_cast<uint64_t>(len);
+      pos.prev_lsn = record.lsn;
+      stopped = !visitor(record, at);
     }
+    if (stopped || last_segment) break;
+    pos = WalPosition{pos.segment + 1, 0, pos.prev_lsn};
   }
+  if (end != nullptr) *end = pos;
   return Status::OK();
 }
 

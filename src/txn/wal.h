@@ -31,6 +31,16 @@ struct WalOptions {
   bool sync_on_commit = false;
 };
 
+/// A place in the log: byte `offset` of segment `segment`, with `prev_lsn`
+/// the LSN of the frame just before it (0 when none precedes it).
+/// Segment indexes start at 1, so the default position is the start of the
+/// log.
+struct WalPosition {
+  uint64_t segment = 0;
+  uint64_t offset = 0;
+  Lsn prev_lsn = 0;
+};
+
 /// Segmented write-ahead redo log. Records are framed as
 /// [u32 len][u32 crc32c(payload)][payload]. Thread-safe appends.
 class Wal {
@@ -42,7 +52,9 @@ class Wal {
   Wal& operator=(const Wal&) = delete;
 
   /// Opens (or creates) the log in `dir`. Existing segments are kept and
-  /// appends continue in a fresh segment.
+  /// appends continue in a fresh segment. A torn frame at the end of the
+  /// newest segment is truncated away first, so that segment reads back
+  /// cleanly once it is no longer the newest.
   Status Open(const std::string& dir, const WalOptions& options);
   Status Close();
 
@@ -72,6 +84,25 @@ class Wal {
   /// false to stop early.
   static Status ReadAll(const std::string& dir,
                         const std::function<bool(const LogRecord&)>& visitor);
+
+  using PositionedVisitor =
+      std::function<bool(const LogRecord&, const WalPosition& at)>;
+
+  /// Reads the records from `from` to the end of the log in order, handing
+  /// each to the visitor with the position its frame starts at; the
+  /// visitor returns false to stop early. On OK, *end (if non-null) is the
+  /// position just past the last frame read, so passing it back as `from`
+  /// continues where this read stopped.
+  ///  - A position below the first remaining segment (the default position,
+  ///    or a segment recycled by Checkpoint) reads from the start of what
+  ///    remains. A segment missing anywhere else is Corruption.
+  ///  - A torn frame at the end of the newest segment ends the read before
+  ///    it; a later read returns it once it is complete.
+  ///  - LSNs stay dense across a resumed read: the first record must carry
+  ///    `from.prev_lsn + 1` (unless `from.prev_lsn` is 0), so a missing
+  ///    frame is Corruption there as anywhere else.
+  static Status ReadFrom(const std::string& dir, const WalPosition& from,
+                         const PositionedVisitor& visitor, WalPosition* end);
 
  private:
   Status RollSegment();  // requires mutex_ held

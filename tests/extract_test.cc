@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
+#include "catalog/row_codec.h"
 #include "common/random.h"
 #include "engine/snapshot.h"
 #include "extract/delta.h"
@@ -463,6 +468,377 @@ TEST_F(ExtractTest, LogExtractorShipsTransactionStraddlingAnExtraction) {
       second_mark, t->id(), "parts", t->schema(), nullptr);
   ASSERT_TRUE(third.ok()) << third.status().ToString();
   EXPECT_TRUE(third->records.empty());
+}
+
+// Both batches carry the same records: ops, images, txn ids, in order.
+void ExpectSameBatch(const DeltaBatch& x, const DeltaBatch& y) {
+  ASSERT_EQ(x.records.size(), y.records.size());
+  for (size_t i = 0; i < x.records.size(); ++i) {
+    const DeltaRecord& a = x.records[i];
+    const DeltaRecord& b = y.records[i];
+    EXPECT_EQ(a.op, b.op) << "record " << i;
+    EXPECT_EQ(a.source_txn, b.source_txn) << "record " << i;
+    EXPECT_EQ(a.seq, b.seq) << "record " << i;
+    EXPECT_EQ(catalog::CompareRows(a.image, b.image), 0) << "record " << i;
+  }
+}
+
+// The batch as a two-pass read of the whole log defines it: the records
+// on the table of every transaction whose commit lies above the watermark,
+// in log order. Independent of LogExtractor's single-pass buffering.
+DeltaBatch WholeLogBatch(engine::Database* db, txn::Lsn watermark,
+                         txn::Lsn* new_watermark) {
+  engine::Table* t = db->GetTable("parts");
+  std::set<txn::TxnId> committed;
+  *new_watermark = watermark;
+  EXPECT_TRUE(txn::Wal::ReadAll(db->wal()->dir(), [&](const txn::LogRecord& r) {
+                *new_watermark = std::max(*new_watermark, r.lsn);
+                if (r.type == txn::LogRecordType::kCommit && r.lsn > watermark) {
+                  committed.insert(r.txn_id);
+                }
+                return true;
+              }).ok());
+  DeltaBatch batch;
+  auto add = [&](DeltaOp op, const txn::LogRecord& r, const std::string& enc) {
+    Row row;
+    EXPECT_TRUE(catalog::RowCodec::Decode(t->schema(), Slice(enc), &row).ok());
+    batch.records.push_back(
+        DeltaRecord{op, r.txn_id, batch.records.size(), std::move(row)});
+  };
+  EXPECT_TRUE(txn::Wal::ReadAll(db->wal()->dir(), [&](const txn::LogRecord& r) {
+                if (r.table_id != t->id() || !committed.count(r.txn_id)) {
+                  return true;
+                }
+                if (r.type == txn::LogRecordType::kInsert) {
+                  add(DeltaOp::kInsert, r, r.after);
+                } else if (r.type == txn::LogRecordType::kUpdate) {
+                  add(DeltaOp::kUpdateBefore, r, r.before);
+                  add(DeltaOp::kUpdateAfter, r, r.after);
+                } else if (r.type == txn::LogRecordType::kDelete) {
+                  add(DeltaOp::kDelete, r, r.before);
+                }
+                return true;
+              }).ok());
+  return batch;
+}
+
+// One extraction step: a kept extractor, a fresh one and the whole-log
+// definition, handed the same watermark, must agree on the batch and on
+// the next watermark.
+DeltaBatch ExtractBoth(LogExtractor* kept, engine::Database* db,
+                       txn::Lsn* watermark) {
+  engine::Table* t = db->GetTable("parts");
+  LogExtractor fresh(db->wal()->dir());
+  txn::Lsn kept_next = 0, fresh_next = 0, whole_next = 0;
+  Result<DeltaBatch> a = kept->ExtractSince(*watermark, t->id(), "parts",
+                                            t->schema(), &kept_next);
+  Result<DeltaBatch> b = fresh.ExtractSince(*watermark, t->id(), "parts",
+                                            t->schema(), &fresh_next);
+  const DeltaBatch whole = WholeLogBatch(db, *watermark, &whole_next);
+  EXPECT_TRUE(a.ok()) << a.status().ToString();
+  EXPECT_TRUE(b.ok()) << b.status().ToString();
+  if (!a.ok() || !b.ok()) return DeltaBatch();
+  ExpectSameBatch(*a, *b);
+  ExpectSameBatch(*a, whole);
+  EXPECT_EQ(kept_next, fresh_next);
+  EXPECT_EQ(kept_next, whole_next);
+  *watermark = kept_next;
+  return std::move(*a);
+}
+
+engine::Predicate KeyIs(int64_t id) {
+  return engine::Predicate::Where("id", CompareOp::kEq, Value::Int64(id));
+}
+
+TEST(LogExtractorCursorTest, KeptExtractorMatchesFreshOnSeededInterleavings) {
+  // Source transactions interleave with extractions: some commit, some
+  // abort, many straddle one or more extractions, and one never ends.
+  // Small segments make the kept extractor's resume point cross segment
+  // rolls. Every committed row must ship exactly once, in one batch.
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TempDir dir;
+    engine::DatabaseOptions options;
+    options.wal.segment_size = 4096;
+    auto db = OpenDb(dir, "src", options);
+    workload::PartsWorkload wl;
+    OPDELTA_ASSERT_OK(wl.CreateTable(db.get(), "parts"));
+    OPDELTA_ASSERT_OK(wl.CreateTable(db.get(), "other"));
+    OPDELTA_ASSERT_OK(wl.Populate(db.get(), "parts", 20));
+    Rng rng(seed);
+
+    // A transaction only touches rows it owns: rows it inserted, or
+    // committed rows it claimed from `pool`. Nothing ever waits on a lock.
+    struct Live {
+      std::unique_ptr<txn::Transaction> txn;
+      std::vector<int64_t> claimed, inserted, deleted;
+      size_t records = 0;     // delta records it will ship on commit
+      int extractions = 0;    // extractions it stayed open across
+    };
+    std::vector<int64_t> pool;
+    for (int64_t id = 0; id < 20; ++id) pool.push_back(id);
+    int64_t next_id = 1000;
+    std::map<txn::TxnId, size_t> committed;  // txn -> expected records
+    std::set<txn::TxnId> never_shipped;      // aborted or never ending
+    int straddled = 0, straddled_twice = 0;
+
+    std::vector<Live> live;
+    auto begin_txn = [&]() {
+      live.push_back(Live{db->Begin(), {}, {}, {}, 0, 0});
+    };
+    // Begun mid-run, so the resume point first moves freely across segment
+    // rolls and is then pinned: it writes once, then never ends.
+    std::unique_ptr<txn::Transaction> forever;
+
+    LogExtractor kept(db->wal()->dir());
+    txn::Lsn watermark = 0;
+    std::map<txn::TxnId, size_t> shipped;
+    std::map<txn::TxnId, int> batches;
+    auto extract = [&]() {
+      const DeltaBatch batch = ExtractBoth(&kept, db.get(), &watermark);
+      std::set<txn::TxnId> in_batch;
+      for (const DeltaRecord& r : batch.records) {
+        shipped[r.source_txn]++;
+        in_batch.insert(r.source_txn);
+      }
+      for (txn::TxnId id : in_batch) batches[id]++;
+      for (Live& l : live) l.extractions++;
+    };
+    auto end_txn = [&](size_t i, bool commit) {
+      Live l = std::move(live[i]);
+      live.erase(live.begin() + static_cast<long>(i));
+      if (commit) {
+        OPDELTA_ASSERT_OK(db->Commit(l.txn.get()));
+        committed[l.txn->id()] = l.records;
+        if (l.records > 0 && l.extractions >= 1) ++straddled;
+        if (l.records > 0 && l.extractions >= 2) ++straddled_twice;
+        for (int64_t id : l.claimed) pool.push_back(id);
+        for (int64_t id : l.inserted) pool.push_back(id);
+        for (int64_t id : l.deleted) {
+          pool.erase(std::find(pool.begin(), pool.end(), id));
+        }
+      } else {
+        OPDELTA_ASSERT_OK(db->Abort(l.txn.get()));
+        never_shipped.insert(l.txn->id());
+        for (int64_t id : l.claimed) pool.push_back(id);
+      }
+    };
+    auto write_row = [&](Live& l) {
+      const uint64_t kind = rng.Uniform(3);
+      std::vector<int64_t> owned = l.inserted;
+      owned.insert(owned.end(), l.claimed.begin(), l.claimed.end());
+      for (int64_t id : l.deleted) {
+        owned.erase(std::find(owned.begin(), owned.end(), id));
+      }
+      if (kind == 0 || (owned.empty() && pool.empty())) {
+        const int64_t id = next_id++;
+        OPDELTA_ASSERT_OK(db->Insert(l.txn.get(), "parts", wl.MakeRow(id)));
+        l.inserted.push_back(id);
+        l.records += 1;
+        return;
+      }
+      int64_t id = 0;
+      if (!pool.empty() && (owned.empty() || rng.OneIn(2))) {
+        const size_t at = rng.Uniform(pool.size());
+        id = pool[at];
+        pool.erase(pool.begin() + static_cast<long>(at));
+        l.claimed.push_back(id);
+      } else {
+        id = owned[rng.Uniform(owned.size())];
+      }
+      if (kind == 1) {
+        Result<size_t> n = db->UpdateWhere(
+            l.txn.get(), "parts", KeyIs(id),
+            {engine::Assignment{"status", Value::String(rng.NextString(6))}});
+        ASSERT_TRUE(n.ok()) << n.status().ToString();
+        ASSERT_EQ(*n, 1u);
+        l.records += 2;
+      } else {
+        Result<size_t> n = db->DeleteWhere(l.txn.get(), "parts", KeyIs(id));
+        ASSERT_TRUE(n.ok()) << n.status().ToString();
+        ASSERT_EQ(*n, 1u);
+        l.deleted.push_back(id);
+        l.records += 1;
+      }
+    };
+
+    for (int step = 0; step < 400; ++step) {
+      if (step == 250) {
+        forever = db->Begin();
+        OPDELTA_ASSERT_OK(db->Insert(forever.get(), "parts", wl.MakeRow(-1)));
+        never_shipped.insert(forever->id());
+      }
+      const uint64_t action = rng.Uniform(100);
+      if (action < 12) {
+        extract();
+      } else if (action < 27 && live.size() < 4) {
+        begin_txn();
+      } else if (action < 62 && !live.empty()) {
+        write_row(live[rng.Uniform(live.size())]);
+      } else if (action < 70) {
+        // Committed work on another table: log records the extractor
+        // must step over.
+        OPDELTA_ASSERT_OK(db->WithTransaction([&](txn::Transaction* t) {
+          return db->Insert(t, "other", wl.MakeRow(next_id++));
+        }));
+      } else if (action < 90 && !live.empty()) {
+        end_txn(rng.Uniform(live.size()), /*commit=*/true);
+      } else if (!live.empty()) {
+        end_txn(rng.Uniform(live.size()), /*commit=*/false);
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    while (!live.empty()) end_txn(0, /*commit=*/true);
+    extract();
+    extract();
+
+    std::vector<std::string> segments;
+    OPDELTA_ASSERT_OK(db->wal()->ListSegments(&segments));
+    EXPECT_GT(segments.size(), 4u);
+    EXPECT_GT(straddled, 0);
+    EXPECT_GT(straddled_twice, 0);
+    EXPECT_FALSE(never_shipped.empty());
+    for (const auto& [id, records] : committed) {
+      EXPECT_EQ(shipped[id], records) << "txn " << id;
+      if (records > 0) {
+        EXPECT_EQ(batches[id], 1) << "txn " << id;
+      }
+    }
+    for (txn::TxnId id : never_shipped) EXPECT_EQ(shipped[id], 0u);
+    OPDELTA_ASSERT_OK(db->Abort(forever.get()));
+  }
+}
+
+TEST_F(ExtractTest, LogExtractorRewoundWatermarkReadsFromTheStart) {
+  // The restart path: a watermark the instance did not just return (here
+  // an older one) must not resume from the remembered position.
+  engine::Table* t = db_->GetTable("parts");
+  LogExtractor kept(db_->wal()->dir());
+  OPDELTA_ASSERT_OK(wl_.Populate(db_.get(), "parts", 5));
+  txn::Lsn first_mark = 0;
+  ASSERT_TRUE(kept.ExtractSince(0, t->id(), "parts", t->schema(),
+                                &first_mark).ok());
+  OPDELTA_ASSERT_OK(RunUpdate(0, 3, "second"));
+  txn::Lsn second_mark = first_mark;
+  const DeltaBatch second = ExtractBoth(&kept, db_.get(), &second_mark);
+  EXPECT_EQ(second.records.size(), 6u);
+
+  txn::Lsn rewound = first_mark;
+  const DeltaBatch again = ExtractBoth(&kept, db_.get(), &rewound);
+  ExpectSameBatch(again, second);
+  EXPECT_EQ(rewound, second_mark);
+
+  txn::Lsn from_zero = 0;
+  const DeltaBatch everything = ExtractBoth(&kept, db_.get(), &from_zero);
+  EXPECT_EQ(everything.records.size(), 5u + 6u);
+}
+
+TEST(LogExtractorCursorTest, RecyclingCheckpointBehavesAsOnAFreshExtractor) {
+  // archive_mode=false: Checkpoint deletes closed segments, possibly the
+  // one the kept extractor would resume in. The kept extractor must then
+  // return what a fresh one reads from the remaining log.
+  TempDir dir;
+  engine::DatabaseOptions options;
+  options.wal.archive_mode = false;
+  options.wal.segment_size = 4096;
+  auto db = OpenDb(dir, "rec", options);
+  workload::PartsWorkload wl;
+  OPDELTA_ASSERT_OK(wl.CreateTable(db.get(), "parts"));
+  OPDELTA_ASSERT_OK(wl.Populate(db.get(), "parts", 50));
+  LogExtractor kept(db->wal()->dir());
+  txn::Lsn watermark = 0;
+  ExtractBoth(&kept, db.get(), &watermark);
+
+  // Pin the resume point in the current segment with an open transaction,
+  // then roll past it and recycle.
+  std::unique_ptr<txn::Transaction> open = db->Begin();
+  OPDELTA_ASSERT_OK(db->Insert(open.get(), "parts", wl.MakeRow(500)));
+  ExtractBoth(&kept, db.get(), &watermark);
+  sql::Executor exec(db.get());
+  OPDELTA_ASSERT_OK(
+      exec.ExecuteSql(wl.MakeUpdate("parts", 0, 40, "rolled").ToSql())
+          .status());
+  OPDELTA_ASSERT_OK(db->wal()->Checkpoint());
+  OPDELTA_ASSERT_OK(db->Insert(open.get(), "parts", wl.MakeRow(501)));
+  OPDELTA_ASSERT_OK(db->Commit(open.get()));
+  OPDELTA_ASSERT_OK(
+      exec.ExecuteSql(wl.MakeUpdate("parts", 0, 5, "late").ToSql()).status());
+
+  // Row 500's insert was recycled with its segment, so only 501 ships
+  // (with whatever of the updates the remaining segment holds).
+  const DeltaBatch batch = ExtractBoth(&kept, db.get(), &watermark);
+  std::set<int64_t> inserted;
+  for (const DeltaRecord& r : batch.records) {
+    if (r.op == DeltaOp::kInsert) inserted.insert(r.image[0].AsInt64());
+  }
+  EXPECT_EQ(inserted, std::set<int64_t>{501});
+  EXPECT_TRUE(ExtractBoth(&kept, db.get(), &watermark).records.empty());
+}
+
+TEST_F(ExtractTest, LogExtractorAbortReleasesTheResumePin) {
+  // An open transaction pins the resume point at its first record on the
+  // table, so each call re-reads from there; its abort must release the
+  // pin. A byte flipped inside that record shows which calls re-read it.
+  engine::Table* t = db_->GetTable("parts");
+  OPDELTA_ASSERT_OK(wl_.Populate(db_.get(), "parts", 5));
+  std::unique_ptr<txn::Transaction> a = db_->Begin();
+  OPDELTA_ASSERT_OK(db_->Insert(a.get(), "parts", wl_.MakeRow(100)));
+  OPDELTA_ASSERT_OK(RunUpdate(0, 2, "b"));  // B commits after A's insert
+
+  txn::WalPosition pinned;
+  OPDELTA_ASSERT_OK(txn::Wal::ReadFrom(
+      db_->wal()->dir(), txn::WalPosition{},
+      [&](const txn::LogRecord& r, const txn::WalPosition& at) {
+        if (r.txn_id != a->id() || r.table_id != t->id()) return true;
+        pinned = at;
+        return false;
+      },
+      nullptr));
+  ASSERT_NE(pinned.segment, 0u);
+  const std::string seg =
+      db_->wal()->dir() + "/" + txn::WalSegmentName(pinned.segment);
+  auto flip = [&]() {
+    std::unique_ptr<RandomRWFile> file;
+    OPDELTA_ASSERT_OK(Env::Default()->NewRandomRWFile(seg, &file));
+    char byte = 0;
+    Slice got;
+    OPDELTA_ASSERT_OK(file->Read(pinned.offset + 8, 1, &got, &byte));
+    ASSERT_EQ(got.size(), 1u);
+    byte = static_cast<char>(byte ^ 0x5a);
+    OPDELTA_ASSERT_OK(file->Write(pinned.offset + 8, Slice(&byte, 1)));
+    OPDELTA_ASSERT_OK(file->Close());
+  };
+
+  LogExtractor kept(db_->wal()->dir());
+  txn::Lsn watermark = 0;
+  Result<DeltaBatch> first =
+      kept.ExtractSince(watermark, t->id(), "parts", t->schema(), &watermark);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->records.size(), 5u + 4u);  // A has not committed
+
+  // While A is open, the kept extractor re-reads A's record.
+  flip();
+  Result<DeltaBatch> pinned_read =
+      kept.ExtractSince(watermark, t->id(), "parts", t->schema(), nullptr);
+  EXPECT_TRUE(pinned_read.status().IsCorruption())
+      << pinned_read.status().ToString();
+  flip();
+
+  OPDELTA_ASSERT_OK(db_->Abort(a.get()));
+  txn::Lsn after_abort = watermark;
+  EXPECT_TRUE(ExtractBoth(&kept, db_.get(), &after_abort).records.empty());
+
+  // Released: the kept extractor resumes past A, a fresh one still reads it.
+  flip();
+  Result<DeltaBatch> released =
+      kept.ExtractSince(after_abort, t->id(), "parts", t->schema(), nullptr);
+  ASSERT_TRUE(released.ok()) << released.status().ToString();
+  EXPECT_TRUE(released->records.empty());
+  LogExtractor fresh(db_->wal()->dir());
+  EXPECT_TRUE(fresh.ExtractSince(after_abort, t->id(), "parts", t->schema(),
+                                 nullptr)
+                  .status()
+                  .IsCorruption());
 }
 
 TEST_F(ExtractTest, ReplayIntoRebuildsExactReplica) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <thread>
 
+#include "common/coding.h"
 #include "txn/lock_manager.h"
 #include "txn/log_record.h"
 #include "txn/recovery.h"
@@ -354,6 +355,237 @@ TEST(WalTest, FrameBoundaryTruncationInOlderSegmentIsCorruption) {
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
   EXPECT_NE(st.ToString().find("lsn gap"), std::string::npos)
       << st.ToString();
+}
+
+// Appends `n` insert records (txn ids 0..n-1) to a fresh log in `dir`.
+void WriteRecords(const std::string& dir, int n, const WalOptions& options) {
+  Wal wal;
+  OPDELTA_ASSERT_OK(wal.Open(dir, options));
+  for (int i = 0; i < n; ++i) {
+    LogRecord rec;
+    rec.type = LogRecordType::kInsert;
+    rec.txn_id = i;
+    rec.after = "row-" + std::to_string(i);
+    OPDELTA_ASSERT_OK(wal.Append(&rec));
+  }
+  OPDELTA_ASSERT_OK(wal.Close());
+}
+
+// Every record from `from` on, with the position each was read at.
+struct PositionedRead {
+  std::vector<LogRecord> records;
+  std::vector<WalPosition> at;
+  WalPosition end;
+};
+
+PositionedRead ReadFromPosition(const std::string& dir,
+                                const WalPosition& from) {
+  PositionedRead out;
+  Status st = Wal::ReadFrom(
+      dir, from,
+      [&](const LogRecord& r, const WalPosition& at) {
+        out.records.push_back(r);
+        out.at.push_back(at);
+        return true;
+      },
+      &out.end);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return out;
+}
+
+std::string OnlySegment(const std::string& dir) {
+  std::vector<std::string> children;
+  EXPECT_TRUE(Env::Default()->ListDir(dir, &children).ok());
+  EXPECT_EQ(children.size(), 1u);
+  return children.empty() ? std::string() : dir + "/" + children[0];
+}
+
+TEST(WalTest, TornTailSurvivesReopen) {
+  // Open accepts a torn tail as the end of the log, then moves appends to a
+  // fresh segment — after which the torn segment is no longer the newest,
+  // so it must have been cut back to its last complete frame.
+  TempDir dir;
+  WriteRecords(dir.Sub("wal"), 5, WalOptions());
+  const std::string seg = OnlySegment(dir.Sub("wal"));
+  std::string data;
+  OPDELTA_ASSERT_OK(Env::Default()->ReadFileToString(seg, &data));
+  data.resize(data.size() - 10);
+  data.append("\x40\x00", 2);
+  OPDELTA_ASSERT_OK(Env::Default()->WriteStringToFile(seg, Slice(data)));
+
+  {
+    Wal wal;
+    OPDELTA_ASSERT_OK(wal.Open(dir.Sub("wal"), WalOptions()));
+    LogRecord rec;
+    rec.type = LogRecordType::kInsert;
+    rec.txn_id = 42;
+    rec.after = "after-reopen";
+    OPDELTA_ASSERT_OK(wal.Append(&rec));
+    OPDELTA_ASSERT_OK(wal.Close());
+  }
+
+  std::vector<LogRecord> seen;
+  OPDELTA_ASSERT_OK(Wal::ReadAll(dir.Sub("wal"), [&](const LogRecord& r) {
+    seen.push_back(r);
+    return true;
+  }));
+  ASSERT_EQ(seen.size(), 5u);  // 4 surviving records + 1 appended after
+  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(seen[i].txn_id, i);
+  EXPECT_EQ(seen[4].txn_id, 42u);
+  EXPECT_EQ(seen[4].lsn, seen[3].lsn + 1);
+
+  Wal again;
+  OPDELTA_ASSERT_OK(again.Open(dir.Sub("wal"), WalOptions()));
+  EXPECT_EQ(again.last_lsn(), seen[4].lsn);
+  OPDELTA_ASSERT_OK(again.Close());
+}
+
+TEST(WalTest, ReadFromResumesWithExactlyTheSuffix) {
+  TempDir dir;
+  WalOptions options;
+  options.segment_size = 512;  // positions in many segments
+  WriteRecords(dir.Sub("wal"), 60, options);
+  const PositionedRead all = ReadFromPosition(dir.Sub("wal"), WalPosition{});
+  ASSERT_EQ(all.records.size(), 60u);
+  EXPECT_GT(all.end.segment, 2u);
+
+  for (size_t k = 0; k < all.records.size(); ++k) {
+    const PositionedRead suffix = ReadFromPosition(dir.Sub("wal"), all.at[k]);
+    ASSERT_EQ(suffix.records.size(), all.records.size() - k) << "from " << k;
+    for (size_t i = 0; i < suffix.records.size(); ++i) {
+      EXPECT_EQ(suffix.records[i].lsn, all.records[k + i].lsn);
+      EXPECT_EQ(suffix.records[i].after, all.records[k + i].after);
+      EXPECT_EQ(suffix.at[i].segment, all.at[k + i].segment);
+      EXPECT_EQ(suffix.at[i].offset, all.at[k + i].offset);
+    }
+    EXPECT_EQ(suffix.end.segment, all.end.segment);
+    EXPECT_EQ(suffix.end.offset, all.end.offset);
+    EXPECT_EQ(suffix.end.prev_lsn, all.records.back().lsn);
+  }
+  const PositionedRead none = ReadFromPosition(dir.Sub("wal"), all.end);
+  EXPECT_TRUE(none.records.empty());
+  EXPECT_EQ(none.end.offset, all.end.offset);
+}
+
+TEST(WalTest, ReadFromReportsFrameMissingAfterPositionAsCorruption) {
+  TempDir dir;
+  WriteRecords(dir.Sub("wal"), 10, WalOptions());
+  WalPosition mid;
+  OPDELTA_ASSERT_OK(Wal::ReadFrom(
+      dir.Sub("wal"), WalPosition{},
+      [](const LogRecord& r, const WalPosition&) { return r.txn_id < 4; },
+      &mid));
+  ASSERT_EQ(mid.prev_lsn, 5u);  // stopped just past the 5th record
+
+  // Splice out the frame right after the position: the next frame still
+  // parses and checksums, but the resumed read must see the LSN jump.
+  const std::string seg = OnlySegment(dir.Sub("wal"));
+  std::string data;
+  OPDELTA_ASSERT_OK(Env::Default()->ReadFileToString(seg, &data));
+  Slice header(data.data() + mid.offset, 4);
+  uint32_t len = 0;
+  ASSERT_TRUE(GetFixed32(&header, &len));
+  data.erase(mid.offset, 8 + len);
+  OPDELTA_ASSERT_OK(Env::Default()->WriteStringToFile(seg, Slice(data)));
+
+  Status st = Wal::ReadFrom(
+      dir.Sub("wal"), mid,
+      [](const LogRecord&, const WalPosition&) { return true; }, nullptr);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.ToString().find("lsn gap"), std::string::npos)
+      << st.ToString();
+}
+
+TEST(WalTest, ReadFromStopsBeforeTornTailAndReturnsItOnceComplete) {
+  // A reader racing an append can find the newest frame half written. The
+  // returned position must stay at the frame's start, so the next read
+  // returns it — once — when it is complete.
+  TempDir dir;
+  WriteRecords(dir.Sub("wal"), 5, WalOptions());
+  const std::string seg = OnlySegment(dir.Sub("wal"));
+  std::string full;
+  OPDELTA_ASSERT_OK(Env::Default()->ReadFileToString(seg, &full));
+  const PositionedRead whole = ReadFromPosition(dir.Sub("wal"), WalPosition{});
+  ASSERT_EQ(whole.records.size(), 5u);
+  const uint64_t last_start = whole.at[4].offset;
+
+  OPDELTA_ASSERT_OK(Env::Default()->WriteStringToFile(
+      seg, Slice(full.data(), static_cast<size_t>(last_start) + 10)));
+  const PositionedRead torn = ReadFromPosition(dir.Sub("wal"), WalPosition{});
+  EXPECT_EQ(torn.records.size(), 4u);
+  EXPECT_EQ(torn.end.offset, last_start);
+  EXPECT_EQ(torn.end.prev_lsn, whole.records[3].lsn);
+
+  OPDELTA_ASSERT_OK(Env::Default()->WriteStringToFile(seg, Slice(full)));
+  const PositionedRead rest = ReadFromPosition(dir.Sub("wal"), torn.end);
+  ASSERT_EQ(rest.records.size(), 1u);
+  EXPECT_EQ(rest.records[0].lsn, whole.records[4].lsn);
+  EXPECT_EQ(rest.end.offset, full.size());
+  EXPECT_TRUE(ReadFromPosition(dir.Sub("wal"), rest.end).records.empty());
+}
+
+TEST(WalTest, ReadFromRecycledSegmentRestartsAtFirstRemaining) {
+  TempDir dir;
+  WalOptions options;
+  options.segment_size = 512;
+  options.archive_mode = false;
+  Wal wal;
+  OPDELTA_ASSERT_OK(wal.Open(dir.Sub("wal"), options));
+  for (int i = 0; i < 30; ++i) {
+    LogRecord rec;
+    rec.type = LogRecordType::kInsert;
+    rec.txn_id = i;
+    rec.after = std::string(100, 'x');
+    OPDELTA_ASSERT_OK(wal.Append(&rec));
+  }
+  const PositionedRead before = ReadFromPosition(dir.Sub("wal"), WalPosition{});
+  ASSERT_EQ(before.records.size(), 30u);
+  const WalPosition in_first = before.at[2];
+  OPDELTA_ASSERT_OK(wal.Checkpoint());  // recycles every closed segment
+  for (int i = 0; i < 2; ++i) {
+    LogRecord rec;
+    rec.type = LogRecordType::kCommit;
+    OPDELTA_ASSERT_OK(wal.Append(&rec));
+  }
+
+  std::vector<Lsn> remaining;
+  OPDELTA_ASSERT_OK(Wal::ReadAll(dir.Sub("wal"), [&](const LogRecord& r) {
+    remaining.push_back(r.lsn);
+    return true;
+  }));
+  ASSERT_LT(remaining.size(), 30u);
+  const PositionedRead resumed = ReadFromPosition(dir.Sub("wal"), in_first);
+  ASSERT_EQ(resumed.records.size(), remaining.size());
+  for (size_t i = 0; i < remaining.size(); ++i) {
+    EXPECT_EQ(resumed.records[i].lsn, remaining[i]);
+  }
+  EXPECT_GT(resumed.end.segment, in_first.segment);
+  OPDELTA_ASSERT_OK(wal.Close());
+}
+
+TEST(WalTest, MissingMiddleSegmentIsCorruption) {
+  TempDir dir;
+  WalOptions options;
+  options.segment_size = 512;
+  WriteRecords(dir.Sub("wal"), 100, options);
+  const PositionedRead all = ReadFromPosition(dir.Sub("wal"), WalPosition{});
+  ASSERT_GT(all.end.segment, 3u);
+  WalPosition in_second;
+  for (const WalPosition& at : all.at) {
+    if (at.segment == all.at[0].segment + 1 && at.offset > 0) {
+      in_second = at;
+      break;
+    }
+  }
+  ASSERT_NE(in_second.segment, 0u);
+  OPDELTA_ASSERT_OK(Env::Default()->DeleteFile(
+      dir.Sub("wal") + "/" + WalSegmentName(in_second.segment)));
+
+  auto visit = [](const LogRecord&, const WalPosition&) { return true; };
+  Status st = Wal::ReadFrom(dir.Sub("wal"), WalPosition{}, visit, nullptr);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  st = Wal::ReadFrom(dir.Sub("wal"), in_second, visit, nullptr);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
 }
 
 TEST(WalTest, BytesAppendedTracksVolume) {
