@@ -8,15 +8,12 @@ namespace opdelta::backfill {
 
 using catalog::ValueType;
 
-constexpr char BackfillOptions::kDefaultSignalTable[];
-
 catalog::Schema Backfiller::SignalTableSchema() {
   return ChunkWindow::SignalTableSchema();
 }
 
-Status Backfiller::EnsureSignalTable(engine::Database* db,
-                                     const std::string& table) {
-  return ChunkWindow::EnsureSignalTable(db, table);
+Status Backfiller::EnsureSignalTable(engine::Database* db) {
+  return ChunkWindow::EnsureSignalTable(db);
 }
 
 Backfiller::Backfiller(pipeline::SourceLeg* leg, BackfillOptions options)
@@ -24,10 +21,8 @@ Backfiller::Backfiller(pipeline::SourceLeg* leg, BackfillOptions options)
       source_(leg->source()),
       options_(std::move(options)),
       table_(leg->options().source_table),
-      window_(leg,
-              ChunkWindow::Options{options_.signal_table, "low", "high",
-                                   options_.max_window_drains}),
-      ledger_(leg->source(), options_.ledger_table) {}
+      window_(leg, ChunkWindow::Options{}),
+      ledger_(leg->source()) {}
 
 Result<std::unique_ptr<Backfiller>> Backfiller::Create(
     pipeline::SourceLeg* leg, BackfillOptions options) {
@@ -51,7 +46,7 @@ Result<std::unique_ptr<Backfiller>> Backfiller::Create(
 
 Status Backfiller::Setup() {
   if (setup_done_) return Status::OK();
-  OPDELTA_RETURN_IF_ERROR(EnsureSignalTable(source_, options_.signal_table));
+  OPDELTA_RETURN_IF_ERROR(EnsureSignalTable(source_));
   OPDELTA_RETURN_IF_ERROR(ledger_.Setup());
   OPDELTA_ASSIGN_OR_RETURN(ChunkLedger::Progress progress,
                            ledger_.Get(table_));
@@ -120,7 +115,7 @@ Status Backfiller::Step(bool* done) {
     OPDELTA_RETURN_IF_ERROR(leg_->ShipSnapshot(chunk));
   }
 
-  // A crash between the durable ship above and the ledger append below
+  // A crash between the durable ship above and the ledger write below
   // re-runs this chunk under a fresh identity; the warehouse absorbs the
   // duplicate upserts idempotently.
   stats_.chunks_done = chunk_no;
@@ -133,17 +128,7 @@ Status Backfiller::Step(bool* done) {
     cursor_ = rows.back().key;
   }
   if (more) {
-    OPDELTA_RETURN_IF_ERROR(
-        ledger_.Advance(table_, chunk_no, cursor_, stats_.rows_backfilled));
-    if (options_.ledger_compact_every != 0 &&
-        chunk_no % options_.ledger_compact_every == 0) {
-      Status st = ledger_.Compact();
-      if (!st.ok()) {
-        OPDELTA_LOG(kWarn) << "chunk-ledger compaction failed: "
-                           << st.ToString();
-      }
-    }
-    return Status::OK();
+    return ledger_.Advance(table_, chunk_no, cursor_, stats_.rows_backfilled);
   }
 
   OPDELTA_RETURN_IF_ERROR(

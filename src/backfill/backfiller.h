@@ -16,23 +16,6 @@ namespace opdelta::backfill {
 struct BackfillOptions {
   /// Rows per snapshot chunk (one Step ships one chunk).
   uint64_t chunk_rows = 256;
-
-  /// Watermark-signal table, created in the source database by Setup. For
-  /// op-delta sources the signal inserts ride the captured stream, so the
-  /// warehouse needs the same table (EnsureSignalTable) to replay them.
-  std::string signal_table = kDefaultSignalTable;
-
-  /// ChunkLedger table in the source database.
-  std::string ledger_table = ChunkLedger::kDefaultTable;
-
-  /// Compact the chunk ledger every N chunks. 0 disables.
-  uint64_t ledger_compact_every = 32;
-
-  /// Bound on watermark-window drain/repair rounds per chunk under
-  /// sustained concurrent writes (see Backfiller class comment).
-  int max_window_drains = 8;
-
-  static constexpr char kDefaultSignalTable[] = "__backfill_signal";
 };
 
 struct BackfillStats {
@@ -77,15 +60,13 @@ class Backfiller {
   /// engine's auto-stamping never rewrites a signal row.
   static catalog::Schema SignalTableSchema();
 
-  /// Creates the signal table if missing. Idempotent. Call on the
-  /// warehouse too when backfilling an op-delta source (the captured
-  /// signal inserts replay there).
-  static Status EnsureSignalTable(
-      engine::Database* db,
-      const std::string& table = BackfillOptions::kDefaultSignalTable);
+  /// Creates the watermark-signal table (ChunkWindow::kSignalTable) if
+  /// missing. Idempotent. Call on the warehouse too when backfilling an
+  /// op-delta source (the captured signal inserts replay there).
+  static Status EnsureSignalTable(engine::Database* db);
 
-  /// Creates signal + ledger tables, loads the durable cursor. Call after
-  /// the leg's Setup. Idempotent.
+  /// Creates signal + ledger tables in the source database, loads the
+  /// durable cursor. Call after the leg's Setup. Idempotent.
   Status Setup();
 
   /// Ships the next chunk (steps 1-5 above). No-op once done. `*done`

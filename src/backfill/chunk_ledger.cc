@@ -1,8 +1,6 @@
 #include "backfill/chunk_ledger.h"
 
-#include <map>
 #include <utility>
-#include <vector>
 
 namespace opdelta::backfill {
 
@@ -18,9 +16,14 @@ constexpr char kDoneKind[] = "D";
 // Column order of TableSchema().
 enum LedgerCol { kTbl = 0, kKind = 1, kChunk = 2, kCursor = 3, kRows = 4 };
 
+engine::Predicate RowsOf(const std::string& table) {
+  return engine::Predicate::Where("tbl", engine::CompareOp::kEq,
+                                  Value::String(table));
+}
+
 }  // namespace
 
-constexpr char ChunkLedger::kDefaultTable[];
+constexpr char ChunkLedger::kTable[];
 
 catalog::Schema ChunkLedger::TableSchema() {
   return catalog::Schema({Column{"tbl", ValueType::kString},
@@ -31,18 +34,16 @@ catalog::Schema ChunkLedger::TableSchema() {
 }
 
 Status ChunkLedger::Setup() {
-  if (db_->GetTable(table_) != nullptr) return Status::OK();
-  Status st = db_->CreateTable(table_, TableSchema());
+  if (db_->GetTable(kTable) != nullptr) return Status::OK();
+  Status st = db_->CreateTable(kTable, TableSchema());
   if (st.code() == StatusCode::kAlreadyExists) return Status::OK();
   return st;
 }
 
 Result<ChunkLedger::Progress> ChunkLedger::Get(const std::string& table) {
   Progress best;
-  engine::Predicate pred = engine::Predicate::Where(
-      "tbl", engine::CompareOp::kEq, Value::String(table));
   OPDELTA_RETURN_IF_ERROR(db_->Scan(
-      nullptr, table_, pred,
+      nullptr, kTable, RowsOf(table),
       [&](const storage::Rid&, const catalog::Row& row) {
         const uint64_t chunk = static_cast<uint64_t>(row[kChunk].AsInt64());
         if (row[kKind].AsString() == kDoneKind) best.done = true;
@@ -57,80 +58,39 @@ Result<ChunkLedger::Progress> ChunkLedger::Get(const std::string& table) {
   return best;
 }
 
-Status ChunkLedger::Append(const std::string& table, const char* kind,
-                          uint64_t chunk, int64_t cursor,
-                          uint64_t rows_shipped) {
+Status ChunkLedger::Put(const std::string& table, const char* kind,
+                        uint64_t chunk, int64_t cursor,
+                        uint64_t rows_shipped) {
   return db_->WithTransaction([&](txn::Transaction* txn) {
+    OPDELTA_RETURN_IF_ERROR(
+        db_->DeleteWhere(txn, kTable,
+                         RowsOf(table).And("kind", engine::CompareOp::kEq,
+                                           Value::String(kind)))
+            .status());
     catalog::Row row(5);
     row[kTbl] = Value::String(table);
     row[kKind] = Value::String(kind);
     row[kChunk] = Value::Int64(static_cast<int64_t>(chunk));
     row[kCursor] = Value::Int64(cursor);
     row[kRows] = Value::Int64(static_cast<int64_t>(rows_shipped));
-    return db_->InsertRaw(txn, table_, std::move(row));
+    return db_->InsertRaw(txn, kTable, std::move(row));
   });
 }
 
 Status ChunkLedger::Advance(const std::string& table, uint64_t chunk,
                             int64_t cursor, uint64_t rows_shipped) {
-  return Append(table, kCursorKind, chunk, cursor, rows_shipped);
+  return Put(table, kCursorKind, chunk, cursor, rows_shipped);
 }
 
 Status ChunkLedger::MarkDone(const std::string& table, uint64_t chunk,
                              uint64_t rows_shipped) {
-  return Append(table, kDoneKind, chunk, 0, rows_shipped);
+  return Put(table, kDoneKind, chunk, 0, rows_shipped);
 }
 
 Status ChunkLedger::Reset(const std::string& table) {
   return db_->WithTransaction([&](txn::Transaction* txn) {
-    std::vector<storage::Rid> doomed;
-    engine::Predicate pred = engine::Predicate::Where(
-        "tbl", engine::CompareOp::kEq, Value::String(table));
-    OPDELTA_RETURN_IF_ERROR(db_->Scan(
-        txn, table_, pred,
-        [&](const storage::Rid& rid, const catalog::Row&) {
-          doomed.push_back(rid);
-          return true;
-        }));
-    for (const storage::Rid& rid : doomed) {
-      OPDELTA_RETURN_IF_ERROR(db_->DeleteAt(txn, table_, rid));
-    }
-    return Status::OK();
+    return db_->DeleteWhere(txn, kTable, RowsOf(table)).status();
   });
-}
-
-Status ChunkLedger::Compact(uint64_t* rows_removed) {
-  if (rows_removed != nullptr) *rows_removed = 0;
-  uint64_t removed = 0;
-  Status st = db_->WithTransaction([&](txn::Transaction* txn) {
-    struct Best {
-      storage::Rid rid;
-      uint64_t chunk = 0;
-    };
-    std::map<std::string, Best> keep;
-    std::vector<std::pair<std::string, storage::Rid>> cursors;
-    OPDELTA_RETURN_IF_ERROR(db_->Scan(
-        txn, table_, engine::Predicate::True(),
-        [&](const storage::Rid& rid, const catalog::Row& row) {
-          if (row[kKind].AsString() != kCursorKind) return true;
-          const std::string& table = row[kTbl].AsString();
-          const uint64_t chunk = static_cast<uint64_t>(row[kChunk].AsInt64());
-          cursors.emplace_back(table, rid);
-          auto it = keep.find(table);
-          if (it == keep.end() || chunk > it->second.chunk) {
-            keep[table] = Best{rid, chunk};
-          }
-          return true;
-        }));
-    for (const auto& [table, rid] : cursors) {
-      if (keep[table].rid == rid) continue;
-      OPDELTA_RETURN_IF_ERROR(db_->DeleteAt(txn, table_, rid));
-      ++removed;
-    }
-    return Status::OK();
-  });
-  if (st.ok() && rows_removed != nullptr) *rows_removed = removed;
-  return st;
 }
 
 }  // namespace opdelta::backfill

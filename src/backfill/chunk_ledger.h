@@ -9,29 +9,27 @@
 namespace opdelta::backfill {
 
 /// Durable record of backfill progress, stored *in the source database* so
-/// the cursor survives anything the transport's work_dir does not. Mirrors
-/// warehouse::ApplyLedger: an append-only table (default `__backfill_chunks`)
-/// of rows
+/// the cursor survives anything the transport's work_dir does not. A table
+/// (`__backfill_chunks`) of rows
 ///   (tbl TEXT, kind TEXT, chunk INT, cursor INT, rows INT)
 /// with two row kinds:
 ///   'C' — cursor: chunks [1, chunk] of `tbl` are durably shipped; the next
-///         chunk selects keys strictly above `cursor`. The effective cursor
-///         is the row with the largest chunk number; `rows` is the
+///         chunk selects keys strictly above `cursor`; `rows` is the
 ///         cumulative shipped-row count (stats only).
 ///   'D' — done: the backfill of `tbl` completed after `chunk` chunks.
 ///
-/// Appending (never updating in place) keeps every writer a plain insert,
-/// and makes the crash story trivial: the worst a crash can do is lose the
-/// latest cursor row, re-shipping one chunk — which the warehouse absorbs
-/// idempotently (snapshot chunks apply as net-change upserts under a
-/// ledger-deduped identity).
+/// Each write replaces the table's row of its kind in one transaction, so
+/// the ledger holds at most one row per (tbl, kind). The worst a crash can
+/// do is lose the latest write, re-shipping one chunk — which the warehouse
+/// absorbs idempotently (snapshot chunks apply as net-change upserts under
+/// a ledger-deduped identity). Get reads the row with the largest chunk
+/// number, so a table holding several rows per key (written by an
+/// append-only build) reads unchanged and collapses on its first write.
 class ChunkLedger {
  public:
-  static constexpr char kDefaultTable[] = "__backfill_chunks";
+  static constexpr char kTable[] = "__backfill_chunks";
 
-  explicit ChunkLedger(engine::Database* source,
-                       std::string table = kDefaultTable)
-      : db_(source), table_(std::move(table)) {}
+  explicit ChunkLedger(engine::Database* source) : db_(source) {}
 
   static catalog::Schema TableSchema();
 
@@ -47,18 +45,15 @@ class ChunkLedger {
   };
   Result<Progress> Get(const std::string& table);
 
-  /// Appends a cursor row in its own transaction: chunks [1, chunk] of
+  /// Replaces the cursor row in its own transaction: chunks [1, chunk] of
   /// `table` are shipped through key `cursor`, `rows_shipped` rows total.
+  /// Progress only moves forward: `chunk` exceeds every earlier write's.
   Status Advance(const std::string& table, uint64_t chunk, int64_t cursor,
                  uint64_t rows_shipped);
 
-  /// Appends the terminal 'D' row.
+  /// Writes the terminal 'D' row.
   Status MarkDone(const std::string& table, uint64_t chunk,
                   uint64_t rows_shipped);
-
-  /// Deletes cursor rows superseded by a newer row of their table. Runs in
-  /// its own transaction; 'D' rows are never compacted away.
-  Status Compact(uint64_t* rows_removed = nullptr);
 
   /// Deletes every row of `table` (cursor and done alike) in one
   /// transaction, so the next Get() reports a fresh start. Used when a
@@ -66,14 +61,11 @@ class ChunkLedger {
   /// columns.
   Status Reset(const std::string& table);
 
-  const std::string& table() const { return table_; }
-
  private:
-  Status Append(const std::string& table, const char* kind, uint64_t chunk,
-                int64_t cursor, uint64_t rows_shipped);
+  Status Put(const std::string& table, const char* kind, uint64_t chunk,
+             int64_t cursor, uint64_t rows_shipped);
 
   engine::Database* db_;
-  std::string table_;
 };
 
 }  // namespace opdelta::backfill

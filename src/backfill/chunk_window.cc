@@ -1,6 +1,5 @@
 #include "backfill/chunk_window.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <utility>
@@ -12,16 +11,24 @@ namespace opdelta::backfill {
 using catalog::Value;
 using catalog::ValueType;
 
+namespace {
+
+/// Bound on drain/repair rounds per window under sustained writes.
+constexpr int kMaxWindowDrains = 8;
+
+}  // namespace
+
+constexpr char ChunkWindow::kSignalTable[];
+
 catalog::Schema ChunkWindow::SignalTableSchema() {
   return catalog::Schema({catalog::Column{"sig", ValueType::kInt64},
                           catalog::Column{"kind", ValueType::kString},
                           catalog::Column{"tbl", ValueType::kString}});
 }
 
-Status ChunkWindow::EnsureSignalTable(engine::Database* db,
-                                      const std::string& table) {
-  if (db->GetTable(table) != nullptr) return Status::OK();
-  Status st = db->CreateTable(table, SignalTableSchema());
+Status ChunkWindow::EnsureSignalTable(engine::Database* db) {
+  if (db->GetTable(kSignalTable) != nullptr) return Status::OK();
+  Status st = db->CreateTable(kSignalTable, SignalTableSchema());
   if (st.code() == StatusCode::kAlreadyExists) return Status::OK();
   return st;
 }
@@ -45,7 +52,7 @@ Status ChunkWindow::WriteSignal(uint64_t id, const std::string& kind) {
     // Op-delta: the signal insert rides the captured stream, so its
     // position in the op log *is* the watermark.
     sql::InsertStmt ins;
-    ins.table = options_.signal_table;
+    ins.table = kSignalTable;
     ins.rows.push_back(std::move(row));
     return leg_->capture()
         ->RunTransaction({sql::Statement(std::move(ins))})
@@ -55,7 +62,7 @@ Status ChunkWindow::WriteSignal(uint64_t id, const std::string& kind) {
   // the window-closing drain is captured); the row is kept for operators
   // debugging a window, not for correctness.
   return source_->WithTransaction([&](txn::Transaction* txn) {
-    return source_->InsertRaw(txn, options_.signal_table, std::move(row));
+    return source_->InsertRaw(txn, kSignalTable, std::move(row));
   });
 }
 
@@ -223,7 +230,7 @@ Status ChunkWindow::InspectShipped(const std::string& message, uint64_t id,
           stmt_cache_.Parse(op.sql, batch.id.schema_epoch));
       if (stmt.is_insert()) {
         const sql::InsertStmt& ins = stmt.insert();
-        if (ins.table == options_.signal_table) {
+        if (ins.table == kSignalTable) {
           for (const catalog::Row& row : ins.rows) {
             if (row.size() >= 3 && row[0].type() == ValueType::kInt64 &&
                 static_cast<uint64_t>(row[0].AsInt64()) == id &&
@@ -367,8 +374,7 @@ Status ChunkWindow::Close(uint64_t id, CloseMode mode, bool collect,
   const bool op_delta = leg_->capture() != nullptr;
   bool saw_low = false;
   bool saw_high = false;
-  const int max_drains = std::max(1, options_.max_window_drains);
-  for (int drain = 0; drain < max_drains; ++drain) {
+  for (int drain = 0; drain < kMaxWindowDrains; ++drain) {
     bool shipped = false;
     std::string message;
     OPDELTA_RETURN_IF_ERROR(leg_->ExtractAndShip(&shipped, &message));
@@ -430,10 +436,10 @@ Status ChunkWindow::CleanupSignals() {
   if (leg_->capture() != nullptr) {
     // Captured: the deletes replay at the warehouse, cleaning its copy.
     sql::DeleteStmt del_low;
-    del_low.table = options_.signal_table;
+    del_low.table = kSignalTable;
     del_low.where = kind_pred(options_.low_kind);
     sql::DeleteStmt del_high;
-    del_high.table = options_.signal_table;
+    del_high.table = kSignalTable;
     del_high.where = kind_pred(options_.high_kind);
     return leg_->capture()
         ->RunTransaction({sql::Statement(std::move(del_low)),
@@ -443,11 +449,11 @@ Status ChunkWindow::CleanupSignals() {
   return source_->WithTransaction([&](txn::Transaction* txn) {
     OPDELTA_RETURN_IF_ERROR(
         source_
-            ->DeleteWhere(txn, options_.signal_table,
+            ->DeleteWhere(txn, kSignalTable,
                           kind_pred(options_.low_kind))
             .status());
     return source_
-        ->DeleteWhere(txn, options_.signal_table,
+        ->DeleteWhere(txn, kSignalTable,
                       kind_pred(options_.high_kind))
         .status();
   });

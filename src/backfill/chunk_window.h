@@ -46,14 +46,15 @@ struct WindowRow {
 /// leg's producer side.
 class ChunkWindow {
  public:
+  /// The watermark-signal table, in the source database and, for op-delta
+  /// sources, the warehouse (the captured signal rows replay there).
+  static constexpr char kSignalTable[] = "__backfill_signal";
+
   struct Options {
-    std::string signal_table;
-    /// Signal-row kinds. Concurrent users of one signal table (backfill
+    /// Signal-row kinds. Concurrent users of the signal table (backfill
     /// and scrub) use distinct kinds so neither closes the other's window.
     std::string low_kind = "low";
     std::string high_kind = "high";
-    /// Bound on drain/repair rounds per window under sustained writes.
-    int max_window_drains = 8;
   };
 
   enum class CloseMode { kRepair, kDetect };
@@ -74,8 +75,7 @@ class ChunkWindow {
   /// Creates the signal table if missing. Idempotent. Call on the
   /// warehouse too for op-delta sources (captured signal inserts replay
   /// there).
-  static Status EnsureSignalTable(engine::Database* db,
-                                  const std::string& table);
+  static Status EnsureSignalTable(engine::Database* db);
 
   /// Writes the low-watermark signal row for window `id`.
   Status Open(uint64_t id);

@@ -261,8 +261,7 @@ Status DeltaHub::Setup() {
   OPDELTA_RETURN_IF_ERROR(Env::Default()->CreateDir(options_.work_dir));
   OPDELTA_RETURN_IF_ERROR(BuildGroups());
 
-  ledger_ = std::make_unique<warehouse::ApplyLedger>(warehouse_,
-                                                     options_.ledger_table);
+  ledger_ = std::make_unique<warehouse::ApplyLedger>(warehouse_);
   OPDELTA_RETURN_IF_ERROR(ledger_->Setup());
 
   stats_.sources.clear();
@@ -722,7 +721,6 @@ void DeltaHub::ApplyWorkerLoop(size_t worker_index) {
         RefreshSourceStats(source);
       }
     }
-    if (applied && st.ok()) MaybeCompactLedger();
     {
       std::lock_guard<common::OrderedMutex> lock(staging_mutex_);
       staging_bytes_ -= batch->bytes;
@@ -767,26 +765,6 @@ Status DeltaHub::DeadLetter(StagedBatch* batch, const Status& cause) {
     }
   }
   return ack_status;
-}
-
-void DeltaHub::MaybeCompactLedger() {
-  if (options_.ledger_compact_every == 0) return;
-  if (applies_since_compact_.fetch_add(1, std::memory_order_relaxed) + 1 <
-      options_.ledger_compact_every) {
-    return;
-  }
-  // One compactor at a time; a concurrent worker just skips its turn.
-  std::unique_lock<common::OrderedMutex> lock(compact_mutex_, std::try_to_lock);
-  if (!lock.owns_lock()) return;
-  applies_since_compact_.store(0, std::memory_order_relaxed);
-  uint64_t removed = 0;
-  Status st = ledger_->Compact(&removed);
-  if (!st.ok()) {
-    // Compaction is pure housekeeping: a failure (or a crash mid-way, which
-    // aborts the deletion transaction) leaves superseded rows behind but
-    // never loses a watermark. Log and move on.
-    OPDELTA_LOG(kWarn) << "apply-ledger compaction failed: " << st.ToString();
-  }
 }
 
 void DeltaHub::RetainDriverError(const Status& error) {

@@ -1,7 +1,6 @@
 #ifndef OPDELTA_HUB_DELTA_HUB_H_
 #define OPDELTA_HUB_DELTA_HUB_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -120,16 +119,6 @@ struct HubOptions {
   int apply_attempts = 3;
   /// Seed for the retry-jitter RNG (deterministic tests).
   uint64_t retry_seed = 1;
-
-  // --- Exactly-once apply (warehouse::ApplyLedger) ---
-
-  /// Warehouse table recording applied-batch watermarks (created by
-  /// Setup). Progress rows commit atomically with each applied batch, so
-  /// redelivered batches are recognized and dropped.
-  std::string ledger_table = warehouse::ApplyLedger::kDefaultTable;
-  /// Compact the ledger (prune superseded watermark rows) after this many
-  /// applied batches. 0 disables compaction.
-  uint64_t ledger_compact_every = 256;
 };
 
 /// Per-source counters inside a HubStats snapshot.
@@ -291,8 +280,6 @@ class DeltaHub {
                        const extract::BatchId& id, uint64_t bytes,
                        std::vector<Source*> acks);
   void ApplyWorkerLoop(size_t worker_index);
-  /// Prunes superseded ledger rows every ledger_compact_every applies.
-  void MaybeCompactLedger();
   /// Diverts an undeliverable batch to the per-table dead-letter log and
   /// acknowledges it so the queue can advance past the poison message.
   Status DeadLetter(StagedBatch* batch, const Status& cause);
@@ -308,12 +295,6 @@ class DeltaHub {
   /// apply path either rolls the batch back (replayed cleanly) or leaves
   /// it recorded (redelivery dropped as a duplicate).
   std::unique_ptr<warehouse::ApplyLedger> ledger_;
-  std::atomic<uint64_t> applies_since_compact_{0};
-  // One compaction at a time; only ever taken with try_to_lock, and holds
-  // across the warehouse txn that rewrites the ledger (rank below the
-  // engine/txn locks it acquires).
-  common::OrderedMutex compact_mutex_{
-      OPDELTA_LOCK_RANK(hub_compact, common::lockrank::kHubCompact)};
 
   std::vector<std::unique_ptr<Source>> sources_;
   std::vector<std::unique_ptr<Group>> groups_;

@@ -1,8 +1,6 @@
 #include "scrub/scrub_ledger.h"
 
-#include <map>
 #include <utility>
-#include <vector>
 
 namespace opdelta::scrub {
 
@@ -18,9 +16,14 @@ constexpr char kPassKind[] = "P";
 // Column order of TableSchema().
 enum LedgerCol { kTbl = 0, kKind = 1, kPass = 2, kCursor = 3, kChunks = 4 };
 
+engine::Predicate RowsOf(const std::string& table) {
+  return engine::Predicate::Where("tbl", engine::CompareOp::kEq,
+                                  Value::String(table));
+}
+
 }  // namespace
 
-constexpr char ScrubLedger::kDefaultTable[];
+constexpr char ScrubLedger::kTable[];
 
 catalog::Schema ScrubLedger::TableSchema() {
   return catalog::Schema({Column{"tbl", ValueType::kString},
@@ -31,8 +34,8 @@ catalog::Schema ScrubLedger::TableSchema() {
 }
 
 Status ScrubLedger::Setup() {
-  if (db_->GetTable(table_) != nullptr) return Status::OK();
-  Status st = db_->CreateTable(table_, TableSchema());
+  if (db_->GetTable(kTable) != nullptr) return Status::OK();
+  Status st = db_->CreateTable(kTable, TableSchema());
   if (st.code() == StatusCode::kAlreadyExists) return Status::OK();
   return st;
 }
@@ -45,10 +48,8 @@ Result<ScrubLedger::Progress> ScrubLedger::Get(const std::string& table) {
   uint64_t c_pass = 0;
   int64_t c_cursor = 0;
   uint64_t c_chunks = 0;
-  engine::Predicate pred = engine::Predicate::Where(
-      "tbl", engine::CompareOp::kEq, Value::String(table));
   OPDELTA_RETURN_IF_ERROR(db_->Scan(
-      nullptr, table_, pred,
+      nullptr, kTable, RowsOf(table),
       [&](const storage::Rid&, const catalog::Row& row) {
         const uint64_t pass = static_cast<uint64_t>(row[kPass].AsInt64());
         const uint64_t chunks = static_cast<uint64_t>(row[kChunks].AsInt64());
@@ -80,73 +81,32 @@ Result<ScrubLedger::Progress> ScrubLedger::Get(const std::string& table) {
   return out;
 }
 
-Status ScrubLedger::Append(const std::string& table, const char* kind,
-                           uint64_t pass, int64_t cursor, uint64_t chunks) {
+Status ScrubLedger::Put(const std::string& table, const char* kind,
+                        uint64_t pass, int64_t cursor, uint64_t chunks) {
   return db_->WithTransaction([&](txn::Transaction* txn) {
+    OPDELTA_RETURN_IF_ERROR(
+        db_->DeleteWhere(txn, kTable,
+                         RowsOf(table).And("kind", engine::CompareOp::kEq,
+                                           Value::String(kind)))
+            .status());
     catalog::Row row(5);
     row[kTbl] = Value::String(table);
     row[kKind] = Value::String(kind);
     row[kPass] = Value::Int64(static_cast<int64_t>(pass));
     row[kCursor] = Value::Int64(cursor);
     row[kChunks] = Value::Int64(static_cast<int64_t>(chunks));
-    return db_->InsertRaw(txn, table_, std::move(row));
+    return db_->InsertRaw(txn, kTable, std::move(row));
   });
 }
 
 Status ScrubLedger::Advance(const std::string& table, uint64_t pass,
                             int64_t cursor, uint64_t chunks) {
-  return Append(table, kCursorKind, pass, cursor, chunks);
+  return Put(table, kCursorKind, pass, cursor, chunks);
 }
 
 Status ScrubLedger::MarkPass(const std::string& table, uint64_t pass,
                              uint64_t chunks) {
-  return Append(table, kPassKind, pass, 0, chunks);
-}
-
-Status ScrubLedger::Compact(uint64_t* rows_removed) {
-  if (rows_removed != nullptr) *rows_removed = 0;
-  uint64_t removed = 0;
-  Status st = db_->WithTransaction([&](txn::Transaction* txn) {
-    struct Best {
-      bool have = false;
-      storage::Rid rid;
-      uint64_t pass = 0;
-      uint64_t chunks = 0;
-    };
-    struct PerTable {
-      Best cursor;  // newest 'C' by (pass, chunks)
-      Best done;    // newest 'P' by pass
-    };
-    std::map<std::string, PerTable> keep;
-    std::vector<std::pair<storage::Rid, std::pair<std::string, bool>>> all;
-    OPDELTA_RETURN_IF_ERROR(db_->Scan(
-        txn, table_, engine::Predicate::True(),
-        [&](const storage::Rid& rid, const catalog::Row& row) {
-          const std::string& table = row[kTbl].AsString();
-          const bool is_pass = row[kKind].AsString() == kPassKind;
-          const uint64_t pass = static_cast<uint64_t>(row[kPass].AsInt64());
-          const uint64_t chunks =
-              static_cast<uint64_t>(row[kChunks].AsInt64());
-          all.emplace_back(rid, std::make_pair(table, is_pass));
-          Best& best =
-              is_pass ? keep[table].done : keep[table].cursor;
-          if (!best.have || pass > best.pass ||
-              (!is_pass && pass == best.pass && chunks > best.chunks)) {
-            best = Best{true, rid, pass, chunks};
-          }
-          return true;
-        }));
-    for (const auto& [rid, key] : all) {
-      const Best& best =
-          key.second ? keep[key.first].done : keep[key.first].cursor;
-      if (best.have && best.rid == rid) continue;
-      OPDELTA_RETURN_IF_ERROR(db_->DeleteAt(txn, table_, rid));
-      ++removed;
-    }
-    return Status::OK();
-  });
-  if (st.ok() && rows_removed != nullptr) *rows_removed = removed;
-  return st;
+  return Put(table, kPassKind, pass, 0, chunks);
 }
 
 }  // namespace opdelta::scrub

@@ -9,28 +9,27 @@
 namespace opdelta::scrub {
 
 /// Durable record of scrub progress, stored *in the source database* like
-/// backfill::ChunkLedger: an append-only table (default `__scrub_cursor`)
-/// of rows
+/// backfill::ChunkLedger: a table (`__scrub_cursor`) of rows
 ///   (tbl TEXT, kind TEXT, pass INT, cursor INT, chunks INT)
 /// with two row kinds:
 ///   'C' — cursor: `chunks` chunks of pass `pass` over `tbl` are verified;
-///         the next chunk selects keys strictly above `cursor`. The
-///         effective cursor of a pass is its row with the largest chunk
-///         count (cursors are keys and may be negative, so the chunk count
-///         is the recency order).
+///         the next chunk selects keys strictly above `cursor`.
 ///   'P' — pass complete: pass `pass` covered the whole key space in
 ///         `chunks` chunks. The next pass restarts from the smallest key.
 ///
-/// Append-only for the same reason as the other ledgers: every writer is a
-/// plain insert, and the worst a crash can do is lose the newest row —
-/// re-verifying one chunk, which is idempotent by construction.
+/// Each write replaces the table's row of its kind in one transaction, so
+/// the ledger holds at most one row per (tbl, kind); the worst a crash can
+/// do is lose the latest write — re-verifying one chunk, which is
+/// idempotent by construction. Get reads the newest 'P' row by pass and
+/// the newest 'C' row by (pass, chunks) (cursors are keys and may be
+/// negative, so the chunk count is the recency order), so a table holding
+/// several rows per key (written by an append-only build) reads unchanged
+/// and collapses on its first write.
 class ScrubLedger {
  public:
-  static constexpr char kDefaultTable[] = "__scrub_cursor";
+  static constexpr char kTable[] = "__scrub_cursor";
 
-  explicit ScrubLedger(engine::Database* source,
-                       std::string table = kDefaultTable)
-      : db_(source), table_(std::move(table)) {}
+  explicit ScrubLedger(engine::Database* source) : db_(source) {}
 
   static catalog::Schema TableSchema();
 
@@ -46,26 +45,20 @@ class ScrubLedger {
   };
   Result<Progress> Get(const std::string& table);
 
-  /// Appends a cursor row in its own transaction: `chunks` chunks of
-  /// `pass` are verified through key `cursor`.
+  /// Replaces the cursor row in its own transaction: `chunks` chunks of
+  /// `pass` are verified through key `cursor`. Progress only moves
+  /// forward: (pass, chunks) exceeds every earlier write's.
   Status Advance(const std::string& table, uint64_t pass, int64_t cursor,
                  uint64_t chunks);
 
-  /// Appends the pass-complete 'P' row for `pass`.
+  /// Replaces the pass-complete 'P' row with one for `pass`.
   Status MarkPass(const std::string& table, uint64_t pass, uint64_t chunks);
 
-  /// Deletes rows superseded by a newer row of their table: every 'C' but
-  /// the effective cursor, every 'P' but the newest.
-  Status Compact(uint64_t* rows_removed = nullptr);
-
-  const std::string& table() const { return table_; }
-
  private:
-  Status Append(const std::string& table, const char* kind, uint64_t pass,
-                int64_t cursor, uint64_t chunks);
+  Status Put(const std::string& table, const char* kind, uint64_t pass,
+             int64_t cursor, uint64_t chunks);
 
   engine::Database* db_;
-  std::string table_;
 };
 
 }  // namespace opdelta::scrub

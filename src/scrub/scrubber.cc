@@ -33,10 +33,8 @@ Scrubber::Scrubber(pipeline::SourceLeg* leg, engine::Database* warehouse,
       options_(std::move(options)),
       table_(leg->options().source_table),
       wh_table_(leg->options().warehouse_table),
-      window_(leg,
-              ChunkWindow::Options{options_.signal_table, kLowKind, kHighKind,
-                                   options_.max_window_drains}),
-      ledger_(leg->source(), options_.ledger_table) {
+      window_(leg, ChunkWindow::Options{kLowKind, kHighKind}),
+      ledger_(leg->source()) {
   engine::Table* table = source_->GetTable(table_);
   schema_ = table->schema();
   key_col_ = schema_.KeyColumnIndex();
@@ -58,7 +56,7 @@ Result<std::unique_ptr<Scrubber>> Scrubber::Create(pipeline::SourceLeg* leg,
     return Status::InvalidArgument("chunk_rows must be positive");
   }
   const std::string& source_table = leg->options().source_table;
-  if (source_table == options.signal_table) {
+  if (source_table == ChunkWindow::kSignalTable) {
     return Status::NotSupported("cannot scrub the signal table itself");
   }
   engine::Table* src = leg->source()->GetTable(source_table);
@@ -106,8 +104,7 @@ Result<std::unique_ptr<Scrubber>> Scrubber::Create(pipeline::SourceLeg* leg,
 
 Status Scrubber::Setup() {
   if (setup_done_) return Status::OK();
-  OPDELTA_RETURN_IF_ERROR(
-      ChunkWindow::EnsureSignalTable(source_, options_.signal_table));
+  OPDELTA_RETURN_IF_ERROR(ChunkWindow::EnsureSignalTable(source_));
   OPDELTA_RETURN_IF_ERROR(ledger_.Setup());
   OPDELTA_ASSIGN_OR_RETURN(ScrubLedger::Progress progress,
                            ledger_.Get(table_));
@@ -261,16 +258,6 @@ Status Scrubber::AdvanceCursor(const std::vector<WindowRow>& rows,
     Status st = window_.CleanupSignals();
     if (!st.ok()) {
       OPDELTA_LOG(kWarn) << "scrub signal cleanup failed: " << st.ToString();
-    }
-  }
-  if (options_.ledger_compact_every != 0 &&
-      (stats_.chunks_scrubbed + stats_.chunks_repaired) %
-              options_.ledger_compact_every ==
-          0) {
-    Status st = ledger_.Compact();
-    if (!st.ok()) {
-      OPDELTA_LOG(kWarn) << "scrub-ledger compaction failed: "
-                         << st.ToString();
     }
   }
   return Status::OK();

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "backfill/backfiller.h"
 #include "backfill/chunk_window.h"
 #include "common/digest.h"
 #include "common/status.h"
@@ -26,19 +25,6 @@ struct ScrubOptions {
   /// Repair confirmed mismatches by re-shipping the chunk as a snapshot
   /// frame. false = report-only: mismatches are counted and skipped.
   bool repair = true;
-
-  /// Watermark-signal table, shared with the backfiller (distinct row
-  /// kinds keep the two from closing each other's windows).
-  std::string signal_table = backfill::BackfillOptions::kDefaultSignalTable;
-
-  /// ScrubLedger table in the source database.
-  std::string ledger_table = ScrubLedger::kDefaultTable;
-
-  /// Compact the scrub ledger every N verified chunks. 0 disables.
-  uint64_t ledger_compact_every = 32;
-
-  /// Bound on watermark-window drain rounds per chunk (see ChunkWindow).
-  int max_window_drains = 8;
 
   /// Error out (instead of repairing again) once the same chunk has been
   /// repaired this many times without verifying clean in between — the

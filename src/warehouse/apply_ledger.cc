@@ -1,14 +1,15 @@
 #include "warehouse/apply_ledger.h"
 
-#include <map>
+#include <tuple>
 #include <utility>
-#include <vector>
 
 namespace opdelta::warehouse {
 
 using catalog::Column;
 using catalog::Value;
 using catalog::ValueType;
+using engine::CompareOp;
+using engine::Predicate;
 
 namespace {
 
@@ -18,26 +19,27 @@ constexpr char kHoleKind[] = "H";
 // Column order of TableSchema().
 enum LedgerCol { kSource = 0, kKind = 1, kEpoch = 2, kSeq = 3, kTxns = 4 };
 
-/// (epoch, seq) lexicographic order — the per-source batch order.
-bool IdLess(uint64_t epoch_a, uint64_t seq_a, uint64_t epoch_b,
-            uint64_t seq_b) {
-  return epoch_a != epoch_b ? epoch_a < epoch_b : seq_a < seq_b;
+/// (epoch, seq, txns) lexicographic order — the per-source progress order.
+bool ProgressLess(const ApplyLedger::Watermark& a,
+                  const ApplyLedger::Watermark& b) {
+  return std::tie(a.epoch, a.seq, a.txns) < std::tie(b.epoch, b.seq, b.txns);
 }
 
-catalog::Row LedgerRow(const extract::BatchId& id, const char* kind,
-                       uint64_t txns) {
-  catalog::Row row(5);
-  row[kSource] = Value::String(id.source_id);
-  row[kKind] = Value::String(kind);
-  row[kEpoch] = Value::Int64(static_cast<int64_t>(id.epoch));
-  row[kSeq] = Value::Int64(static_cast<int64_t>(id.seq));
-  row[kTxns] = Value::Int64(static_cast<int64_t>(txns));
-  return row;
+Predicate RowsOf(const std::string& source_id, const char* kind) {
+  return Predicate::Where("source", CompareOp::kEq, Value::String(source_id))
+      .And("kind", CompareOp::kEq, Value::String(kind));
+}
+
+Predicate HoleOf(const extract::BatchId& id) {
+  return RowsOf(id.source_id, kHoleKind)
+      .And("epoch", CompareOp::kEq,
+           Value::Int64(static_cast<int64_t>(id.epoch)))
+      .And("seq", CompareOp::kEq, Value::Int64(static_cast<int64_t>(id.seq)));
 }
 
 }  // namespace
 
-constexpr char ApplyLedger::kDefaultTable[];
+constexpr char ApplyLedger::kTable[];
 
 catalog::Schema ApplyLedger::TableSchema() {
   return catalog::Schema({Column{"source", ValueType::kString},
@@ -48,59 +50,67 @@ catalog::Schema ApplyLedger::TableSchema() {
 }
 
 Status ApplyLedger::Setup() {
-  if (db_->GetTable(table_) != nullptr) return Status::OK();
-  Status st = db_->CreateTable(table_, TableSchema());
+  if (db_->GetTable(kTable) != nullptr) return Status::OK();
+  Status st = db_->CreateTable(kTable, TableSchema());
   if (st.code() == StatusCode::kAlreadyExists) return Status::OK();
   return st;
 }
 
-Result<ApplyLedger::Watermark> ApplyLedger::Get(const std::string& source_id) {
+Result<ApplyLedger::Watermark> ApplyLedger::Newest(txn::Transaction* txn,
+                                                   const Predicate& rows,
+                                                   size_t* matched) {
   Watermark best;
-  engine::Predicate pred = engine::Predicate::Where(
-      "source", engine::CompareOp::kEq, Value::String(source_id));
+  size_t n = 0;
   OPDELTA_RETURN_IF_ERROR(db_->Scan(
-      nullptr, table_, pred,
-      [&](const storage::Rid&, const catalog::Row& row) {
-        if (row[kKind].AsString() != kWatermarkKind) return true;
-        const uint64_t epoch = static_cast<uint64_t>(row[kEpoch].AsInt64());
-        const uint64_t seq = static_cast<uint64_t>(row[kSeq].AsInt64());
-        const uint64_t txns = static_cast<uint64_t>(row[kTxns].AsInt64());
-        if (!best.exists || IdLess(best.epoch, best.seq, epoch, seq) ||
-            (best.epoch == epoch && best.seq == seq && txns > best.txns)) {
-          best = Watermark{true, epoch, seq, txns};
-        }
+      txn, kTable, rows, [&](const storage::Rid&, const catalog::Row& row) {
+        const Watermark w{true, static_cast<uint64_t>(row[kEpoch].AsInt64()),
+                          static_cast<uint64_t>(row[kSeq].AsInt64()),
+                          static_cast<uint64_t>(row[kTxns].AsInt64())};
+        if (!best.exists || ProgressLess(best, w)) best = w;
+        ++n;
         return true;
       }));
+  if (matched != nullptr) *matched = n;
   return best;
 }
 
-Result<ApplyLedger::Watermark> ApplyLedger::FindHole(
-    const extract::BatchId& id) {
-  Watermark hole;
-  engine::Predicate pred = engine::Predicate::Where(
-      "source", engine::CompareOp::kEq, Value::String(id.source_id));
-  OPDELTA_RETURN_IF_ERROR(db_->Scan(
-      nullptr, table_, pred,
-      [&](const storage::Rid&, const catalog::Row& row) {
-        if (row[kKind].AsString() != kHoleKind) return true;
-        if (static_cast<uint64_t>(row[kEpoch].AsInt64()) != id.epoch ||
-            static_cast<uint64_t>(row[kSeq].AsInt64()) != id.seq) {
-          return true;
-        }
-        const uint64_t txns = static_cast<uint64_t>(row[kTxns].AsInt64());
-        if (!hole.exists || txns > hole.txns) {
-          hole = Watermark{true, id.epoch, id.seq, txns};
-        }
-        return true;
-      }));
-  return hole;
+Status ApplyLedger::Put(txn::Transaction* txn, const Predicate& rows,
+                        const std::string& source_id, const char* kind,
+                        Watermark mark) {
+  size_t matched = 0;
+  OPDELTA_ASSIGN_OR_RETURN(Watermark newest, Newest(txn, rows, &matched));
+  if (newest.exists && ProgressLess(mark, newest)) mark = newest;
+  const Value epoch = Value::Int64(static_cast<int64_t>(mark.epoch));
+  const Value seq = Value::Int64(static_cast<int64_t>(mark.seq));
+  const Value txns = Value::Int64(static_cast<int64_t>(mark.txns));
+  if (matched == 1) {
+    // The steady state. Rewriting the row in place keeps the heap from
+    // growing by a record per write: deleted records' bytes are reclaimed
+    // only when their page takes a new insert.
+    return db_
+        ->UpdateWhere(txn, kTable, rows,
+                      {{"epoch", epoch}, {"seq", seq}, {"txns", txns}})
+        .status();
+  }
+  OPDELTA_RETURN_IF_ERROR(db_->DeleteWhere(txn, kTable, rows).status());
+  catalog::Row row(5);
+  row[kSource] = Value::String(source_id);
+  row[kKind] = Value::String(kind);
+  row[kEpoch] = epoch;
+  row[kSeq] = seq;
+  row[kTxns] = txns;
+  return db_->InsertRaw(txn, kTable, std::move(row));
+}
+
+Result<ApplyLedger::Watermark> ApplyLedger::Get(const std::string& source_id) {
+  return Newest(nullptr, RowsOf(source_id, kWatermarkKind));
 }
 
 Result<ApplyLedger::Admission> ApplyLedger::Admit(const extract::BatchId& id,
                                                   uint64_t total_txns) {
   if (!id.valid()) return Admission{Decision::kFresh, 0};
   OPDELTA_ASSIGN_OR_RETURN(Watermark w, Get(id.source_id));
-  if (!w.exists || IdLess(w.epoch, w.seq, id.epoch, id.seq)) {
+  if (!w.exists || std::tie(w.epoch, w.seq) < std::tie(id.epoch, id.seq)) {
     return Admission{Decision::kFresh, 0};
   }
   if (w.epoch == id.epoch && w.seq == id.seq) {
@@ -111,7 +121,7 @@ Result<ApplyLedger::Admission> ApplyLedger::Admit(const extract::BatchId& id,
   }
   // Below the watermark: a duplicate, unless it was dead-lettered past —
   // then an operator replay legitimately lands here and must be admitted.
-  OPDELTA_ASSIGN_OR_RETURN(Watermark hole, FindHole(id));
+  OPDELTA_ASSIGN_OR_RETURN(Watermark hole, Newest(nullptr, HoleOf(id)));
   if (!hole.exists) return Admission{Decision::kDuplicate, 0};
   if (hole.txns >= total_txns) return Admission{Decision::kDuplicate, 0};
   return Admission{Decision::kResume, hole.txns};
@@ -120,80 +130,26 @@ Result<ApplyLedger::Admission> ApplyLedger::Admit(const extract::BatchId& id,
 Status ApplyLedger::Advance(txn::Transaction* txn, const extract::BatchId& id,
                             uint64_t txns_applied) {
   if (!id.valid()) return Status::OK();
-  // Clear hole rows for this id first: once the batch applies, it must
-  // never be re-admitted below the watermark.
-  std::vector<storage::Rid> holes;
-  engine::Predicate pred = engine::Predicate::Where(
-      "source", engine::CompareOp::kEq, Value::String(id.source_id));
-  OPDELTA_RETURN_IF_ERROR(db_->Scan(
-      txn, table_, pred,
-      [&](const storage::Rid& rid, const catalog::Row& row) {
-        if (row[kKind].AsString() == kHoleKind &&
-            static_cast<uint64_t>(row[kEpoch].AsInt64()) == id.epoch &&
-            static_cast<uint64_t>(row[kSeq].AsInt64()) == id.seq) {
-          holes.push_back(rid);
-        }
-        return true;
-      }));
-  for (const storage::Rid& rid : holes) {
-    OPDELTA_RETURN_IF_ERROR(db_->DeleteAt(txn, table_, rid));
-  }
-  return db_->InsertRaw(txn, table_,
-                        LedgerRow(id, kWatermarkKind, txns_applied));
+  // Once the batch applies, it must never be re-admitted below the
+  // watermark. An operator replay below the watermark leaves the watermark
+  // where it is (Put keeps the larger row).
+  OPDELTA_RETURN_IF_ERROR(db_->DeleteWhere(txn, kTable, HoleOf(id)).status());
+  return Put(txn, RowsOf(id.source_id, kWatermarkKind), id.source_id,
+             kWatermarkKind, Watermark{true, id.epoch, id.seq, txns_applied});
 }
 
 Status ApplyLedger::RecordSkip(const extract::BatchId& id) {
   if (!id.valid()) return Status::OK();
   // Carry the already-applied prefix (if the watermark is this very batch)
-  // into the hole so a replay resumes instead of repeating transactions.
+  // into the hole so a replay resumes instead of repeating transactions. A
+  // batch skipped again keeps its hole's larger prefix.
   OPDELTA_ASSIGN_OR_RETURN(Watermark w, Get(id.source_id));
   const uint64_t applied =
       (w.exists && w.epoch == id.epoch && w.seq == id.seq) ? w.txns : 0;
   return db_->WithTransaction([&](txn::Transaction* txn) {
-    return db_->InsertRaw(txn, table_, LedgerRow(id, kHoleKind, applied));
+    return Put(txn, HoleOf(id), id.source_id, kHoleKind,
+               Watermark{true, id.epoch, id.seq, applied});
   });
-}
-
-Status ApplyLedger::Compact(uint64_t* rows_removed) {
-  if (rows_removed != nullptr) *rows_removed = 0;
-  uint64_t removed = 0;
-  Status st = db_->WithTransaction([&](txn::Transaction* txn) {
-    // Pass 1: the surviving (max) watermark rid per source.
-    struct Best {
-      storage::Rid rid;
-      uint64_t epoch = 0, seq = 0, txns = 0;
-    };
-    std::map<std::string, Best> keep;
-    std::vector<std::pair<std::string, storage::Rid>> watermarks;
-    OPDELTA_RETURN_IF_ERROR(db_->Scan(
-        txn, table_, engine::Predicate::True(),
-        [&](const storage::Rid& rid, const catalog::Row& row) {
-          if (row[kKind].AsString() != kWatermarkKind) return true;
-          const std::string& source = row[kSource].AsString();
-          const uint64_t epoch = static_cast<uint64_t>(row[kEpoch].AsInt64());
-          const uint64_t seq = static_cast<uint64_t>(row[kSeq].AsInt64());
-          const uint64_t txns = static_cast<uint64_t>(row[kTxns].AsInt64());
-          watermarks.emplace_back(source, rid);
-          auto it = keep.find(source);
-          if (it == keep.end() ||
-              IdLess(it->second.epoch, it->second.seq, epoch, seq) ||
-              (it->second.epoch == epoch && it->second.seq == seq &&
-               txns > it->second.txns)) {
-            keep[source] = Best{rid, epoch, seq, txns};
-          }
-          return true;
-        }));
-    // Pass 2: delete everything that lost. A crash mid-way aborts the whole
-    // deletion, leaving the ledger larger but never wrong.
-    for (const auto& [source, rid] : watermarks) {
-      if (keep[source].rid == rid) continue;
-      OPDELTA_RETURN_IF_ERROR(db_->DeleteAt(txn, table_, rid));
-      ++removed;
-    }
-    return Status::OK();
-  });
-  if (st.ok() && rows_removed != nullptr) *rows_removed = removed;
-  return st;
 }
 
 }  // namespace opdelta::warehouse

@@ -16,36 +16,36 @@ namespace opdelta::warehouse {
 /// a crash between apply and Ack redelivers the batch, and the ledger
 /// recognizes and drops it.
 ///
-/// Layout: an append-only table (default `__apply_ledger`) of rows
+/// Layout: a table (`__apply_ledger`) of rows
 ///   (source TEXT, kind TEXT, epoch INT, seq INT, txns INT)
 /// with two row kinds:
 ///   'W' — watermark: batch (epoch, seq) applied through its first `txns`
-///         source transactions. The effective watermark of a source is the
-///         row with the largest (epoch, seq, txns); integrators append one
-///         'W' row per warehouse transaction *inside that transaction*, so
-///         a rolled-back apply also rolls back its progress record.
+///         source transactions. One row per source, rewritten by every
+///         Advance *inside the apply transaction*, so a rolled-back apply
+///         also rolls back its progress record.
 ///   'H' — hole: batch (epoch, seq) was skipped past (dead-lettered) after
 ///         `txns` transactions. Holes let an operator replay land below the
 ///         watermark without being mistaken for a duplicate; applying the
 ///         batch clears its holes in the same transaction.
 ///
-/// Appending (never updating in place) keeps every writer a plain row
-/// insert under the table's IX lock, so concurrent apply workers for
-/// different sources never conflict, and crash recovery needs no special
-/// casing: an aborted transaction's row simply never becomes visible.
-/// Compact() prunes superseded watermark rows in its own transaction; a
-/// crash during compaction leaves only extra rows, never lost progress.
+/// Each write replaces the rows it supersedes with their successor in one
+/// transaction (in place when there is one), so the table holds one 'W'
+/// row per source plus one 'H' row per open hole, and the per-transaction
+/// cost does not grow with the number of batches applied. A write never
+/// moves progress backwards: it keeps the largest (epoch, seq, txns) of the
+/// rows it replaces and the new one. Reads take that same largest row, so
+/// a table holding several rows per key (written by an append-only build)
+/// reads unchanged and collapses on its first write.
 ///
 /// Thread safety: callers for the *same* source must be externally
 /// serialized (the hub's per-table worker lanes guarantee this); distinct
-/// sources may Admit/Advance concurrently.
+/// sources may Admit/Advance concurrently — their writes touch disjoint
+/// rows.
 class ApplyLedger {
  public:
-  static constexpr char kDefaultTable[] = "__apply_ledger";
+  static constexpr char kTable[] = "__apply_ledger";
 
-  explicit ApplyLedger(engine::Database* warehouse,
-                       std::string table = kDefaultTable)
-      : db_(warehouse), table_(std::move(table)) {}
+  explicit ApplyLedger(engine::Database* warehouse) : db_(warehouse) {}
 
   /// The ledger table's schema (source is the key column by convention).
   static catalog::Schema TableSchema();
@@ -81,7 +81,7 @@ class ApplyLedger {
 
   /// Records inside the caller's open warehouse transaction that batch
   /// `id` is applied through its first `txns_applied` source transactions.
-  /// Also clears any hole rows for `id` (an operator replay completing).
+  /// Also clears any hole row for `id` (an operator replay completing).
   Status Advance(txn::Transaction* txn, const extract::BatchId& id,
                  uint64_t txns_applied);
 
@@ -90,18 +90,26 @@ class ApplyLedger {
   /// the currently-applied prefix so a later replay resumes, not repeats.
   Status RecordSkip(const extract::BatchId& id);
 
-  /// Deletes watermark rows superseded by a newer row of their source.
-  /// Runs in its own transaction; holes are never compacted away.
-  Status Compact(uint64_t* rows_removed = nullptr);
+  /// No-op: the ledger keeps one row per key, so there is nothing to prune.
+  /// Kept only for its one caller, cdcbench/cdcbench.cc.
+  Status Compact() { return Status::OK(); }
 
-  const std::string& table() const { return table_; }
+  const char* table() const { return kTable; }
 
  private:
-  /// Largest hole row for (source, epoch, seq), or exists=false.
-  Result<Watermark> FindHole(const extract::BatchId& id);
+  /// The largest (epoch, seq, txns) among the rows matching `rows`;
+  /// `*matched`, when given, receives how many rows matched.
+  Result<Watermark> Newest(txn::Transaction* txn,
+                           const engine::Predicate& rows,
+                           size_t* matched = nullptr);
+
+  /// Replaces the rows matching `rows` (one source's rows of `kind`, and
+  /// for holes of one batch) with a single row carrying the larger of
+  /// `mark` and the newest of them. One matching row is updated in place.
+  Status Put(txn::Transaction* txn, const engine::Predicate& rows,
+             const std::string& source_id, const char* kind, Watermark mark);
 
   engine::Database* db_;
-  std::string table_;
 };
 
 }  // namespace opdelta::warehouse

@@ -648,8 +648,7 @@ TEST(HubCrashPointTest, WarehouseConvergesAfterEveryCrashPoint) {
 /// mid-apply while the hub process stays up. Every interrupted warehouse
 /// transaction must roll back (with its ledger row), stay queued, and
 /// apply exactly once after the disk heals — including crash points inside
-/// the ledger's own writes and its compaction (compact_every=1 puts a
-/// compaction behind every applied batch). An op-delta source makes any
+/// the ledger's own delete-and-insert writes. An op-delta source makes any
 /// double apply visible as extra physical rows.
 TEST(WarehouseApplyCrashTest, DeadDiskMidApplyRollsBackAndAppliesOnce) {
   TempDir dir;
@@ -674,7 +673,6 @@ TEST(WarehouseApplyCrashTest, DeadDiskMidApplyRollsBackAndAppliesOnce) {
   options.produce_attempts = 1;
   options.apply_attempts = 1;
   options.quarantine_after = 0;
-  options.ledger_compact_every = 1;
   Result<std::unique_ptr<hub::DeltaHub>> hub =
       hub::DeltaHub::Create(wh.get(), options);
   ASSERT_TRUE(hub.ok()) << hub.status().ToString();
@@ -706,8 +704,8 @@ TEST(WarehouseApplyCrashTest, DeadDiskMidApplyRollsBackAndAppliesOnce) {
     fenv.ClearFaults();
     fenv.FailAllOpsAfter(crash_point);
     // The apply may die anywhere: staging the delta rows, writing the
-    // ledger row, committing, or compacting. The round's error (if any)
-    // is part of the scenario; the batch stays queued.
+    // ledger row, or committing. The round's error (if any) is part of the
+    // scenario; the batch stays queued.
     (void)(*hub)->RunRound();
 
     // The disk heals; the retained batch replays and the warehouse

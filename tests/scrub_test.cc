@@ -60,6 +60,14 @@ Status Retry(Fn&& fn) {
 
 // ------------------------------------------------------------ scrub ledger
 
+/// One row per (tbl, kind): every write replaced its predecessor.
+::testing::AssertionResult OneScrubRowPerKey(engine::Database* db) {
+  return opdelta::testing::OneRowPerKey(
+      db, ScrubLedger::kTable, [](const catalog::Row& row) {
+        return row[0].AsString() + "/" + row[1].AsString();
+      });
+}
+
 TEST(ScrubLedgerTest, ResumeCompactAndPassWrap) {
   TempDir dir;
   auto db = OpenDb(dir, "src", NoTimestampOptions());
@@ -85,12 +93,9 @@ TEST(ScrubLedgerTest, ResumeCompactAndPassWrap) {
   EXPECT_EQ(p->cursor, -1);
   EXPECT_EQ(p->chunks, 2u);
 
-  uint64_t removed = 0;
-  OPDELTA_ASSERT_OK(ledger.Compact(&removed));
-  EXPECT_EQ(removed, 1u);  // the superseded parts cursor
-  p = ledger.Get("parts");
-  OPDELTA_ASSERT_OK(p.status());
-  EXPECT_EQ(p->cursor, -1);
+  // The second cursor replaced the first: one row per table.
+  EXPECT_EQ(CountRows(db.get(), ScrubLedger::kTable), 2u);
+  EXPECT_TRUE(OneScrubRowPerKey(db.get()));
 
   // A completed pass retires its cursor: the next pass starts fresh.
   OPDELTA_ASSERT_OK(ledger.MarkPass("parts", 1, 3));
@@ -99,11 +104,12 @@ TEST(ScrubLedgerTest, ResumeCompactAndPassWrap) {
   EXPECT_EQ(p->passes_complete, 1u);
   EXPECT_EQ(p->pass, 2u);
   EXPECT_FALSE(p->have_cursor);
+  EXPECT_TRUE(OneScrubRowPerKey(db.get()));
 
   // A mid-pass cursor of the NEW pass resumes; the other table's state is
-  // untouched by compaction.
+  // untouched.
   OPDELTA_ASSERT_OK(ledger.Advance("parts", 2, 40, 1));
-  OPDELTA_ASSERT_OK(ledger.Compact(&removed));
+  EXPECT_TRUE(OneScrubRowPerKey(db.get()));
   p = ledger.Get("parts");
   OPDELTA_ASSERT_OK(p.status());
   EXPECT_EQ(p->pass, 2u);
@@ -113,6 +119,74 @@ TEST(ScrubLedgerTest, ResumeCompactAndPassWrap) {
   OPDELTA_ASSERT_OK(other.status());
   EXPECT_EQ(other->pass, 3u);
   EXPECT_EQ(other->cursor, 99);
+}
+
+TEST(ScrubLedgerTest, AppendOnlyTableReadsUnchangedAndCollapsesOnWrite) {
+  TempDir dir;
+  auto db = OpenDb(dir, "src", NoTimestampOptions());
+  ScrubLedger ledger(db.get());
+  OPDELTA_ASSERT_OK(ledger.Setup());
+  // The ledger as an append-only build left it: cursor and pass rows of
+  // several passes in no particular order.
+  const auto row = [](const char* tbl, const char* kind, int64_t pass,
+                      int64_t cursor, int64_t chunks) {
+    return catalog::Row{catalog::Value::String(tbl),
+                        catalog::Value::String(kind),
+                        catalog::Value::Int64(pass),
+                        catalog::Value::Int64(cursor),
+                        catalog::Value::Int64(chunks)};
+  };
+  OPDELTA_ASSERT_OK(db->WithTransaction([&](txn::Transaction* txn) {
+    for (catalog::Row r :
+         {row("parts", "C", 2, 10, 1), row("parts", "C", 1, -5, 1),
+          row("parts", "P", 1, 0, 3), row("parts", "C", 2, 40, 2),
+          row("parts", "C", 1, -1, 2), row("other", "C", 3, 99, 4),
+          row("other", "P", 2, 0, 5), row("other", "P", 1, 0, 6)}) {
+      OPDELTA_RETURN_IF_ERROR(
+          db->InsertRaw(txn, ScrubLedger::kTable, std::move(r)));
+    }
+    return Status::OK();
+  }));
+  EXPECT_FALSE(OneScrubRowPerKey(db.get()));
+
+  // Reads take the newest pass and the newest cursor of the newest pass,
+  // as the append-only build did.
+  Result<ScrubLedger::Progress> p = ledger.Get("parts");
+  OPDELTA_ASSERT_OK(p.status());
+  EXPECT_EQ(p->passes_complete, 1u);
+  EXPECT_EQ(p->pass, 2u);
+  EXPECT_TRUE(p->have_cursor);
+  EXPECT_EQ(p->cursor, 40);
+  EXPECT_EQ(p->chunks, 2u);
+  p = ledger.Get("other");
+  OPDELTA_ASSERT_OK(p.status());
+  EXPECT_EQ(p->passes_complete, 2u);
+  EXPECT_EQ(p->pass, 3u);
+  EXPECT_TRUE(p->have_cursor);
+  EXPECT_EQ(p->cursor, 99);
+  EXPECT_EQ(p->chunks, 4u);
+
+  // The first write of each (table, kind) leaves it one row.
+  OPDELTA_ASSERT_OK(ledger.Advance("parts", 2, 55, 3));
+  p = ledger.Get("parts");
+  OPDELTA_ASSERT_OK(p.status());
+  EXPECT_EQ(p->pass, 2u);
+  EXPECT_EQ(p->cursor, 55);
+  EXPECT_EQ(p->chunks, 3u);
+  OPDELTA_ASSERT_OK(ledger.MarkPass("parts", 2, 4));
+  OPDELTA_ASSERT_OK(ledger.MarkPass("other", 3, 5));
+  EXPECT_TRUE(OneScrubRowPerKey(db.get()));
+  EXPECT_EQ(CountRows(db.get(), ScrubLedger::kTable), 4u);
+  p = ledger.Get("parts");
+  OPDELTA_ASSERT_OK(p.status());
+  EXPECT_EQ(p->passes_complete, 2u);
+  EXPECT_EQ(p->pass, 3u);
+  EXPECT_FALSE(p->have_cursor);
+  p = ledger.Get("other");
+  OPDELTA_ASSERT_OK(p.status());
+  EXPECT_EQ(p->passes_complete, 3u);
+  EXPECT_EQ(p->pass, 4u);
+  EXPECT_FALSE(p->have_cursor);
 }
 
 // ------------------------------------------------- standalone scrubber

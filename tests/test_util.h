@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -113,6 +114,26 @@ inline ::testing::AssertionResult TablesEqual(engine::Database* a,
     if (catalog::CompareRows(row, it->second) != 0) {
       return ::testing::AssertionFailure()
              << "rows differ at key " << key.ToSqlLiteral();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Succeeds when no two rows of `table` share a key; `key` renders a row's
+/// key (for a progress ledger: its key column and row kind).
+inline ::testing::AssertionResult OneRowPerKey(
+    engine::Database* db, const std::string& table,
+    const std::function<std::string(const catalog::Row&)>& key) {
+  std::map<std::string, uint64_t> rows;
+  Status st = db->Scan(nullptr, table, engine::Predicate::True(),
+                       [&](const storage::Rid&, const catalog::Row& row) {
+                         ++rows[key(row)];
+                         return true;
+                       });
+  if (!st.ok()) return ::testing::AssertionFailure() << st.ToString();
+  for (const auto& [k, n] : rows) {
+    if (n != 1) {
+      return ::testing::AssertionFailure() << n << " rows for key " << k;
     }
   }
   return ::testing::AssertionSuccess();

@@ -529,6 +529,25 @@ class ApplyLedgerTest : public ::testing::Test {
     return a.ok() ? a.value() : ApplyLedger::Admission{};
   }
 
+  ApplyLedger::Watermark Get(const std::string& source) {
+    Result<ApplyLedger::Watermark> w = ledger_->Get(source);
+    EXPECT_TRUE(w.ok()) << w.status().ToString();
+    return w.ok() ? w.value() : ApplyLedger::Watermark{};
+  }
+
+  /// One 'W' row per source and one 'H' row per (source, epoch, seq).
+  ::testing::AssertionResult OneRowPerKey() {
+    return opdelta::testing::OneRowPerKey(
+        wh_.get(), ledger_->table(), [](const Row& row) {
+          std::string key = row[0].AsString() + "/" + row[1].AsString();
+          if (row[1].AsString() == "H") {
+            key += "/" + std::to_string(row[2].AsInt64()) + "." +
+                   std::to_string(row[3].AsInt64());
+          }
+          return key;
+        });
+  }
+
   TempDir dir_;
   std::unique_ptr<engine::Database> wh_;
   std::unique_ptr<ApplyLedger> ledger_;
@@ -560,6 +579,8 @@ TEST_F(ApplyLedgerTest, FreshThenDuplicateThenResume) {
   ApplyLedger::Admission a = Admit(b2, 3);
   EXPECT_EQ(a.decision, Decision::kResume);
   EXPECT_EQ(a.skip_txns, 1u);
+
+  EXPECT_EQ(CountRows(wh_.get(), ledger_->table()), 1u);
 
   // Anything at or below the watermark is a duplicate; above it is fresh.
   EXPECT_EQ(Admit(b1, 2).decision, Decision::kDuplicate);
@@ -595,39 +616,127 @@ TEST_F(ApplyLedgerTest, HoleAdmitsOperatorReplayBelowWatermark) {
   EXPECT_EQ(a.decision, Decision::kResume);
   EXPECT_EQ(a.skip_txns, 1u);
 
+  // The replay is dead-lettered again: the hole keeps its applied prefix
+  // (the watermark is batch 3 now, so the new skip carries none).
+  OPDELTA_ASSERT_OK(ledger_->RecordSkip(b2));
+  EXPECT_TRUE(OneRowPerKey());
+  a = Admit(b2, 3);
+  EXPECT_EQ(a.decision, Decision::kResume);
+  EXPECT_EQ(a.skip_txns, 1u);
+
   // Completing the replay clears the hole: a second replay is a duplicate.
   OPDELTA_ASSERT_OK(Apply(b2, 3));
   EXPECT_EQ(Admit(b2, 3).decision, Decision::kDuplicate);
+  // The replay below the watermark leaves the watermark at batch 3.
+  const ApplyLedger::Watermark w = Get("s1");
+  EXPECT_EQ(w.seq, 3u);
+  EXPECT_EQ(w.txns, 2u);
+  EXPECT_EQ(Admit(Bid("s1", 1, 3), 2).decision, Decision::kDuplicate);
+  EXPECT_EQ(CountRows(wh_.get(), ledger_->table()), 1u);
   // A batch never skipped stays a duplicate below the watermark.
   EXPECT_EQ(Admit(Bid("s1", 1, 1), 1).decision, Decision::kDuplicate);
 }
 
 TEST_F(ApplyLedgerTest, CompactPrunesSupersededRowsOnly) {
+  // Every write replaces the row it supersedes, so the ledger stays at one
+  // watermark per source plus its open holes without any compaction pass.
   for (uint64_t seq = 1; seq <= 5; ++seq) {
     OPDELTA_ASSERT_OK(Apply(Bid("s1", 1, seq), 1));
+    EXPECT_EQ(CountRows(wh_.get(), ledger_->table()), 1u);
   }
   OPDELTA_ASSERT_OK(Apply(Bid("s2", 1, 1), 1));
   const extract::BatchId skipped = Bid("s2", 1, 2);
   OPDELTA_ASSERT_OK(ledger_->RecordSkip(skipped));
   OPDELTA_ASSERT_OK(Apply(Bid("s2", 1, 3), 1));
 
-  uint64_t removed = 0;
-  OPDELTA_ASSERT_OK(ledger_->Compact(&removed));
-  // s1 had 4 superseded watermarks, s2 had 1; the hole is never compacted.
-  EXPECT_EQ(removed, 5u);
   EXPECT_EQ(CountRows(wh_.get(), ledger_->table()), 3u);
+  EXPECT_TRUE(OneRowPerKey());
 
-  Result<ApplyLedger::Watermark> w1 = ledger_->Get("s1");
-  OPDELTA_ASSERT_OK(w1.status());
-  EXPECT_TRUE(w1.value().exists);
-  EXPECT_EQ(w1.value().seq, 5u);
+  const ApplyLedger::Watermark w1 = Get("s1");
+  EXPECT_TRUE(w1.exists);
+  EXPECT_EQ(w1.seq, 5u);
   EXPECT_EQ(Admit(Bid("s1", 1, 5), 1).decision, Decision::kDuplicate);
-  // The s2 hole still admits its replay after compaction.
+  EXPECT_EQ(Admit(Bid("s1", 1, 4), 1).decision, Decision::kDuplicate);
+  // The s2 hole survives the advances around it and still admits its
+  // replay.
   EXPECT_EQ(Admit(skipped, 1).decision, Decision::kResume);
+}
 
-  // Compacting a compacted ledger removes nothing.
-  OPDELTA_ASSERT_OK(ledger_->Compact(&removed));
-  EXPECT_EQ(removed, 0u);
+TEST_F(ApplyLedgerTest, AdvanceRewritesTheWatermarkInPlace) {
+  // Per-transaction ledger cost must not grow with the batches applied:
+  // after the first write the watermark row is updated in place, so the
+  // heap stays one page instead of gaining a record per transaction.
+  for (uint64_t seq = 1; seq <= 2000; ++seq) {
+    OPDELTA_ASSERT_OK(Apply(Bid("s1", 1, seq), 1));
+  }
+  EXPECT_EQ(CountRows(wh_.get(), ledger_->table()), 1u);
+  EXPECT_EQ(wh_->GetTable(ledger_->table())->heap()->num_pages(), 1u);
+  EXPECT_EQ(Get("s1").seq, 2000u);
+}
+
+TEST_F(ApplyLedgerTest, AppendOnlyTableReadsUnchangedAndCollapsesOnWrite) {
+  // The ledger as an append-only build left it: several watermark rows per
+  // source in no particular order, and two hole rows for one batch.
+  const auto row = [](const char* source, const char* kind, int64_t epoch,
+                      int64_t seq, int64_t txns) {
+    return Row{Value::String(source), Value::String(kind),
+               Value::Int64(epoch), Value::Int64(seq), Value::Int64(txns)};
+  };
+  OPDELTA_ASSERT_OK(wh_->WithTransaction([&](txn::Transaction* txn) {
+    for (Row r : {row("s1", "W", 1, 3, 2), row("s1", "W", 1, 5, 1),
+                  row("s1", "H", 1, 4, 1), row("s1", "W", 1, 4, 3),
+                  row("s1", "W", 1, 5, 2), row("s1", "H", 1, 4, 2),
+                  row("s1", "W", 1, 2, 1), row("s2", "W", 2, 1, 1),
+                  row("s2", "H", 1, 7, 0), row("s2", "W", 1, 9, 4)}) {
+      OPDELTA_RETURN_IF_ERROR(
+          wh_->InsertRaw(txn, ledger_->table(), std::move(r)));
+    }
+    return Status::OK();
+  }));
+  EXPECT_FALSE(OneRowPerKey());
+
+  // Reads take the newest row of each key, as the append-only build did.
+  const auto expect_reads = [&](uint64_t s1_txns) {
+    const ApplyLedger::Watermark w1 = Get("s1");
+    EXPECT_EQ(w1.epoch, 1u);
+    EXPECT_EQ(w1.seq, 5u);
+    EXPECT_EQ(w1.txns, s1_txns);
+    ApplyLedger::Admission a = Admit(Bid("s1", 1, 4), 3);
+    EXPECT_EQ(a.decision, Decision::kResume);  // the larger hole prefix
+    EXPECT_EQ(a.skip_txns, 2u);
+    EXPECT_EQ(Admit(Bid("s1", 1, 4), 2).decision, Decision::kDuplicate);
+    EXPECT_EQ(Admit(Bid("s1", 1, 3), 2).decision, Decision::kDuplicate);
+    EXPECT_EQ(Admit(Bid("s1", 1, 6), 1).decision, Decision::kFresh);
+    a = Admit(Bid("s2", 1, 7), 1);
+    EXPECT_EQ(a.decision, Decision::kResume);
+    EXPECT_EQ(a.skip_txns, 0u);
+    EXPECT_EQ(Admit(Bid("s2", 1, 9), 4).decision, Decision::kDuplicate);
+    EXPECT_EQ(Admit(Bid("s2", 2, 1), 1).decision, Decision::kDuplicate);
+  };
+  expect_reads(2);
+  ApplyLedger::Admission a = Admit(Bid("s1", 1, 5), 3);
+  EXPECT_EQ(a.decision, Decision::kResume);
+  EXPECT_EQ(a.skip_txns, 2u);
+  EXPECT_EQ(Admit(Bid("s2", 2, 2), 1).decision, Decision::kFresh);
+
+  // A write that rolls back leaves every row in place.
+  Status rolled_back = wh_->WithTransaction([&](txn::Transaction* txn) {
+    OPDELTA_RETURN_IF_ERROR(ledger_->Advance(txn, Bid("s1", 1, 6), 1));
+    return Status::Aborted("simulated apply failure after Advance");
+  });
+  EXPECT_EQ(rolled_back.code(), StatusCode::kAborted);
+  EXPECT_EQ(CountRows(wh_.get(), ledger_->table()), 10u);
+  expect_reads(2);
+
+  // The first write of each key leaves that key one row.
+  OPDELTA_ASSERT_OK(Apply(Bid("s1", 1, 5), 3));
+  OPDELTA_ASSERT_OK(ledger_->RecordSkip(Bid("s1", 1, 4)));
+  OPDELTA_ASSERT_OK(ledger_->RecordSkip(Bid("s2", 1, 7)));
+  OPDELTA_ASSERT_OK(Apply(Bid("s2", 2, 2), 1));
+  EXPECT_TRUE(OneRowPerKey());
+  EXPECT_EQ(CountRows(wh_.get(), ledger_->table()), 4u);
+  expect_reads(3);
+  EXPECT_EQ(Admit(Bid("s2", 2, 2), 1).decision, Decision::kDuplicate);
 }
 
 TEST_F(ApplyLedgerTest, InvalidIdentityBypassesDeduplication) {
