@@ -76,7 +76,7 @@ ScrubResult RunScrub(const ScratchDir& dir, const std::string& tag,
       if (st.IsNotFound()) return Status::OK();
       OPDELTA_RETURN_IF_ERROR(st);
       OPDELTA_RETURN_IF_ERROR(
-          leg->Integrate(wh.get(), nullptr, message, {}, nullptr));
+          leg->Integrate(wh.get(), nullptr, message, nullptr, nullptr));
       OPDELTA_RETURN_IF_ERROR(leg->AckShipped());
     }
   };

@@ -134,8 +134,8 @@ class TablePrinter {
 /// tracking). Without the flag the report is inert, so wiring it into a
 /// bench costs nothing on normal runs.
 ///
-///   JsonReport report("apply_parallel", argc, argv);
-///   report.Add("txns_per_sec_t8", 1234.5);
+///   JsonReport report("hub_scaling", argc, argv);
+///   report.Add("records_per_sec_s4_w2", 1234.5);
 ///   ... report writes itself on destruction.
 class JsonReport {
  public:

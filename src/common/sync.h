@@ -53,12 +53,6 @@ inline constexpr int kHubDriver = 10;     // driver start/stop + retained errors
 inline constexpr int kHubStaging = 14;    // staging lanes + byte budget
 inline constexpr int kHubStats = 16;      // aggregate counters
 inline constexpr int kHubErrors = 18;     // per-round error collection
-// Warehouse apply scheduling (above the hub, outside the engine: the
-// scheduler mutex is never held across an engine call — tasks release it
-// before Begin/Execute/Commit — but it submits to the thread pool and
-// merges stats while held, so it sits between the hub ranks and the
-// engine ranks).
-inline constexpr int kApplyScheduler = 20;  // parallel-apply tickets + dispatch
 // Engine.
 inline constexpr int kEngineTables = 24;       // name -> Table map
 inline constexpr int kEngineSchemaCache = 26;  // cached SchemaMap snapshot

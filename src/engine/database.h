@@ -137,8 +137,11 @@ class Database {
                   const storage::Rid& rid);
 
   // -- Queries ----------------------------------------------------------
-  /// Full scan under an IS lock (read committed). `txn` may be nullptr for
-  /// internal utility reads (no transactional locking, latch only).
+  /// Full scan under a table IS lock. Not read committed: rows are read in
+  /// place without row locks, so the scan can see another transaction's
+  /// uncommitted writes (ROADMAP item 1(c)); use ScanCommitted for
+  /// committed images. `txn` may be nullptr for internal utility reads (no
+  /// transactional locking, latch only).
   /// The callback runs while the table read latch is held: it must not
   /// call back into mutating Database APIs, or it will self-deadlock.
   Status Scan(txn::Transaction* txn, const std::string& table,
@@ -231,10 +234,10 @@ class Database {
   // A DELETE (or relocating UPDATE) physically frees its heap slot at
   // statement time, but the freeing transaction holds the rid's X lock
   // until it resolves. If another transaction's INSERT reused that slot it
-  // would block on a lock held across an arbitrary wait — under the
-  // parallel apply scheduler's commit ordering, a deadlock. These helpers
-  // keep such slots out of placement until the freeing transaction
-  // commits or aborts.
+  // would block on a lock held across an arbitrary wait — an op-delta
+  // apply insert stalls behind a client DELETE that has not committed.
+  // These helpers keep such slots out of placement until the freeing
+  // transaction commits or aborts.
 
   /// Records that `txn` freed `rid` in `table` this transaction. Called
   /// with the table latch held (the free and the quarantine must be

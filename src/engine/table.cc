@@ -3,7 +3,9 @@
 namespace opdelta::engine {
 
 Table::Table(catalog::TableInfo info, size_t buffer_pool_pages)
-    : info_(std::move(info)), buffer_pool_pages_(buffer_pool_pages) {
+    : id_(info.id),
+      info_(std::move(info)),
+      buffer_pool_pages_(buffer_pool_pages) {
   retained_schemas_.push_back(
       std::make_unique<const catalog::Schema>(info_.schema));
   current_schema_.store(retained_schemas_.back().get(),

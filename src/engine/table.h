@@ -43,7 +43,9 @@ class Table {
   const catalog::Schema& schema() const {
     return *current_schema_.load(std::memory_order_acquire);
   }
-  catalog::TableId id() const { return info_.id; }
+  /// Never changes, so it is readable without the latch (every DML reads
+  /// it before taking a lock) while SwapStorage rewrites info_.
+  catalog::TableId id() const { return id_; }
 
   /// ALTER TABLE commit (storage swap): installs the rewritten heap and
   /// the post-DDL schema in one shot. Caller holds `latch` exclusively and
@@ -89,6 +91,7 @@ class Table {
       OPDELTA_LOCK_RANK(table_latch, common::lockrank::kTableLatch)};
 
  private:
+  const catalog::TableId id_;
   catalog::TableInfo info_;
   size_t buffer_pool_pages_;
   /// Every schema this table has ever had, newest last; current_schema_

@@ -118,8 +118,7 @@ Status ApplyEntry(engine::Database* warehouse, warehouse::ApplyLedger* ledger,
       },
       &batch));
   return pipeline::ApplyShipped(warehouse, table, batch, ledger,
-                                warehouse::OpDeltaIntegrator::Options(),
-                                istats);
+                                /*cache=*/nullptr, istats);
 }
 
 }  // namespace

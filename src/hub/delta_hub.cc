@@ -270,7 +270,6 @@ Status DeltaHub::Setup() {
     SourceStats entry;
     entry.name = source->spec.name;
     entry.warehouse_table = source->spec.warehouse_table;
-    entry.apply_threads = std::max<size_t>(1, source->spec.apply_threads);
     stats_.sources.push_back(std::move(entry));
     OPDELTA_RETURN_IF_ERROR(source->leg->Setup());
     if (source->spec.backfill) {
@@ -312,18 +311,6 @@ Status DeltaHub::Setup() {
               [this, group] { return DrainBacklog(group); }, sc_options));
       OPDELTA_RETURN_IF_ERROR(source->scrubber->Setup());
     }
-  }
-
-  // A dedicated pool for parallel apply, created only when asked for.
-  // Sized to the widest source: lanes share it, and the integrator's
-  // strict-ascending dispatch stays deadlock-free at any width.
-  size_t max_apply_threads = 1;
-  for (const auto& source : sources_) {
-    max_apply_threads = std::max(max_apply_threads,
-                                 source->spec.apply_threads);
-  }
-  if (max_apply_threads > 1) {
-    parallel_apply_pool_ = std::make_unique<ThreadPool>(max_apply_threads);
   }
 
   worker_queues_.resize(options_.apply_workers);
@@ -612,20 +599,12 @@ void DeltaHub::ApplyWorkerLoop(size_t worker_index) {
     }
 
     Stopwatch apply_timer;
-    // Per-source configuration over hub-shared machinery: with
-    // apply_threads > 1 this batch's disjoint op-delta transactions fan out
-    // on the dedicated pool; at 1 they apply inline. The statement cache
-    // serves both.
-    warehouse::OpDeltaIntegrator::Options apply;
-    apply.pool = parallel_apply_pool_.get();
-    apply.max_inflight = batch->group->members.front()->spec.apply_threads;
-    apply.cache = &stmt_cache_;
     warehouse::IntegrationStats istats;
     Status st;
     for (int attempt = 0;; ++attempt) {
       istats = warehouse::IntegrationStats();  // Integrate accumulates
       st = batch->group->members.front()->leg->Integrate(
-          warehouse_, ledger_.get(), batch->message, apply, &istats);
+          warehouse_, ledger_.get(), batch->message, &stmt_cache_, &istats);
       // Retry only transient errors; a deterministic failure would replay
       // the same poison message forever. A retried batch whose first
       // attempt partially committed resumes via the ledger, never repeats.
@@ -679,7 +658,6 @@ void DeltaHub::ApplyWorkerLoop(size_t worker_index) {
       if (applied) {
         ++stats_.batches_applied;
         stats_.transactions_applied += istats.transactions;
-        stats_.txns_parallel += istats.txns_parallel;
         stats_.duplicates_dropped += istats.duplicate_batches;
         stats_.apply_micros_total += elapsed;
         if (elapsed > stats_.apply_micros_max) {
@@ -688,7 +666,6 @@ void DeltaHub::ApplyWorkerLoop(size_t worker_index) {
         for (Source* source : batch->acks) {
           SourceStats& entry = stats_.sources[source->stats_index];
           ++entry.batches_applied;
-          entry.txns_parallel += istats.txns_parallel;
           entry.duplicates_dropped += istats.duplicate_batches;
           // The per-source applied watermark mirrors the ledger: the
           // identity of the newest batch committed for this source.
@@ -862,10 +839,6 @@ Status DeltaHub::Stop() {
     if (t.joinable()) t.join();
   }
   apply_threads_.clear();
-  // 3. Only now is no parallel-apply task in flight: the apply workers
-  //    (the sole submitters) are joined, so the pool drains empty and
-  //    shuts down without stranding a ticket.
-  if (parallel_apply_pool_ != nullptr) parallel_apply_pool_->Shutdown();
   return result;
 }
 

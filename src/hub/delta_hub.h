@@ -65,12 +65,8 @@ struct SourceSpec {
   /// false: report mismatches in stats but do not repair them.
   bool scrub_repair = true;
 
-  /// Per-batch apply parallelism for this source's op-delta batches:
-  /// transactions with disjoint key footprints apply concurrently on the
-  /// hub's parallel-apply pool; conflicting ones keep source commit order,
-  /// and ledger semantics are unchanged (warehouse::OpDeltaIntegrator).
-  /// 1 = every transaction applies inline on the apply worker. Only
-  /// meaningful for Method::kOpDelta.
+  /// Ignored: op-delta batches apply inline on the apply worker. Kept only
+  /// because cdcbench/cdcbench.cc compiles against this name.
   size_t apply_threads = 1;
 };
 
@@ -140,10 +136,6 @@ struct SourceStats {
   uint64_t source_schema_epoch = 0;  // the source catalog's live DDL epoch
   uint64_t applied_schema_epoch = 0; // highest frame schema epoch applied
 
-  // Parallel apply.
-  uint64_t apply_threads = 1;      // configured per-batch apply parallelism
-  uint64_t txns_parallel = 0;      // txns committed on the apply pool
-
   // Self-healing.
   uint64_t errors = 0;             // supervised rounds that failed
   uint64_t retries = 0;            // backoff retries (produce + apply)
@@ -180,7 +172,6 @@ struct HubStats {
   // Warehouse apply.
   uint64_t batches_applied = 0;
   uint64_t transactions_applied = 0;
-  uint64_t txns_parallel = 0;       // on the parallel-apply pool
   Micros apply_micros_total = 0;    // staging-pop → integrated, summed
   Micros apply_micros_max = 0;
 
@@ -302,16 +293,8 @@ class DeltaHub {
 
   std::unique_ptr<ThreadPool> extract_pool_;
 
-  // Parallel apply: a dedicated pool for the op-delta integrator's
-  // per-transaction tasks, created by Setup only when a source asks for
-  // apply_threads > 1. Never the extract pool — producer tasks block on
-  // StageAndApply completion, and apply subtasks queued behind a full
-  // complement of blocked producers would deadlock. Destroyed after the
-  // apply workers join, so no apply task can outlive it.
-  std::unique_ptr<ThreadPool> parallel_apply_pool_;
-
-  // Parsed-statement skeletons shared by every apply lane (pool and
-  // inline); internally synchronized, epoch-keyed against warehouse DDL.
+  // Parsed-statement skeletons shared by every apply lane; internally
+  // synchronized, epoch-keyed against warehouse DDL.
   sql::StatementCache stmt_cache_;
 
   // Staging area: per-worker FIFO lanes sharing one byte budget. The

@@ -199,14 +199,14 @@ Status DecodeShipped(const std::string& message, const SchemaSource& schemas,
 
 Status ApplyShipped(engine::Database* warehouse, const std::string& table,
                     const ShippedBatch& batch, warehouse::ApplyLedger* ledger,
-                    const warehouse::OpDeltaIntegrator::Options& apply,
+                    sql::StatementCache* cache,
                     warehouse::IntegrationStats* stats) {
   // Net-change integration is idempotent under at-least-once delivery, and
   // exactly-once when a ledger dedupes the redeliveries outright. Both
   // appliers overwrite their stats; accumulate into the caller's.
   warehouse::IntegrationStats local;
   if (batch.op_delta) {
-    warehouse::OpDeltaIntegrator integrator(warehouse, apply);
+    warehouse::OpDeltaIntegrator integrator(warehouse, cache);
     OPDELTA_RETURN_IF_ERROR(
         integrator.Apply(batch.txns, batch.id, ledger, &local));
   } else {
@@ -217,7 +217,6 @@ Status ApplyShipped(engine::Database* warehouse, const std::string& table,
     stats->statements_executed += local.statements_executed;
     stats->rows_affected += local.rows_affected;
     stats->transactions += local.transactions;
-    stats->txns_parallel += local.txns_parallel;
     stats->wall_micros += local.wall_micros;
     stats->outage_micros += local.outage_micros;
     stats->duplicate_batches += local.duplicate_batches;
@@ -532,14 +531,14 @@ Result<uint64_t> SourceLeg::Backlog() { return queue_.Backlog(); }
 Status SourceLeg::Integrate(engine::Database* warehouse,
                             warehouse::ApplyLedger* ledger,
                             const std::string& message,
-                            const warehouse::OpDeltaIntegrator::Options& apply,
+                            sql::StatementCache* cache,
                             warehouse::IntegrationStats* stats) {
   ShippedBatch batch;
   OPDELTA_RETURN_IF_ERROR(DecodeShipped(
       message, [this](uint64_t epoch) { return source_->SchemaMapAt(epoch); },
       &batch));
   return ApplyShipped(warehouse, options_.warehouse_table, batch, ledger,
-                      apply, stats);
+                      cache, stats);
 }
 
 }  // namespace opdelta::pipeline

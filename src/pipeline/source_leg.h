@@ -89,11 +89,12 @@ class SourceLeg {
   /// options().warehouse_table) through DecodeShipped and ApplyShipped,
   /// decoding op-delta payloads against this leg's source schemas. The
   /// message's stamped BatchId is checked against and advanced in `ledger`
-  /// (may be nullptr) atomically with the apply; `apply` configures op-delta
-  /// replay. Accumulates into *stats (may be nullptr).
+  /// (may be nullptr) atomically with the apply; op-delta statements parse
+  /// through `cache` (may be nullptr). Accumulates into *stats (may be
+  /// nullptr).
   Status Integrate(engine::Database* warehouse,
                    warehouse::ApplyLedger* ledger, const std::string& message,
-                   const warehouse::OpDeltaIntegrator::Options& apply,
+                   sql::StatementCache* cache,
                    warehouse::IntegrationStats* stats);
 
   const PipelineOptions& options() const { return options_; }
@@ -206,13 +207,13 @@ Status DecodeShipped(const std::string& message, const SchemaSource& schemas,
 
 /// The one applier of shipped batches. Value-delta batches integrate into
 /// `table` as idempotent net changes (one indivisible transaction);
-/// op-delta transactions replay through warehouse::OpDeltaIntegrator with
-/// `apply`, one warehouse transaction each. `ledger` (may be nullptr)
-/// dedupes on batch.id and records progress atomically with the apply.
-/// Accumulates into *stats (may be nullptr).
+/// op-delta transactions replay through warehouse::OpDeltaIntegrator, one
+/// warehouse transaction each, parsing through `cache` (may be nullptr).
+/// `ledger` (may be nullptr) dedupes on batch.id and records progress
+/// atomically with the apply. Accumulates into *stats (may be nullptr).
 Status ApplyShipped(engine::Database* warehouse, const std::string& table,
                     const ShippedBatch& batch, warehouse::ApplyLedger* ledger,
-                    const warehouse::OpDeltaIntegrator::Options& apply,
+                    sql::StatementCache* cache,
                     warehouse::IntegrationStats* stats);
 
 }  // namespace opdelta::pipeline

@@ -1,12 +1,6 @@
 #include "warehouse/integrator.h"
 
-#include <algorithm>
-#include <condition_variable>
-#include <mutex>
-
-#include "common/sync.h"
 #include "sql/parser.h"
-#include "warehouse/apply_scheduler.h"
 
 namespace opdelta::warehouse {
 
@@ -164,150 +158,64 @@ Status OpDeltaIntegrator::ApplySchemaEvent(const extract::SchemaEvent& ev,
   return Status::OK();
 }
 
-/// One source transaction, planned once before it runs.
-struct OpDeltaIntegrator::TxnPlan {
-  std::vector<Statement> stmts;  // parsed, in source order
-  Status parse_error;  // the statement after `stmts` failed to parse
-  const extract::SchemaEvent* event = nullptr;  // a captured DDL txn
-  bool footprinted = false;  // false: a full barrier (runs alone)
-  int64_t barrier = -1;      // plans up to this index commit first
-};
-
-/// Shared state of one segment's pool run. Lives on RunOnPool's stack,
-/// which returns only after every dispatched task has run its completion
-/// section, so no task outlives the Run it points into.
-struct OpDeltaIntegrator::Run {
-  OpDeltaIntegrator* self = nullptr;
-  const std::vector<TxnPlan>* plans = nullptr;
-  size_t base = 0;  // batch index of plans[0]
-  const extract::BatchId* id = nullptr;
-  ApplyLedger* ledger = nullptr;
-
-  // Never held across an engine call: workers execute, advance the ledger
-  // and commit with it released.
-  common::OrderedMutex mutex{OPDELTA_LOCK_RANK(
-      apply_scheduler, common::lockrank::kApplyScheduler)};
-  std::condition_variable_any cv;  // _any: waits on an OrderedMutex
-  size_t next_dispatch = 0;  // plans [0, next_dispatch) are submitted
-  size_t next_commit = 0;    // plans [0, next_commit) have resolved
-  size_t inflight = 0;
-  Status failure;  // the first failure in commit order, which is the
-                   // failure of the earliest failing transaction
-  IntegrationStats committed;
-};
-
-size_t OpDeltaIntegrator::PlanSegment(
-    const std::vector<extract::OpDeltaTxn>& txns, size_t begin,
-    bool footprints, std::vector<TxnPlan>* plans) {
-  const uint64_t epoch = db_->ddl_epoch();
-  plans->clear();
-  std::vector<TxnFootprint> claims;
-  size_t i = begin;
-  while (i < txns.size()) {
-    const extract::OpDeltaTxn& txn = txns[i++];
-    TxnPlan plan;
-    TxnFootprint claim;
-    bool has_event = false;
-    for (const extract::OpDeltaRecord& op : txn.ops) {
-      has_event = has_event || op.is_schema_event();
-    }
-    if (has_event) {
-      // The source capture writes each DDL change in a transaction of its
-      // own; anything else is a corrupt stream.
-      if (txn.ops.size() == 1) {
-        plan.event = txn.ops[0].schema_event.get();
-      } else {
-        plan.parse_error = Status::Corruption(
-            "captured schema event shares a transaction with other ops");
-      }
-    } else {
-      plan.footprinted = footprints;
-      for (const extract::OpDeltaRecord& op : txn.ops) {
-        // Op-Delta's hot path: the same few statement shapes repeat with
-        // different literals, so the cache (when wired) turns this parse
-        // into a skeleton rebind. Epoch keying makes DDL invalidation
-        // automatic.
-        Result<Statement> parsed =
-            options_.cache != nullptr ? options_.cache->Parse(op.sql, epoch)
-                                      : sql::Parser::Parse(op.sql);
-        if (!parsed.ok()) {
-          plan.parse_error = parsed.status();
-          plan.footprinted = false;
-          break;
-        }
-        if (plan.footprinted &&
-            !StatementFootprint(db_, parsed.value(), &claim)) {
-          plan.footprinted = false;
-        }
-        plan.stmts.push_back(std::move(parsed.value()));
-      }
-    }
-    plans->push_back(std::move(plan));
-    claims.push_back(std::move(claim));
-    if (plans->back().event != nullptr) break;
-  }
-  if (footprints) {
-    const std::vector<int64_t> barriers = ComputeConflictBarriers(claims);
-    int64_t last_full = -1;
-    for (size_t p = 0; p < plans->size(); ++p) {
-      TxnPlan& plan = (*plans)[p];
-      if (plan.footprinted) {
-        plan.barrier = std::max(barriers[p], last_full);
-      } else {
-        plan.barrier = static_cast<int64_t>(p) - 1;
-        last_full = static_cast<int64_t>(p);
-      }
-    }
-  }
-  return i;
-}
-
-Status OpDeltaIntegrator::ApplyTxn(const TxnPlan& plan,
+Status OpDeltaIntegrator::ApplyTxn(const extract::OpDeltaTxn& source_txn,
                                    const extract::BatchId& id,
                                    ApplyLedger* ledger, uint64_t txns_after,
-                                   const std::function<bool()>& await_turn,
                                    IntegrationStats* stats) {
   const bool ledgered = ledger != nullptr && id.valid();
-  IntegrationStats local;
+  bool has_event = false;
+  for (const extract::OpDeltaRecord& op : source_txn.ops) {
+    has_event = has_event || op.is_schema_event();
+  }
   std::unique_ptr<txn::Transaction> txn;
-  Status st;
-  if (plan.event != nullptr) {
+  if (has_event) {
+    // The source capture writes each DDL change in a transaction of its
+    // own; anything else is a corrupt stream.
+    if (source_txn.ops.size() != 1) {
+      return Status::Corruption(
+          "captured schema event shares a transaction with other ops");
+    }
     // The migration runs its own engine transaction under the table-X
     // lock, so it cannot ride the ledger's: migrate first, then advance.
     // The migration is idempotent, which makes the split crash-safe: a
     // redelivery finds the warehouse at the new schema and only advances.
-    st = ApplySchemaEvent(*plan.event, &local);
-    if (st.ok() && ledgered) txn = db_->Begin();
+    OPDELTA_RETURN_IF_ERROR(
+        ApplySchemaEvent(*source_txn.ops[0].schema_event, stats));
+    if (ledgered) txn = db_->Begin();
   } else {
-    // Footprint disjointness means no other in-flight transaction wants
-    // these row locks, so holding them across the turn wait blocks no one
-    // who still has work to do.
+    // Parsed now, not up front: an earlier schema event of the batch has
+    // committed, so the statements bind against the migrated warehouse.
+    const uint64_t epoch = db_->ddl_epoch();
     txn = db_->Begin();
     sql::Executor executor(db_);
-    for (const Statement& stmt : plan.stmts) {
-      Result<size_t> r = executor.Execute(txn.get(), stmt);
-      st = r.status();
-      if (!st.ok()) break;
-      local.statements_executed++;
-      local.rows_affected += r.value();
-    }
-    if (st.ok()) st = plan.parse_error;
-    if (!st.ok()) {
-      (void)db_->Abort(txn.get());  // release locks before the turn
-      txn.reset();
+    for (const extract::OpDeltaRecord& op : source_txn.ops) {
+      // Op-Delta's hot path: the same few statement shapes repeat with
+      // different literals, so the cache (when wired) turns this parse
+      // into a skeleton rebind. Epoch keying makes DDL invalidation
+      // automatic.
+      Result<Statement> parsed = cache_ != nullptr
+                                     ? cache_->Parse(op.sql, epoch)
+                                     : sql::Parser::Parse(op.sql);
+      Status st = parsed.status();
+      if (st.ok()) {
+        Result<size_t> r = executor.Execute(txn.get(), parsed.value());
+        st = r.status();
+        if (st.ok()) {
+          stats->statements_executed++;
+          stats->rows_affected += r.value();
+        }
+      }
+      if (!st.ok()) {
+        (void)db_->Abort(txn.get());
+        return st;
+      }
     }
   }
-  if (!await_turn()) {
-    // An earlier transaction failed: committing past it would break the
-    // contiguous-prefix contract.
-    if (txn != nullptr) (void)db_->Abort(txn.get());
-    return Status::Aborted("an earlier transaction of the batch failed");
-  }
-  if (!st.ok()) return st;
   if (txn != nullptr) {
     // Watermark and statements commit atomically: a crash mid-transaction
     // rolls both back, and redelivery resumes exactly at this transaction.
-    if (ledgered) st = ledger->Advance(txn.get(), id, txns_after);
+    Status st = ledgered ? ledger->Advance(txn.get(), id, txns_after)
+                         : Status::OK();
     if (st.ok()) st = db_->Commit(txn.get());
     if (!st.ok()) {
       // A failed commit leaves the transaction active: abort to unlock.
@@ -315,80 +223,7 @@ Status OpDeltaIntegrator::ApplyTxn(const TxnPlan& plan,
       return st;
     }
   }
-  stats->statements_executed += local.statements_executed;
-  stats->rows_affected += local.rows_affected;
-  stats->schema_migrations += local.schema_migrations;
   stats->transactions++;
-  return Status::OK();
-}
-
-void OpDeltaIntegrator::DispatchLocked(Run* run) {
-  // Strictly ascending: plan j is never submitted before plan j-1. With
-  // the pool's FIFO start order the commit-cursor owner is always already
-  // running (or done). After a failure nothing new starts; the in-flight
-  // suffix drains through its tickets and rolls back.
-  const std::vector<TxnPlan>& plans = *run->plans;
-  while (run->failure.ok() && run->next_dispatch < plans.size() &&
-         run->inflight < run->self->options_.max_inflight &&
-         plans[run->next_dispatch].barrier <
-             static_cast<int64_t>(run->next_commit)) {
-    const size_t index = run->next_dispatch++;
-    ++run->inflight;
-    run->self->options_.pool->Submit([run, index] {
-      const TxnPlan& plan = (*run->plans)[index];
-      IntegrationStats local;
-      Status st = run->self->ApplyTxn(
-          plan, *run->id, run->ledger, run->base + index + 1,
-          [run, index] {
-            std::unique_lock<common::OrderedMutex> lock(run->mutex);
-            run->cv.wait(lock,
-                         [run, index] { return run->next_commit == index; });
-            return run->failure.ok();
-          },
-          &local);
-      std::lock_guard<common::OrderedMutex> lock(run->mutex);
-      if (st.ok()) {
-        run->committed.statements_executed += local.statements_executed;
-        run->committed.rows_affected += local.rows_affected;
-        run->committed.schema_migrations += local.schema_migrations;
-        run->committed.transactions += local.transactions;
-        if (plan.footprinted) run->committed.txns_parallel++;
-      } else if (run->failure.ok()) {
-        run->failure = std::move(st);
-      }
-      run->next_commit = index + 1;
-      --run->inflight;
-      DispatchLocked(run);
-      // Notify under the lock: Run lives on RunOnPool's stack, and a wait
-      // that returned between an unlocked update and its notify could
-      // destroy the cv under us.
-      run->cv.notify_all();
-    });
-  }
-}
-
-Status OpDeltaIntegrator::RunOnPool(const std::vector<TxnPlan>& plans,
-                                    size_t base, const extract::BatchId& id,
-                                    ApplyLedger* ledger,
-                                    IntegrationStats* stats) {
-  Run run;
-  run.self = this;
-  run.plans = &plans;
-  run.base = base;
-  run.id = &id;
-  run.ledger = ledger;
-  std::unique_lock<common::OrderedMutex> lock(run.mutex);
-  DispatchLocked(&run);
-  run.cv.wait(lock, [&run, &plans] {
-    return run.inflight == 0 &&
-           (!run.failure.ok() || run.next_dispatch == plans.size());
-  });
-  if (!run.failure.ok()) return run.failure;
-  stats->statements_executed += run.committed.statements_executed;
-  stats->rows_affected += run.committed.rows_affected;
-  stats->schema_migrations += run.committed.schema_migrations;
-  stats->transactions += run.committed.transactions;
-  stats->txns_parallel += run.committed.txns_parallel;
   return Status::OK();
 }
 
@@ -413,24 +248,9 @@ Status OpDeltaIntegrator::Apply(const std::vector<extract::OpDeltaTxn>& txns,
       local.duplicate_txns = skip;
     }
   }
-  // A lone transaction gains nothing from a hop onto the pool.
-  const bool on_pool = options_.pool != nullptr &&
-                       options_.max_inflight > 1 && txns.size() - skip >= 2;
-  std::vector<TxnPlan> plans;
-  for (size_t begin = skip; begin < txns.size();) {
-    // Each segment ends at a schema event, so the next one plans against
-    // the migrated warehouse.
-    const size_t end = PlanSegment(txns, begin, on_pool, &plans);
-    if (on_pool) {
-      OPDELTA_RETURN_IF_ERROR(RunOnPool(plans, begin, id, ledger, &local));
-    } else {
-      for (size_t p = 0; p < plans.size(); ++p) {
-        OPDELTA_RETURN_IF_ERROR(ApplyTxn(plans[p], id, ledger,
-                                         /*txns_after=*/begin + p + 1,
-                                         [] { return true; }, &local));
-      }
-    }
-    begin = end;
+  for (size_t i = skip; i < txns.size(); ++i) {
+    OPDELTA_RETURN_IF_ERROR(ApplyTxn(txns[i], id, ledger,
+                                     /*txns_after=*/i + 1, &local));
   }
   local.wall_micros = wall.ElapsedMicros();
   if (stats != nullptr) *stats = local;

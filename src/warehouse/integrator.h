@@ -1,13 +1,11 @@
 #ifndef OPDELTA_WAREHOUSE_INTEGRATOR_H_
 #define OPDELTA_WAREHOUSE_INTEGRATOR_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "engine/database.h"
 #include "extract/delta.h"
 #include "extract/op_delta.h"
@@ -31,8 +29,8 @@ struct IntegrationStats {
   uint64_t duplicate_batches = 0;  // redelivered batches dropped whole
   uint64_t duplicate_txns = 0;     // already-applied prefix skipped on resume
 
-  // Parallel-apply accounting: footprinted transactions that committed on
-  // the op-delta apply pool (0 for inline apply; barriers never count).
+  /// Always 0: op-delta apply is inline. Kept only because
+  /// cdcbench/cdcbench.cc compiles against this name.
   uint64_t txns_parallel = 0;
 
   // Schema evolution accounting.
@@ -81,46 +79,22 @@ class ValueDeltaIntegrator {
 /// queries" — per-source-transaction warehouse transactions under IX + row
 /// locks, no table-X outage.
 ///
-/// Every transaction of a batch takes one route: execute its statements,
-/// ApplyLedger::Advance, commit — inline on the calling thread when there
-/// is no pool or max_inflight <= 1, otherwise on the pool, where
-/// transactions with disjoint key footprints (warehouse/apply_scheduler.h)
-/// execute concurrently. Commits land in source order either way (each
-/// pool worker executes eagerly, then waits for its commit ticket), so the
-/// ledger watermark always covers a contiguous applied prefix: duplicate
-/// drop, crash-resume and the committed prefix on failure are the same at
-/// any width.
-///
-/// A transaction without a footprint — a schema event, a statement on an
-/// unknown or trigger-bearing table, a statement that does not parse — is
-/// a full barrier: it starts once every earlier transaction has committed
-/// and nothing later starts before it commits. The statements after a
-/// schema event are planned only once its migration has committed, since
-/// DDL changes the shapes and keys they plan against.
-///
-/// Pool scheduling is deadlock-free by construction: dispatch is strictly
-/// ascending in batch order and the pool starts tasks FIFO, so a ticket
-/// wait is always on a task already running or finished, even when several
-/// batches share one pool. The pool must outlive every Apply in flight.
+/// Replay runs inline on the calling thread, one source transaction at a
+/// time, in source commit order: parse each statement (through the
+/// statement cache when one is wired) and execute it, then
+/// ApplyLedger::Advance and commit in the same warehouse transaction. The
+/// ledger watermark therefore always covers a contiguous applied prefix.
+/// A captured schema event migrates the warehouse first and then advances
+/// the ledger; the statements after it are parsed only once the migration
+/// has committed, against the new schema and ddl_epoch.
 class OpDeltaIntegrator {
  public:
-  struct Options {
-    /// Worker pool for concurrent apply; nullptr = every transaction
-    /// applies inline.
-    ThreadPool* pool = nullptr;
-    /// Transactions of one batch in flight at once; <= 1 = inline.
-    size_t max_inflight = 1;
-    /// Prepared-statement cache (caller-owned, may be shared across
-    /// integrators): parsed skeletons keyed by shape and the warehouse
-    /// ddl_epoch, so steady-state replay skips the parser. nullptr = parse
-    /// every statement.
-    sql::StatementCache* cache = nullptr;
-  };
-
-  explicit OpDeltaIntegrator(engine::Database* warehouse)
-      : OpDeltaIntegrator(warehouse, Options()) {}
-  OpDeltaIntegrator(engine::Database* warehouse, Options options)
-      : db_(warehouse), options_(options) {}
+  /// `cache` (caller-owned, may be shared across integrators) holds parsed
+  /// skeletons keyed by shape and the warehouse ddl_epoch, so steady-state
+  /// replay skips the parser. nullptr = parse every statement.
+  explicit OpDeltaIntegrator(engine::Database* warehouse,
+                             sql::StatementCache* cache = nullptr)
+      : db_(warehouse), cache_(cache) {}
 
   /// Applies each captured source transaction as its own warehouse
   /// transaction, preserving source boundaries and order.
@@ -141,32 +115,12 @@ class OpDeltaIntegrator {
                IntegrationStats* stats);
 
  private:
-  struct TxnPlan;
-  struct Run;
-
-  /// Plans txns[begin..) through the first schema event (inclusive), or to
-  /// the end; returns the index after the last planned transaction.
-  /// Footprints and barriers are computed only for pool runs.
-  size_t PlanSegment(const std::vector<extract::OpDeltaTxn>& txns,
-                     size_t begin, bool footprints,
-                     std::vector<TxnPlan>* plans);
-
-  /// Runs a planned segment on the pool; `base` is the batch index of
-  /// plans[0]. Returns the first failure, after the in-flight suffix
-  /// rolled back.
-  Status RunOnPool(const std::vector<TxnPlan>& plans, size_t base,
-                   const extract::BatchId& id, ApplyLedger* ledger,
-                   IntegrationStats* stats);
-  static void DispatchLocked(Run* run);
-
-  /// The one apply routine: executes `plan`, waits for `await_turn` (every
-  /// earlier transaction resolved; false = one of them failed, so this one
-  /// rolls back with Aborted), then advances the ledger to `txns_after`
-  /// and commits. Accumulates into *stats only on commit.
-  Status ApplyTxn(const TxnPlan& plan, const extract::BatchId& id,
-                  ApplyLedger* ledger, uint64_t txns_after,
-                  const std::function<bool()>& await_turn,
-                  IntegrationStats* stats);
+  /// Applies one source transaction and advances the ledger to
+  /// `txns_after` inside it. Accumulates into *stats, which Apply discards
+  /// on failure.
+  Status ApplyTxn(const extract::OpDeltaTxn& source_txn,
+                  const extract::BatchId& id, ApplyLedger* ledger,
+                  uint64_t txns_after, IntegrationStats* stats);
 
   /// Migrates the warehouse for one captured DDL event. Idempotent: a
   /// warehouse already at the event's new schema is a redelivery no-op.
@@ -177,11 +131,8 @@ class OpDeltaIntegrator {
                           IntegrationStats* stats);
 
   engine::Database* db_;
-  Options options_;
+  sql::StatementCache* cache_;
 };
-
-/// Kept only because cdcbench/cdcbench.cc compiles against this name.
-using ParallelApplyScheduler = OpDeltaIntegrator;
 
 /// Applies the *net* changes of a batch keyed by the table's key column —
 /// the integration style for extraction methods that only observe final

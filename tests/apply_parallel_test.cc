@@ -1,26 +1,23 @@
-// Conflict-aware parallel apply (warehouse::OpDeltaIntegrator with a pool,
-// footprints in warehouse/apply_scheduler.h) and the prepared-statement
+// Op-delta apply (warehouse::OpDeltaIntegrator: inline, one source
+// transaction at a time, in source commit order) and the prepared-statement
 // cache (sql/statement_cache.h).
 //
 // The load-bearing property is convergence: for any op-delta batch, apply
-// on a 4-wide pool must produce byte-for-byte the warehouse state and
-// ledger semantics of inline apply — same final rows, same committed
-// prefix on failure, same duplicate/resume decisions — and both must equal
-// an independent oracle that replays each transaction through a plain
-// executor. The randomized suites drive that with seeded workloads, both
-// disjoint (everything runs concurrently) and conflicting (barriers force
-// source order).
-#include "warehouse/apply_scheduler.h"
-
+// must produce the warehouse state an independent oracle produces by
+// replaying each transaction through a plain executor, with the ledger
+// semantics on top — same committed prefix and error on failure, the same
+// duplicate/resume decisions. The randomized suites drive that with seeded
+// workloads, both disjoint (every transaction its own keys) and
+// conflicting (a hot key set where source order decides the outcome).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/digest.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "engine/trigger.h"
 #include "hub/delta_hub.h"
 #include "sql/executor.h"
@@ -190,166 +187,14 @@ TEST(StatementCacheTest, LruBoundEvictsOldestShape) {
   EXPECT_EQ(cache.stats().misses, 5u);
 }
 
-// ------------------------------------------------------------ footprints
+// -------------------------------------------------------- shared helpers
 
-class FootprintTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    db_ = OpenDb(dir_, "db", NoTimestampOptions());
-    OPDELTA_ASSERT_OK(
-        db_->CreateTable("parts", workload::PartsWorkload::Schema()));
-  }
-
-  /// Parses `sql` and folds it into `fp`; returns StatementFootprint's
-  /// verdict.
-  bool Fold(const std::string& sql, TxnFootprint* fp) {
-    Result<sql::Statement> parsed = sql::Parser::Parse(sql);
-    EXPECT_TRUE(parsed.ok()) << sql << ": " << parsed.status().ToString();
-    return StatementFootprint(db_.get(), parsed.value(), fp);
-  }
-
-  static std::string Key(int64_t v) {
-    return catalog::Value::Int64(v).ToSqlLiteral();
-  }
-
-  TempDir dir_;
-  std::unique_ptr<engine::Database> db_;
-};
-
-TEST_F(FootprintTest, InsertClaimsEachRowKey) {
-  TxnFootprint fp;
-  ASSERT_TRUE(
-      Fold("INSERT INTO parts VALUES (1, 'a', 'p', TS:0), (2, 'b', 'p', TS:0)",
-           &fp));
-  ASSERT_EQ(fp.count("parts"), 1u);
-  EXPECT_FALSE(fp["parts"].whole_table);
-  EXPECT_EQ(fp["parts"].keys, (std::vector<std::string>{Key(1), Key(2)}));
-}
-
-TEST_F(FootprintTest, UpdateClaimsWhereKeyAndAssignedKey) {
-  TxnFootprint fp;
-  // SET id = 9 renames the row: both the old and new identity are claimed
-  // so later statements on either key order after this one.
-  ASSERT_TRUE(Fold("UPDATE parts SET id = 9, status = 's' WHERE id = 4", &fp));
-  EXPECT_FALSE(fp["parts"].whole_table);
-  EXPECT_EQ(fp["parts"].keys, (std::vector<std::string>{Key(4), Key(9)}));
-}
-
-TEST_F(FootprintTest, NonKeyPredicateWidensToWholeTable) {
-  TxnFootprint update_fp;
-  ASSERT_TRUE(
-      Fold("UPDATE parts SET payload = 'x' WHERE status = 'new'", &update_fp));
-  EXPECT_TRUE(update_fp["parts"].whole_table);
-
-  TxnFootprint range_fp;
-  ASSERT_TRUE(Fold("DELETE FROM parts WHERE id < 10", &range_fp));
-  EXPECT_TRUE(range_fp["parts"].whole_table);
-
-  // A key-equality conjunct bounds the row set even with extra conjuncts.
-  TxnFootprint eq_fp;
-  ASSERT_TRUE(
-      Fold("DELETE FROM parts WHERE id = 3 AND status = 'old'", &eq_fp));
-  EXPECT_FALSE(eq_fp["parts"].whole_table);
-  EXPECT_EQ(eq_fp["parts"].keys, (std::vector<std::string>{Key(3)}));
-}
-
-TEST_F(FootprintTest, KeyEncodingMatchesExecutorCoercion) {
-  // The executor coerces TS:7 to 7 in an INT64 key column; the footprint
-  // must agree or the two statements would claim disjoint keys and race.
-  TxnFootprint a, b;
-  ASSERT_TRUE(Fold("INSERT INTO parts VALUES (7, 's', 'p', TS:0)", &a));
-  ASSERT_TRUE(Fold("DELETE FROM parts WHERE id = TS:7", &b));
-  EXPECT_EQ(a["parts"].keys, b["parts"].keys);
-}
-
-// Statements without a footprint make their transaction a full barrier.
-TEST_F(FootprintTest, UnfootprintableStatementsForceSerialFallback) {
-  TxnFootprint fp;
-  EXPECT_FALSE(Fold("DELETE FROM ghost WHERE id = 1", &fp));  // unknown table
-  EXPECT_FALSE(Fold("SELECT * FROM parts", &fp));             // non-DML
-
-  // Trigger bodies write rows the statement text never mentions.
-  class NullSink : public engine::TriggerSink {
-   public:
-    Status Write(engine::Database*, txn::Transaction*, engine::TriggerEvents,
-                 const catalog::Row&, const catalog::Row&) override {
-      return Status::OK();
-    }
-  };
-  OPDELTA_ASSERT_OK(db_->CreateTrigger(
-      "parts",
-      engine::TriggerDef{"t", engine::kOnAll, std::make_shared<NullSink>()}));
-  EXPECT_FALSE(Fold("INSERT INTO parts VALUES (1, 'a', 'p', TS:0)", &fp));
-}
-
-// --------------------------------------------------------------- barriers
-
-TxnFootprint KeyClaims(const std::string& table, std::vector<int64_t> keys) {
-  TxnFootprint fp;
-  for (int64_t k : keys) {
-    fp[table].keys.push_back(catalog::Value::Int64(k).ToSqlLiteral());
-  }
-  return fp;
-}
-
-TxnFootprint WholeTable(const std::string& table) {
-  TxnFootprint fp;
-  fp[table].whole_table = true;
-  return fp;
-}
-
-TEST(ConflictBarrierTest, DisjointFootprintsHaveNoBarriers) {
-  const std::vector<TxnFootprint> fps = {
-      KeyClaims("a", {1, 2}), KeyClaims("a", {3, 4}), KeyClaims("b", {1}),
-      KeyClaims("c", {})};
-  EXPECT_EQ(ComputeConflictBarriers(fps),
-            (std::vector<int64_t>{-1, -1, -1, -1}));
-}
-
-TEST(ConflictBarrierTest, SharedKeysChainToNewestWriter) {
-  const std::vector<TxnFootprint> fps = {
-      KeyClaims("a", {1}),     // 0
-      KeyClaims("a", {2}),     // 1
-      KeyClaims("a", {1}),     // 2: conflicts with 0
-      KeyClaims("a", {1, 2}),  // 3: newest writers are 2 (key 1), 1 (key 2)
-  };
-  EXPECT_EQ(ComputeConflictBarriers(fps),
-            (std::vector<int64_t>{-1, -1, 0, 2}));
-}
-
-TEST(ConflictBarrierTest, WholeTableClaimsBarrierBothDirections) {
-  const std::vector<TxnFootprint> fps = {
-      KeyClaims("a", {1}),  // 0
-      WholeTable("a"),      // 1: must wait for 0
-      KeyClaims("a", {9}),  // 2: must wait for the whole-table writer
-      KeyClaims("b", {1}),  // 3: different table, free
-  };
-  EXPECT_EQ(ComputeConflictBarriers(fps),
-            (std::vector<int64_t>{-1, 0, 1, -1}));
-}
-
-TEST(ConflictBarrierTest, RepeatedKeyWithinOneTxnIsNotASelfConflict) {
-  // An INSERT + UPDATE of the same key inside one transaction must not
-  // produce barrier == own index (which could never be dispatched).
-  const std::vector<TxnFootprint> fps = {KeyClaims("a", {5, 5, 5})};
-  EXPECT_EQ(ComputeConflictBarriers(fps), (std::vector<int64_t>{-1}));
-}
-
-// -------------------------------------------------------- apply semantics
-
-/// Applies `txns` through OpDeltaIntegrator at `threads` width (1 =
-/// inline) in `batch` -sized ledger batches, accumulating stats.
+/// Applies `txns` through one OpDeltaIntegrator parsing through `cache`
+/// (may be nullptr), in `batch`-sized ledger batches, accumulating stats.
 Status ApplyAll(engine::Database* wh, ApplyLedger* ledger,
-                const std::vector<extract::OpDeltaTxn>& txns, size_t threads,
-                size_t batch, IntegrationStats* total) {
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  sql::StatementCache cache;
-  OpDeltaIntegrator::Options options;
-  options.pool = pool.get();
-  options.max_inflight = threads;
-  options.cache = &cache;
-  OpDeltaIntegrator integrator(wh, options);
+                const std::vector<extract::OpDeltaTxn>& txns, size_t batch,
+                sql::StatementCache* cache, IntegrationStats* total) {
+  OpDeltaIntegrator integrator(wh, cache);
   uint64_t seq = 1;
   for (size_t off = 0; off < txns.size(); off += batch) {
     const size_t n = std::min(batch, txns.size() - off);
@@ -360,7 +205,6 @@ Status ApplyAll(engine::Database* wh, ApplyLedger* ledger,
         integrator.Apply(slice, Batch(seq++), ledger, &stats));
     total->statements_executed += stats.statements_executed;
     total->transactions += stats.transactions;
-    total->txns_parallel += stats.txns_parallel;
     total->duplicate_txns += stats.duplicate_txns;
     total->duplicate_batches += stats.duplicate_batches;
   }
@@ -368,9 +212,9 @@ Status ApplyAll(engine::Database* wh, ApplyLedger* ledger,
 }
 
 /// A seeded op-delta workload over the parts table. Disjoint mode gives
-/// every transaction its own key range (empty conflict DAG); conflicting
-/// mode draws all keys from a 16-row hot set and sprinkles non-key
-/// predicates, so barriers — including whole-table ones — are exercised.
+/// every transaction its own key range; conflicting mode draws all keys
+/// from a 16-row hot set and sprinkles non-key predicates, so source order
+/// decides the outcome.
 std::vector<extract::OpDeltaTxn> RandomWorkload(uint64_t seed,
                                                 bool conflicting,
                                                 size_t txn_count) {
@@ -395,8 +239,8 @@ std::vector<extract::OpDeltaTxn> RandomWorkload(uint64_t seed,
           break;
         case 2:
           if (conflicting && r % 16 == 2) {
-            // Non-key predicate: a whole-table claim in the middle of the
-            // batch, serializing everything across it.
+            // Non-key predicate: a whole-table write in the middle of the
+            // batch, whose row set depends on every write before it.
             sqls.push_back("UPDATE parts SET payload = 'w" + tag +
                            "' WHERE status = 's" + std::to_string(r % 7) +
                            "'");
@@ -417,68 +261,302 @@ std::vector<extract::OpDeltaTxn> RandomWorkload(uint64_t seed,
 
 /// Independent oracle: every source transaction replayed through a plain
 /// sql::Executor in its own engine transaction, in source order — none of
-/// the integrator's planning, pool, cache or ledger involved.
+/// the integrator's cache or ledger involved. `committed` (may be nullptr)
+/// receives the number of transactions that committed.
 Status ReplayThroughExecutor(engine::Database* wh,
-                             const std::vector<extract::OpDeltaTxn>& txns) {
+                             const std::vector<extract::OpDeltaTxn>& txns,
+                             size_t* committed = nullptr) {
   sql::Executor executor(wh);
+  size_t done = 0;
+  Status result;
   for (const extract::OpDeltaTxn& source_txn : txns) {
     std::unique_ptr<txn::Transaction> txn = wh->Begin();
     for (const extract::OpDeltaRecord& op : source_txn.ops) {
       Result<sql::Statement> stmt =
           sql::Parser::Parse(op.sql);  // NOLINT(opdelta-R6: cache-free oracle)
-      Status st = stmt.status();
-      if (st.ok()) st = executor.Execute(txn.get(), stmt.value()).status();
-      if (!st.ok()) {
-        (void)wh->Abort(txn.get());
-        return st;
+      result = stmt.status();
+      if (result.ok()) {
+        result = executor.Execute(txn.get(), stmt.value()).status();
+      }
+      if (!result.ok()) break;
+    }
+    if (result.ok()) result = wh->Commit(txn.get());
+    if (!result.ok()) {
+      (void)wh->Abort(txn.get());
+      break;
+    }
+    ++done;
+  }
+  if (committed != nullptr) *committed = done;
+  return result;
+}
+
+// ------------------------------------------- statement patterns vs oracle
+//
+// Statement patterns where replay order or literal handling decides the
+// outcome — multi-row inserts, key renames, non-key predicates, literal
+// coercion, trigger-bearing and unknown tables, disjoint, shared,
+// whole-table and repeated keys — each feed one check: inline apply with a
+// ledger must land exactly what the plain-executor oracle lands. (The
+// FootprintTest/ConflictBarrierTest suite names predate inline apply.)
+
+/// Copies every row image a trigger sees into `audit`: a trigger body
+/// writes rows the statement text never mentions.
+class AuditSink : public engine::TriggerSink {
+ public:
+  Status Write(engine::Database* db, txn::Transaction* txn,
+               engine::TriggerEvents, const catalog::Row& before,
+               const catalog::Row& after) override {
+    return db->Insert(txn, "audit", after.empty() ? before : after);
+  }
+};
+
+class OracleReplay : public ::testing::Test {
+ protected:
+  using Stmts = std::vector<std::string>;
+
+  void SetUp() override {
+    wh_ = OpenDb(dir_, "wh", NoTimestampOptions());
+    oracle_ = OpenDb(dir_, "oracle", NoTimestampOptions());
+    for (engine::Database* db : {wh_.get(), oracle_.get()}) {
+      const catalog::Schema schema = workload::PartsWorkload::Schema();
+      OPDELTA_ASSERT_OK(db->CreateTable("parts", schema));
+      OPDELTA_ASSERT_OK(db->CreateIndex("parts", "id"));
+      OPDELTA_ASSERT_OK(db->CreateTable("audited", schema));
+      OPDELTA_ASSERT_OK(db->CreateTable("audit", schema));
+      OPDELTA_ASSERT_OK(db->CreateTrigger(
+          "audited", engine::TriggerDef{"copy", engine::kOnAll,
+                                        std::make_shared<AuditSink>()}));
+      sql::Executor executor(db);
+      for (int64_t key = 0; key < 6; ++key) {
+        OPDELTA_ASSERT_OK(executor
+                              .ExecuteSql("INSERT INTO parts VALUES (" +
+                                          std::to_string(key) +
+                                          ", 'old', 'p', TS:0)")
+                              .status());
       }
     }
-    OPDELTA_RETURN_IF_ERROR(wh->Commit(txn.get()));
+    ledger_ = std::make_unique<ApplyLedger>(wh_.get());
+    OPDELTA_ASSERT_OK(ledger_->Setup());
   }
-  return Status::OK();
+
+  /// The one check. Applies `stmts` (statements per source transaction)
+  /// as one ledgered batch through OpDeltaIntegrator with a statement
+  /// cache, and through ReplayThroughExecutor on the oracle. The status,
+  /// every table's digest and the committed prefix must agree. Returns the
+  /// apply status.
+  Status ApplyMatchesOracle(const std::vector<Stmts>& stmts) {
+    std::vector<extract::OpDeltaTxn> txns;
+    for (const Stmts& s : stmts) {
+      txns.push_back(Txn(static_cast<txn::TxnId>(txns.size() + 1), s));
+    }
+    sql::StatementCache cache;
+    IntegrationStats stats;
+    const Status applied = OpDeltaIntegrator(wh_.get(), &cache)
+                               .Apply(txns, Batch(1), ledger_.get(), &stats);
+    size_t committed = 0;
+    const Status replayed =
+        ReplayThroughExecutor(oracle_.get(), txns, &committed);
+    EXPECT_EQ(applied.ToString(), replayed.ToString());
+    for (const char* table : {"parts", "audited", "audit"}) {
+      EXPECT_TRUE(DigestTable(wh_.get(), table) ==
+                  DigestTable(oracle_.get(), table))
+          << table;
+    }
+    Result<ApplyLedger::Watermark> mark = ledger_->Get("src");
+    EXPECT_TRUE(mark.ok()) << mark.status().ToString();
+    if (mark.ok()) {
+      EXPECT_EQ(mark.value().txns, committed);
+    }
+    if (applied.ok()) {
+      EXPECT_EQ(stats.transactions, txns.size());
+    }
+    return applied;
+  }
+
+  /// Whether the inline-applied parts table has a row with `key`.
+  bool Has(int64_t key) {
+    return testing::TableContents(wh_.get(), "parts")
+               .count(catalog::Value::Int64(key)) > 0;
+  }
+
+  /// Column `col` of the inline-applied parts row with `key`, or "<none>".
+  std::string Cell(int64_t key, size_t col) {
+    const auto contents = testing::TableContents(wh_.get(), "parts");
+    auto it = contents.find(catalog::Value::Int64(key));
+    return it == contents.end() ? "<none>" : it->second[col].AsString();
+  }
+
+  TempDir dir_;
+  std::unique_ptr<engine::Database> wh_;      // inline apply
+  std::unique_ptr<engine::Database> oracle_;  // plain-executor replay
+  std::unique_ptr<ApplyLedger> ledger_;
+};
+
+class FootprintTest : public OracleReplay {};
+class ConflictBarrierTest : public OracleReplay {};
+
+TEST_F(FootprintTest, InsertClaimsEachRowKey) {
+  // A multi-row INSERT writes every row's key; later writes to either
+  // key find their row.
+  OPDELTA_ASSERT_OK(ApplyMatchesOracle({
+      {"INSERT INTO parts VALUES (11, 'a', 'p', TS:0), (12, 'b', 'p', TS:0)"},
+      {"UPDATE parts SET status = 'u' WHERE id = 12"},
+      {"DELETE FROM parts WHERE id = 11"},
+  }));
+  EXPECT_FALSE(Has(11));
+  EXPECT_EQ(Cell(12, 1), "u");
 }
+
+TEST_F(FootprintTest, UpdateClaimsWhereKeyAndAssignedKey) {
+  // SET id = 9 renames the row; the next transaction writes the new key,
+  // and a third reuses the old one.
+  OPDELTA_ASSERT_OK(ApplyMatchesOracle({
+      {"UPDATE parts SET id = 9, status = 's' WHERE id = 4"},
+      {"UPDATE parts SET payload = 'q' WHERE id = 9"},
+      {"INSERT INTO parts VALUES (4, 'n', 'p', TS:0)"},
+  }));
+  EXPECT_EQ(Cell(9, 1), "s");
+  EXPECT_EQ(Cell(9, 2), "q");
+  EXPECT_EQ(Cell(4, 1), "n");
+}
+
+TEST_F(FootprintTest, NonKeyPredicateWidensToWholeTable) {
+  // A non-key-predicate UPDATE between key writes sees exactly the writes
+  // before it; a range DELETE and a key-plus-extra-conjunct DELETE follow.
+  OPDELTA_ASSERT_OK(ApplyMatchesOracle({
+      {"UPDATE parts SET status = 'new' WHERE id = 1"},
+      {"UPDATE parts SET payload = 'x' WHERE status = 'new'"},
+      {"UPDATE parts SET status = 'new' WHERE id = 2"},
+      {"DELETE FROM parts WHERE id < 1"},
+      {"DELETE FROM parts WHERE id = 3 AND status = 'old'"},
+  }));
+  EXPECT_EQ(Cell(1, 2), "x");
+  EXPECT_EQ(Cell(2, 2), "p");
+  EXPECT_FALSE(Has(0));
+  EXPECT_FALSE(Has(3));
+}
+
+TEST_F(FootprintTest, KeyEncodingMatchesExecutorCoercion) {
+  // The executor coerces TS:7 to 7 in an INT64 key column, so the DELETE
+  // finds the row the INSERT wrote.
+  OPDELTA_ASSERT_OK(ApplyMatchesOracle({
+      {"INSERT INTO parts VALUES (7, 's', 'p', TS:0)"},
+      {"DELETE FROM parts WHERE id = TS:7"},
+      {"UPDATE parts SET status = 'u' WHERE id = TS:5"},
+  }));
+  EXPECT_FALSE(Has(7));
+  EXPECT_EQ(Cell(5, 1), "u");
+}
+
+TEST_F(FootprintTest, UnfootprintableStatementsForceSerialFallback) {
+  // A trigger-bearing table's writes reach `audit` too; an unknown table
+  // fails the batch with the executor's error, after the prefix before it
+  // committed.
+  const Status st = ApplyMatchesOracle({
+      {"INSERT INTO audited VALUES (1, 's', 'p', TS:0)"},
+      {"UPDATE audited SET status = 'u' WHERE id = 1"},
+      {"INSERT INTO parts VALUES (20, 's', 'p', TS:0)"},
+      {"DELETE FROM ghost WHERE id = 1"},
+      {"INSERT INTO parts VALUES (21, 's', 'p', TS:0)"},
+  });
+  EXPECT_TRUE(st.IsNotFound()) << st.ToString();
+  EXPECT_EQ(CountRows(wh_.get(), "audit"), 2u);
+  EXPECT_TRUE(Has(20));
+  EXPECT_FALSE(Has(21));
+}
+
+TEST_F(ConflictBarrierTest, DisjointFootprintsHaveNoBarriers) {
+  OPDELTA_ASSERT_OK(ApplyMatchesOracle({
+      {"UPDATE parts SET status = 'a' WHERE id = 1",
+       "UPDATE parts SET status = 'a' WHERE id = 2"},
+      {"UPDATE parts SET status = 'b' WHERE id = 3",
+       "DELETE FROM parts WHERE id = 4"},
+      {"INSERT INTO audited VALUES (1, 'c', 'p', TS:0)"},
+      {"INSERT INTO parts VALUES (30, 'd', 'p', TS:0)"},
+  }));
+  EXPECT_EQ(Cell(2, 1), "a");
+  EXPECT_EQ(Cell(3, 1), "b");
+  EXPECT_FALSE(Has(4));
+  EXPECT_EQ(Cell(30, 1), "d");
+}
+
+TEST_F(ConflictBarrierTest, SharedKeysChainToNewestWriter) {
+  // Each write on a shared key matches only if the newest earlier writer
+  // of that key already applied.
+  OPDELTA_ASSERT_OK(ApplyMatchesOracle({
+      {"UPDATE parts SET status = 'v0' WHERE id = 1"},
+      {"UPDATE parts SET status = 'v1' WHERE id = 2"},
+      {"UPDATE parts SET status = 'v2' WHERE id = 1 AND status = 'v0'"},
+      {"UPDATE parts SET payload = 'q' WHERE id = 1 AND status = 'v2'",
+       "UPDATE parts SET payload = 'q' WHERE id = 2 AND status = 'v1'"},
+  }));
+  EXPECT_EQ(Cell(1, 1), "v2");
+  EXPECT_EQ(Cell(1, 2), "q");
+  EXPECT_EQ(Cell(2, 2), "q");
+}
+
+TEST_F(ConflictBarrierTest, WholeTableClaimsBarrierBothDirections) {
+  // The whole-table UPDATE sees the key write before it and not the one
+  // after it.
+  OPDELTA_ASSERT_OK(ApplyMatchesOracle({
+      {"UPDATE parts SET status = 'hot' WHERE id = 1"},
+      {"UPDATE parts SET payload = 'w' WHERE status = 'hot'"},
+      {"UPDATE parts SET status = 'hot' WHERE id = 2"},
+      {"INSERT INTO audited VALUES (9, 's', 'p', TS:0)"},
+  }));
+  EXPECT_EQ(Cell(1, 2), "w");
+  EXPECT_EQ(Cell(2, 1), "hot");
+  EXPECT_EQ(Cell(2, 2), "p");
+}
+
+TEST_F(ConflictBarrierTest, RepeatedKeyWithinOneTxnIsNotASelfConflict) {
+  // One transaction writes the same key three times; another deletes,
+  // re-inserts and updates one key.
+  OPDELTA_ASSERT_OK(ApplyMatchesOracle({
+      {"INSERT INTO parts VALUES (40, 'a', 'p', TS:0)",
+       "UPDATE parts SET status = 'b' WHERE id = 40",
+       "UPDATE parts SET payload = 'c' WHERE id = 40"},
+      {"DELETE FROM parts WHERE id = 5",
+       "INSERT INTO parts VALUES (5, 'again', 'p', TS:0)",
+       "UPDATE parts SET status = 'x' WHERE id = 5"},
+  }));
+  EXPECT_EQ(Cell(40, 1), "b");
+  EXPECT_EQ(Cell(40, 2), "c");
+  EXPECT_EQ(Cell(5, 1), "x");
+}
+
+// -------------------------------------------------------- apply semantics
 
 class ConvergenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ConvergenceTest, ParallelEqualsSerialOnSeededWorkloads) {
-  // The acceptance property: for the same batch stream, 4-wide and inline
-  // apply converge to identical warehouse states — disjoint and
-  // conflicting workloads alike — and both equal the executor oracle.
+  // The acceptance property: for the same batch stream, inline apply
+  // through the ledger and the statement cache converges to the state the
+  // executor oracle reaches — disjoint and conflicting workloads alike.
   for (const bool conflicting : {false, true}) {
     const std::vector<extract::OpDeltaTxn> txns =
         RandomWorkload(GetParam(), conflicting, 48);
     TempDir dir;
     auto oracle_wh = OpenDb(dir, "oracle", NoTimestampOptions());
-    auto serial_wh = OpenDb(dir, "serial", NoTimestampOptions());
-    auto parallel_wh = OpenDb(dir, "parallel", NoTimestampOptions());
-    for (engine::Database* db :
-         {oracle_wh.get(), serial_wh.get(), parallel_wh.get()}) {
+    auto inline_wh = OpenDb(dir, "inline", NoTimestampOptions());
+    for (engine::Database* db : {oracle_wh.get(), inline_wh.get()}) {
       OPDELTA_ASSERT_OK(
           db->CreateTable("parts", workload::PartsWorkload::Schema()));
       OPDELTA_ASSERT_OK(db->CreateIndex("parts", "id"));
     }
-    ApplyLedger serial_ledger(serial_wh.get());
-    ApplyLedger parallel_ledger(parallel_wh.get());
-    OPDELTA_ASSERT_OK(serial_ledger.Setup());
-    OPDELTA_ASSERT_OK(parallel_ledger.Setup());
+    ApplyLedger ledger(inline_wh.get());
+    OPDELTA_ASSERT_OK(ledger.Setup());
 
     OPDELTA_ASSERT_OK(ReplayThroughExecutor(oracle_wh.get(), txns));
-    IntegrationStats serial_stats, parallel_stats;
-    OPDELTA_ASSERT_OK(ApplyAll(serial_wh.get(), &serial_ledger, txns,
-                               /*threads=*/1, /*batch=*/12, &serial_stats));
-    OPDELTA_ASSERT_OK(ApplyAll(parallel_wh.get(), &parallel_ledger, txns,
-                               /*threads=*/4, /*batch=*/12,
-                               &parallel_stats));
+    sql::StatementCache cache;
+    IntegrationStats stats;
+    OPDELTA_ASSERT_OK(ApplyAll(inline_wh.get(), &ledger, txns, /*batch=*/12,
+                               &cache, &stats));
 
-    EXPECT_EQ(serial_stats.transactions, txns.size());
-    EXPECT_EQ(parallel_stats.transactions, txns.size());
-    EXPECT_EQ(serial_stats.txns_parallel, 0u);
-    EXPECT_GT(parallel_stats.txns_parallel, 0u);
-    EXPECT_EQ(parallel_stats.statements_executed,
-              serial_stats.statements_executed);
+    EXPECT_EQ(stats.transactions, txns.size());
     const SetDigest oracle_digest = DigestTable(oracle_wh.get(), "parts");
-    const SetDigest serial_digest = DigestTable(serial_wh.get(), "parts");
-    const SetDigest parallel_digest = DigestTable(parallel_wh.get(), "parts");
+    const SetDigest inline_digest = DigestTable(inline_wh.get(), "parts");
     // Digest, not TableContents: the workload can insert duplicate key
     // values, and a map keyed by the key column would arbitrarily keep
     // whichever duplicate the scan visits last — physical placement, not
@@ -486,16 +564,11 @@ TEST_P(ConvergenceTest, ParallelEqualsSerialOnSeededWorkloads) {
     const std::string where =
         "seed " + std::to_string(GetParam()) +
         (conflicting ? " conflicting" : " disjoint");
-    EXPECT_TRUE(oracle_digest == serial_digest)
+    EXPECT_TRUE(oracle_digest == inline_digest)
         << where << ": " << oracle_digest.ToString() << " vs "
-        << serial_digest.ToString();
-    EXPECT_TRUE(serial_digest == parallel_digest)
-        << where << ": " << serial_digest.ToString() << " vs "
-        << parallel_digest.ToString();
-    EXPECT_EQ(CountRows(serial_wh.get(), "parts"),
-              CountRows(parallel_wh.get(), "parts"));
+        << inline_digest.ToString();
     EXPECT_EQ(CountRows(oracle_wh.get(), "parts"),
-              CountRows(serial_wh.get(), "parts"));
+              CountRows(inline_wh.get(), "parts"));
   }
 }
 
@@ -503,8 +576,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ConvergenceTest,
                          ::testing::Values(1u, 7u, 1234u, 90210u, 424242u));
 
 TEST(ParallelApplyTest, ConflictingUpdatesKeepSourceCommitOrder) {
-  // Every transaction rewrites the same hot row; barriers must force the
-  // source serial order, so the last writer's value survives.
+  // Every transaction rewrites the same hot row; replay in source commit
+  // order leaves the last writer's value.
   TempDir dir;
   auto wh = OpenDb(dir, "wh", NoTimestampOptions());
   OPDELTA_ASSERT_OK(
@@ -518,10 +591,11 @@ TEST(ParallelApplyTest, ConflictingUpdatesKeepSourceCommitOrder) {
     txns.push_back(Txn(t + 1, {"UPDATE parts SET status = 'v" +
                                std::to_string(t) + "' WHERE id = 0"}));
   }
+  sql::StatementCache cache;
   IntegrationStats stats;
-  OPDELTA_ASSERT_OK(ApplyAll(wh.get(), &ledger, txns, /*threads=*/4,
-                             /*batch=*/24, &stats));
-  EXPECT_EQ(stats.txns_parallel, txns.size());
+  OPDELTA_ASSERT_OK(
+      ApplyAll(wh.get(), &ledger, txns, /*batch=*/24, &cache, &stats));
+  EXPECT_EQ(stats.transactions, txns.size());
   const auto contents = testing::TableContents(wh.get(), "parts");
   ASSERT_EQ(contents.size(), 1u);
   EXPECT_EQ(contents.begin()->second[1].AsString(), "v23");
@@ -540,13 +614,8 @@ TEST(ParallelApplyTest, DuplicateBatchIsDroppedWhole) {
     txns.push_back(Txn(t + 1, {"INSERT INTO parts VALUES (" +
                                std::to_string(t) + ", 's', 'p', TS:0)"}));
   }
-  ThreadPool pool(4);
   sql::StatementCache cache;
-  OpDeltaIntegrator::Options options;
-  options.pool = &pool;
-  options.max_inflight = 4;
-  options.cache = &cache;
-  OpDeltaIntegrator integrator(wh.get(), options);
+  OpDeltaIntegrator integrator(wh.get(), &cache);
 
   IntegrationStats first;
   OPDELTA_ASSERT_OK(integrator.Apply(txns, Batch(1), &ledger, &first));
@@ -562,9 +631,9 @@ TEST(ParallelApplyTest, DuplicateBatchIsDroppedWhole) {
 }
 
 TEST(ParallelApplyTest, FailureCommitsExactPrefixAndResumes) {
-  // A transaction that fails mid-batch must leave exactly the serial
-  // outcome: every transaction before it committed and ledgered, nothing
-  // at or after it applied — then redelivery resumes at the failure point.
+  // A transaction that fails mid-batch leaves every transaction before it
+  // committed and ledgered, nothing at or after it applied — then
+  // redelivery resumes at the failure point.
   TempDir dir;
   auto wh = OpenDb(dir, "wh", NoTimestampOptions());
   OPDELTA_ASSERT_OK(
@@ -578,16 +647,12 @@ TEST(ParallelApplyTest, FailureCommitsExactPrefixAndResumes) {
     txns.push_back(Txn(t + 1, {"INSERT INTO parts VALUES (" +
                                std::to_string(t) + ", 's', 'p', TS:0)"}));
   }
-  // Footprintable (key-equality UPDATE) but fails at execution: a pool
-  // worker, not a barrier, must produce the prefix.
+  // Parses, but fails at execution.
   txns[kPoison] =
       Txn(kPoison + 1, {"UPDATE parts SET nosuch = 'x' WHERE id = 5"});
 
-  ThreadPool pool(4);
-  OpDeltaIntegrator::Options options;
-  options.pool = &pool;
-  options.max_inflight = 4;
-  OpDeltaIntegrator integrator(wh.get(), options);
+  sql::StatementCache cache;
+  OpDeltaIntegrator integrator(wh.get(), &cache);
 
   EXPECT_FALSE(integrator.Apply(txns, Batch(1), &ledger, nullptr).ok());
   EXPECT_EQ(CountRows(wh.get(), "parts"), kPoison);
@@ -607,36 +672,40 @@ TEST(ParallelApplyTest, FailureCommitsExactPrefixAndResumes) {
 }
 
 TEST(ParallelApplyTest, SerialFallbacksMatchParallelResults) {
-  // No pool and a single inflight slot apply every transaction inline —
-  // and land the same warehouse state as the 4-wide pool.
+  // The parse fallback without a statement cache, in any batching, lands
+  // the same warehouse state as the cached path and the executor oracle.
   const std::vector<extract::OpDeltaTxn> txns =
       RandomWorkload(31337, /*conflicting=*/true, 24);
   TempDir dir;
-  SetDigest reference;
-  for (const size_t threads : {1, 4}) {
-    auto wh = OpenDb(dir, "wh" + std::to_string(threads),
-                     NoTimestampOptions());
-    OPDELTA_ASSERT_OK(
-        wh->CreateTable("parts", workload::PartsWorkload::Schema()));
-    ApplyLedger ledger(wh.get());
-    OPDELTA_ASSERT_OK(ledger.Setup());
-    IntegrationStats stats;
-    OPDELTA_ASSERT_OK(
-        ApplyAll(wh.get(), &ledger, txns, threads, /*batch=*/8, &stats));
-    EXPECT_EQ(stats.transactions, txns.size());
-    if (threads == 1) {
-      EXPECT_EQ(stats.txns_parallel, 0u);
-      reference = DigestTable(wh.get(), "parts");
-    } else {
-      EXPECT_TRUE(reference == DigestTable(wh.get(), "parts"));
+  auto oracle = OpenDb(dir, "oracle", NoTimestampOptions());
+  OPDELTA_ASSERT_OK(
+      oracle->CreateTable("parts", workload::PartsWorkload::Schema()));
+  OPDELTA_ASSERT_OK(ReplayThroughExecutor(oracle.get(), txns));
+  const SetDigest reference = DigestTable(oracle.get(), "parts");
+  for (const bool cached : {false, true}) {
+    for (const size_t batch : {1, 8, 24}) {
+      const std::string name = "wh" + std::to_string(cached) + "_" +
+                               std::to_string(batch);
+      auto wh = OpenDb(dir, name, NoTimestampOptions());
+      OPDELTA_ASSERT_OK(
+          wh->CreateTable("parts", workload::PartsWorkload::Schema()));
+      ApplyLedger ledger(wh.get());
+      OPDELTA_ASSERT_OK(ledger.Setup());
+      sql::StatementCache cache;
+      IntegrationStats stats;
+      OPDELTA_ASSERT_OK(ApplyAll(wh.get(), &ledger, txns, batch,
+                                 cached ? &cache : nullptr, &stats));
+      EXPECT_EQ(stats.transactions, txns.size()) << name;
+      EXPECT_TRUE(reference == DigestTable(wh.get(), "parts")) << name;
+      EXPECT_EQ(cache.stats().hits + cache.stats().misses > 0, cached)
+          << name;
     }
   }
 }
 
 TEST(ParallelApplyTest, UnfootprintableBatchFallsBackToSerialApply) {
-  // A transaction the planner cannot footprint runs alone as a full
-  // barrier; its error and the committed prefix before it become the
-  // batch's, exactly as inline apply would leave them.
+  // A statement on an unknown table fails its transaction; that error and
+  // the committed prefix before it become the batch's.
   TempDir dir;
   auto wh = OpenDb(dir, "wh", NoTimestampOptions());
   OPDELTA_ASSERT_OK(
@@ -646,14 +715,10 @@ TEST(ParallelApplyTest, UnfootprintableBatchFallsBackToSerialApply) {
 
   std::vector<extract::OpDeltaTxn> txns;
   txns.push_back(Txn(1, {"INSERT INTO parts VALUES (1, 's', 'p', TS:0)"}));
-  txns.push_back(Txn(2, {"DELETE FROM ghost WHERE id = 1"}));  // no footprint
+  txns.push_back(Txn(2, {"DELETE FROM ghost WHERE id = 1"}));
   txns.push_back(Txn(3, {"INSERT INTO parts VALUES (2, 's', 'p', TS:0)"}));
 
-  ThreadPool pool(4);
-  OpDeltaIntegrator::Options options;
-  options.pool = &pool;
-  options.max_inflight = 4;
-  OpDeltaIntegrator integrator(wh.get(), options);
+  OpDeltaIntegrator integrator(wh.get());
   IntegrationStats stats;
   const Status st = integrator.Apply(txns, Batch(1), &ledger, &stats);
   EXPECT_FALSE(st.ok());
@@ -718,24 +783,21 @@ std::string PartsInsert(int64_t key, bool with_qty) {
 }
 
 TEST(ParallelApplyTest, BarriersMatchInlineApplyWithPoolOnBothSides) {
-  // Full barriers — a trigger-table transaction, a captured ADD COLUMN, an
-  // unknown-table transaction — inside batches of disjoint inserts. At 4
-  // threads the outcome (digest, ledger watermark, error, committed prefix)
-  // must be inline apply's, while every footprinted transaction, before
-  // and after each barrier, still commits on the pool.
+  // A trigger-table transaction, a captured ADD COLUMN and an unknown-table
+  // transaction inside batches of inserts, applied with the statement
+  // cache and without it. The outcome (digest, ledger watermark, error,
+  // committed prefix) is the same, and the inserts after the ADD COLUMN in
+  // the same batch parse against the migrated five-column table.
   TempDir dir;
-  BarrierWarehouse inline_wh(&dir, "inline");
-  BarrierWarehouse pool_wh(&dir, "pool");
-  ThreadPool pool(4);
+  BarrierWarehouse uncached_wh(&dir, "uncached");
+  BarrierWarehouse cached_wh(&dir, "cached");
+  sql::StatementCache cache;
 
-  for (BarrierWarehouse* wh : {&inline_wh, &pool_wh}) {
-    const bool on_pool = wh == &pool_wh;
-    OpDeltaIntegrator::Options options;
-    options.pool = on_pool ? &pool : nullptr;
-    options.max_inflight = on_pool ? 4 : 1;
-    OpDeltaIntegrator integrator(wh->db.get(), options);
+  for (BarrierWarehouse* wh : {&uncached_wh, &cached_wh}) {
+    OpDeltaIntegrator integrator(wh->db.get(),
+                                 wh == &cached_wh ? &cache : nullptr);
 
-    // Batch 1: both barriers commit.
+    // Batch 1: the trigger-table transaction and the migration commit.
     std::vector<extract::OpDeltaTxn> first = {
         Txn(1, {PartsInsert(1, false)}),
         Txn(2, {PartsInsert(2, false)}),
@@ -751,11 +813,8 @@ TEST(ParallelApplyTest, BarriersMatchInlineApplyWithPoolOnBothSides) {
         integrator.Apply(first, Batch(1), wh->ledger.get(), &stats));
     EXPECT_EQ(stats.transactions, 8u);
     EXPECT_EQ(stats.schema_migrations, 1u);
-    // Six footprinted inserts, two on each side of each barrier; the
-    // barriers themselves run alone and never count.
-    EXPECT_EQ(stats.txns_parallel, on_pool ? 6u : 0u);
 
-    // Batch 2: the unknown-table barrier fails; the prefix before it
+    // Batch 2: the unknown-table transaction fails; the prefix before it
     // stays committed and nothing after it applies.
     std::vector<extract::OpDeltaTxn> second = {
         Txn(9, {PartsInsert(7, true)}),
@@ -768,38 +827,35 @@ TEST(ParallelApplyTest, BarriersMatchInlineApplyWithPoolOnBothSides) {
     EXPECT_TRUE(st.IsNotFound()) << st.ToString();
   }
 
-  EXPECT_TRUE(DigestTable(inline_wh.db.get(), "parts") ==
-              DigestTable(pool_wh.db.get(), "parts"));
-  EXPECT_TRUE(DigestTable(inline_wh.db.get(), "audited") ==
-              DigestTable(pool_wh.db.get(), "audited"));
-  EXPECT_EQ(CountRows(pool_wh.db.get(), "parts"), 8u);
-  EXPECT_EQ(CountRows(pool_wh.db.get(), "audited"), 1u);
-  for (BarrierWarehouse* wh : {&inline_wh, &pool_wh}) {
+  EXPECT_TRUE(DigestTable(uncached_wh.db.get(), "parts") ==
+              DigestTable(cached_wh.db.get(), "parts"));
+  EXPECT_TRUE(DigestTable(uncached_wh.db.get(), "audited") ==
+              DigestTable(cached_wh.db.get(), "audited"));
+  EXPECT_EQ(CountRows(cached_wh.db.get(), "parts"), 8u);
+  EXPECT_EQ(CountRows(cached_wh.db.get(), "audited"), 1u);
+  for (BarrierWarehouse* wh : {&uncached_wh, &cached_wh}) {
     Result<ApplyLedger::Watermark> mark = wh->ledger->Get("src");
     OPDELTA_ASSERT_OK(mark.status());
     ASSERT_TRUE(mark.value().exists);
     EXPECT_EQ(mark.value().seq, 2u);
     EXPECT_EQ(mark.value().txns, 2u);
   }
-  // Same error text at both widths, not just the same code.
-  OpDeltaIntegrator inline_apply(inline_wh.db.get());
-  OpDeltaIntegrator::Options options;
-  options.pool = &pool;
-  options.max_inflight = 4;
-  OpDeltaIntegrator pool_apply(pool_wh.db.get(), options);
+  // Same error text with and without the cache, not just the same code.
+  OpDeltaIntegrator uncached_apply(uncached_wh.db.get());
+  OpDeltaIntegrator cached_apply(cached_wh.db.get(), &cache);
   const std::vector<extract::OpDeltaTxn> ghost = {
       Txn(13, {PartsInsert(10, true)}),
       Txn(14, {"DELETE FROM ghost WHERE id = 1"})};
-  EXPECT_EQ(inline_apply.Apply(ghost, nullptr).ToString(),
-            pool_apply.Apply(ghost, nullptr).ToString());
+  EXPECT_EQ(uncached_apply.Apply(ghost, nullptr).ToString(),
+            cached_apply.Apply(ghost, nullptr).ToString());
 }
 
 // ------------------------------------------------------------- hub e2e
 
 TEST(HubParallelApplyTest, OpDeltaSourceAppliesInParallelEndToEnd) {
-  // apply_threads on a SourceSpec turns the hub's op-delta lane parallel;
-  // the warehouse must still converge to the source and the stats must
-  // show pool commits and statement-cache hits.
+  // The hub's op-delta lane applies each batch inline on its apply
+  // worker: the warehouse converges to the source, every transaction is
+  // counted, and the shared statement cache serves the repeated shape.
   TempDir dir;
   auto src = OpenDb(dir, "src", NoTimestampOptions());
   auto wh = OpenDb(dir, "wh", NoTimestampOptions());
@@ -818,15 +874,13 @@ TEST(HubParallelApplyTest, OpDeltaSourceAppliesInParallelEndToEnd) {
   spec.method = pipeline::Method::kOpDelta;
   spec.source_table = "parts";
   spec.warehouse_table = "parts";
-  spec.apply_threads = 4;
   OPDELTA_ASSERT_OK((*hub)->AddSource(spec));
   OPDELTA_ASSERT_OK((*hub)->Setup());
 
   extract::OpDeltaCapture* capture = (*hub)->capture("s1");
   ASSERT_NE(capture, nullptr);
   for (int round = 0; round < 3; ++round) {
-    // Several disjoint transactions per round: one batch, empty conflict
-    // DAG, so the integrator genuinely runs them through the pool.
+    // Several transactions per round, shipped as one batch.
     for (int t = 0; t < 4; ++t) {
       const int64_t base = round * 80 + t * 20;
       OPDELTA_ASSERT_OK(
@@ -839,9 +893,7 @@ TEST(HubParallelApplyTest, OpDeltaSourceAppliesInParallelEndToEnd) {
   EXPECT_TRUE(TablesEqual(src.get(), "parts", wh.get(), "parts"));
   const hub::HubStats stats = (*hub)->Stats();
   ASSERT_EQ(stats.sources.size(), 1u);
-  EXPECT_EQ(stats.sources[0].apply_threads, 4u);
-  EXPECT_GT(stats.txns_parallel, 0u);
-  EXPECT_EQ(stats.sources[0].txns_parallel, stats.txns_parallel);
+  EXPECT_EQ(stats.transactions_applied, 12u);
   // Twelve single-shape transactions: the cache misses once per epoch
   // shape and hits for the rest.
   EXPECT_GT(stats.stmt_cache_hits, 0u);

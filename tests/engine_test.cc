@@ -581,5 +581,40 @@ TEST_F(DatabaseTest, ConcurrentWritersOnDifferentRowsProceed) {
   EXPECT_EQ(contents.at(Value::Int64(2))[1].AsString(), "two");
 }
 
+TEST(FreedSlotQuarantineTest, InsertSkipsSlotFreedByOpenDelete) {
+  // A DELETE frees its heap slot at statement time but holds the rid's X
+  // row lock until it resolves. An INSERT placed in that slot would wait on
+  // the lock (here: time out after 200 ms); the quarantine keeps the slot
+  // out of placement until the deleter commits or aborts.
+  TempDir dir;
+  DatabaseOptions options;
+  options.lock_timeout = std::chrono::milliseconds(200);
+  auto db = OpenDb(dir, "db", options);
+  OPDELTA_ASSERT_OK(db->CreateTable("parts", PartsSchema()));
+  for (int64_t id : {0, 1, 2}) {
+    OPDELTA_ASSERT_OK(db->WithTransaction([&](txn::Transaction* txn) {
+      return db->Insert(txn, "parts", PartsRow(id, "active"));
+    }));
+  }
+
+  auto deleter = db->Begin();
+  Result<size_t> deleted = db->DeleteWhere(
+      deleter.get(), "parts",
+      Predicate::Where("id", CompareOp::kEq, Value::Int64(1)));
+  OPDELTA_ASSERT_OK(deleted.status());
+  ASSERT_EQ(deleted.value(), 1u);
+
+  auto inserter = db->Begin();
+  OPDELTA_ASSERT_OK(db->Insert(inserter.get(), "parts", PartsRow(9, "new")));
+  OPDELTA_ASSERT_OK(db->Commit(inserter.get()));
+  OPDELTA_ASSERT_OK(db->Abort(deleter.get()));
+
+  const auto contents = TableContents(db.get(), "parts");
+  EXPECT_EQ(contents.size(), 4u);
+  for (int64_t id : {0, 1, 2, 9}) {
+    EXPECT_EQ(contents.count(Value::Int64(id)), 1u) << "key " << id;
+  }
+}
+
 }  // namespace
 }  // namespace opdelta::engine

@@ -233,12 +233,13 @@ TEST(BatchCrcTest, CorruptPayloadRejectedAtApply) {
   std::string payload;
   Status st = DecodeBatchFrame(corrupt, &id, &payload);
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
-  st = (*leg)->Integrate(wh.get(), nullptr, corrupt, {}, nullptr);
+  st = (*leg)->Integrate(wh.get(), nullptr, corrupt, nullptr, nullptr);
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
   EXPECT_EQ(CountRows(wh.get(), "parts"), 0u);
 
   // The pristine frame still applies.
-  OPDELTA_ASSERT_OK((*leg)->Integrate(wh.get(), nullptr, message, {}, nullptr));
+  OPDELTA_ASSERT_OK(
+      (*leg)->Integrate(wh.get(), nullptr, message, nullptr, nullptr));
   OPDELTA_ASSERT_OK((*leg)->AckShipped());
   EXPECT_TRUE(TablesEqual(src.get(), "parts", wh.get(), "parts"));
 }
@@ -292,7 +293,8 @@ TEST(BackpressureTest, FullQueueRetainsBatchUntilDrained) {
   // Drain one message and the retried ship goes through.
   std::string message;
   OPDELTA_ASSERT_OK((*leg)->PeekShipped(&message));
-  OPDELTA_ASSERT_OK((*leg)->Integrate(wh.get(), nullptr, message, {}, nullptr));
+  OPDELTA_ASSERT_OK(
+      (*leg)->Integrate(wh.get(), nullptr, message, nullptr, nullptr));
   OPDELTA_ASSERT_OK((*leg)->AckShipped());
   OPDELTA_ASSERT_OK((*leg)->ExtractAndShip());
   EXPECT_EQ((*leg)->stats().batches_shipped, shipped_before + 1);
@@ -303,7 +305,7 @@ TEST(BackpressureTest, FullQueueRetainsBatchUntilDrained) {
     if (peek.IsNotFound()) break;
     OPDELTA_ASSERT_OK(peek);
     OPDELTA_ASSERT_OK(
-        (*leg)->Integrate(wh.get(), nullptr, message, {}, nullptr));
+        (*leg)->Integrate(wh.get(), nullptr, message, nullptr, nullptr));
     OPDELTA_ASSERT_OK((*leg)->AckShipped());
   }
   EXPECT_TRUE(TablesEqual(src.get(), "parts", wh.get(), "parts"));

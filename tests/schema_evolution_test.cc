@@ -24,12 +24,10 @@
 #include "extract/schema_event.h"
 #include "hub/delta_hub.h"
 #include "pipeline/source_leg.h"
-#include "common/thread_pool.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
 #include "sql/statement_cache.h"
 #include "warehouse/apply_ledger.h"
-#include "warehouse/apply_scheduler.h"
 #include "warehouse/integrator.h"
 #include "workload/workload.h"
 #include "tests/test_util.h"
@@ -454,13 +452,8 @@ TEST_F(WarehouseMigrationTest, ParallelApplyReParsesCachedShapesAcrossDdl) {
   OPDELTA_ASSERT_OK(
       exec.ExecuteSql(wl_.MakeInsert("parts", 0, 8).ToSql()).status());
 
-  ThreadPool pool(2);
   sql::StatementCache cache;
-  warehouse::OpDeltaIntegrator::Options options;
-  options.pool = &pool;
-  options.max_inflight = 2;
-  options.cache = &cache;
-  warehouse::OpDeltaIntegrator integrator(wh_.get(), options);
+  warehouse::OpDeltaIntegrator integrator(wh_.get(), &cache);
 
   auto update_txn = [](uint64_t id, uint64_t key, const std::string& tag) {
     extract::OpDeltaTxn txn;
@@ -891,7 +884,8 @@ TEST_P(RandomizedDdlTest, ConcurrentWritesAndDdlConverge) {
   extract::OpDeltaCapture* capture = (*hub)->capture("s1");
   ASSERT_NE(capture, nullptr);
 
-  int64_t next_key = 0;
+  // Atomic: the writer thread reads it while the main thread increments.
+  std::atomic<int64_t> next_key{0};
   std::vector<std::string> extra_columns;  // columns added by this test
   int added = 0;
 
@@ -913,7 +907,7 @@ TEST_P(RandomizedDdlTest, ConcurrentWritesAndDdlConverge) {
         Status st = retry([&] {
           Result<sql::Statement> stmt = sql::Parser::Parse(
               "UPDATE parts SET status = 'w" + std::to_string(i) +
-              "' WHERE id <= " + std::to_string(next_key));
+              "' WHERE id <= " + std::to_string(next_key.load()));
           if (!stmt.ok()) return stmt.status();
           return capture->RunTransaction({*std::move(stmt)}).status();
         });
@@ -928,7 +922,8 @@ TEST_P(RandomizedDdlTest, ConcurrentWritesAndDdlConverge) {
     // Mainline traffic: inserts at the live arity plus the occasional DDL.
     for (int i = 0; i < 4; ++i) {
       OPDELTA_ASSERT_OK(retry([&] {
-        Result<sql::Statement> stmt = sql::Parser::Parse(insert_sql(next_key));
+        Result<sql::Statement> stmt =
+            sql::Parser::Parse(insert_sql(next_key.load()));
         if (!stmt.ok()) return stmt.status();
         Status st = capture->RunTransaction({*std::move(stmt)}).status();
         // A concurrent reader never sees this, but the *writer thread's*

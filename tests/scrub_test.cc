@@ -228,7 +228,7 @@ struct ScrubFixture {
       if (st.IsNotFound()) return Status::OK();
       OPDELTA_RETURN_IF_ERROR(st);
       OPDELTA_RETURN_IF_ERROR(
-          leg->Integrate(wh.get(), nullptr, message, {}, nullptr));
+          leg->Integrate(wh.get(), nullptr, message, nullptr, nullptr));
       OPDELTA_RETURN_IF_ERROR(leg->AckShipped());
     }
   }
