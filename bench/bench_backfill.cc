@@ -77,7 +77,6 @@ OnlineResult RunOnline(const ScratchDir& dir, const std::string& tag,
   hub::HubOptions hub_options;
   hub_options.work_dir = dir.Sub("on_hub_" + tag);
   hub_options.extract_threads = 1;
-  hub_options.apply_workers = 1;
   hub::SourceSpec spec;
   spec.name = "bf";
   spec.source = src.get();

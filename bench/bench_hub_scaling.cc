@@ -1,12 +1,13 @@
 // bench_hub_scaling — DeltaHub apply throughput as the number of
-// concurrent sources and apply workers grows.
+// concurrent sources grows.
 //
 // Each configuration registers N log-method sources (one warehouse table
-// per source), preloads every source with the same transaction mix, then
-// times hub rounds until all deltas are integrated. The single-source,
-// single-worker row (one extract-ship-apply loop, nothing concurrent) is
-// the sequential baseline; speedup is relative to it at the same
-// per-source volume.
+// per source) on an N-thread extract pool, so every source's
+// extract-ship-apply round task runs on its own worker. Every source gets
+// the same transaction mix, and hub rounds are timed until all deltas are
+// integrated. The single-source row (one extract-ship-apply loop, nothing
+// concurrent) is the sequential baseline; speedup is relative to it at the
+// same per-source volume.
 #include <string>
 #include <vector>
 
@@ -24,10 +25,9 @@ constexpr int kRounds = 4;
 struct RunResult {
   Micros wall = 0;
   uint64_t records = 0;
-  hub::HubStats stats;
 };
 
-RunResult RunConfig(size_t num_sources, size_t apply_workers) {
+RunResult RunConfig(size_t num_sources) {
   ScratchDir dir("hub_scaling");
   workload::PartsWorkload wl;
   engine::DatabaseOptions db_options;
@@ -47,7 +47,6 @@ RunResult RunConfig(size_t num_sources, size_t apply_workers) {
 
   hub::HubOptions options;
   options.work_dir = dir.Sub("hub");
-  options.apply_workers = apply_workers;
   options.extract_threads = num_sources;
   Result<std::unique_ptr<hub::DeltaHub>> created =
       hub::DeltaHub::Create(wh.get(), options);
@@ -71,7 +70,7 @@ RunResult RunConfig(size_t num_sources, size_t apply_workers) {
     // Identical traffic on every source: a bulk insert plus an
     // overlapping status update, like one OLTP window per source.
     // Workload generation runs outside the timer — only the hub's
-    // extract→stage→reconcile→apply round is measured.
+    // extract→ship→apply round is measured.
     for (auto& src : sources) {
       sql::Executor exec(src.get());
       BENCH_OK(exec.ExecuteSql(
@@ -87,8 +86,7 @@ RunResult RunConfig(size_t num_sources, size_t apply_workers) {
     BENCH_OK(hub->RunRound());
     result.wall += round_timer.ElapsedMicros();
   }
-  result.stats = hub->Stats();
-  for (const hub::SourceStats& s : result.stats.sources) {
+  for (const hub::SourceStats& s : hub->Stats().sources) {
     result.records += s.records_extracted;
   }
   BENCH_OK(hub->Stop());
@@ -96,40 +94,30 @@ RunResult RunConfig(size_t num_sources, size_t apply_workers) {
 }
 
 void Run(JsonReport* report) {
-  PrintHeader("DeltaHub scaling: apply throughput vs sources and workers",
+  PrintHeader("DeltaHub scaling: apply throughput vs sources",
               "no paper experiment — ablation of the src/hub orchestration "
               "layer over N concurrent sources",
-              "wall time grows sub-linearly in sources; extra apply workers "
-              "help once several warehouse tables are hot");
+              "wall time grows sub-linearly in sources while distinct "
+              "warehouse tables apply concurrently");
 
-  TablePrinter table({"sources", "apply workers", "records", "wall",
-                      "records/s", "speedup/source", "peak staged",
-                      "stalls"});
+  TablePrinter table(
+      {"sources", "records", "wall", "records/s", "speedup/source"});
   double baseline_rate_per_source = 0;
   for (size_t sources : {1, 2, 4, 8}) {
-    for (size_t workers : {1, 2, 4}) {
-      if (workers > sources) continue;
-      RunResult r = RunConfig(sources, workers);
-      const double rate =
-          r.wall > 0 ? r.records / (r.wall / 1e6) : 0;
-      if (baseline_rate_per_source == 0) baseline_rate_per_source = rate;
-      char rate_buf[32], speed_buf[32];
-      std::snprintf(rate_buf, sizeof(rate_buf), "%.0f", rate);
-      std::snprintf(speed_buf, sizeof(speed_buf), "%.2fx",
-                    rate / (baseline_rate_per_source * sources));
-      table.AddRow({std::to_string(sources), std::to_string(workers),
-                    std::to_string(r.records), FormatMicros(r.wall),
-                    rate_buf, speed_buf,
-                    FormatBytes(r.stats.staging_peak_bytes),
-                    std::to_string(r.stats.producer_stalls)});
-      report->Add("records_per_sec_s" + std::to_string(sources) + "_w" +
-                      std::to_string(workers),
-                  rate);
-    }
+    RunResult r = RunConfig(sources);
+    const double rate = r.wall > 0 ? r.records / (r.wall / 1e6) : 0;
+    if (baseline_rate_per_source == 0) baseline_rate_per_source = rate;
+    char rate_buf[32], speed_buf[32];
+    std::snprintf(rate_buf, sizeof(rate_buf), "%.0f", rate);
+    std::snprintf(speed_buf, sizeof(speed_buf), "%.2fx",
+                  rate / (baseline_rate_per_source * sources));
+    table.AddRow({std::to_string(sources), std::to_string(r.records),
+                  FormatMicros(r.wall), rate_buf, speed_buf});
+    report->Add("records_per_sec_s" + std::to_string(sources), rate);
   }
   table.Print();
-  std::printf("\nspeedup/source = per-source efficiency vs the 1-source/"
-              "1-worker sequential baseline (1.00x = perfect scaling).\n");
+  std::printf("\nspeedup/source = per-source efficiency vs the 1-source "
+              "sequential baseline (1.00x = perfect scaling).\n");
 }
 
 }  // namespace

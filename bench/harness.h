@@ -135,7 +135,7 @@ class TablePrinter {
 /// bench costs nothing on normal runs.
 ///
 ///   JsonReport report("hub_scaling", argc, argv);
-///   report.Add("records_per_sec_s4_w2", 1234.5);
+///   report.Add("records_per_sec_s4", 1234.5);
 ///   ... report writes itself on destruction.
 class JsonReport {
  public:

@@ -50,7 +50,6 @@ struct LockRankSpec {
 namespace lockrank {
 // Hub orchestration (outermost: everything below runs under hub calls).
 inline constexpr int kHubDriver = 10;     // driver start/stop + retained errors
-inline constexpr int kHubStaging = 14;    // staging lanes + byte budget
 inline constexpr int kHubStats = 16;      // aggregate counters
 inline constexpr int kHubErrors = 18;     // per-round error collection
 // Engine.

@@ -12,8 +12,8 @@
 namespace opdelta::hub {
 
 /// One diverted batch in a per-table dead-letter log: the full framed
-/// message as it was staged (identity included), plus the integration
-/// error that diverted it. On-disk frame:
+/// message as the hub tried to apply it (identity included), plus the
+/// integration error that diverted it. On-disk frame:
 ///   [u32 message_len][message][u32 cause_len][cause]
 struct DeadLetterEntry {
   extract::BatchId id;  // invalid when the message carried no identity

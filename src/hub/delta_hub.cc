@@ -16,10 +16,11 @@ namespace opdelta::hub {
 
 namespace {
 
-/// Transient integration failures worth retrying in place; everything else
-/// (Corruption, InvalidArgument, NotSupported, NotFound, ...) is
-/// deterministic — retrying replays the same poison message forever.
-bool IsRetryableApplyError(const Status& st) {
+/// Transient integration failures: the batch stays queued and
+/// SuperviseRound's backoff re-drives it. Everything else (Corruption,
+/// InvalidArgument, NotSupported, NotFound, ...) is deterministic —
+/// replaying it fails the same way forever.
+bool IsTransientApplyError(const Status& st) {
   switch (st.code()) {
     case StatusCode::kConflict:
     case StatusCode::kBusy:
@@ -77,26 +78,15 @@ struct DeltaHub::Source {
 struct DeltaHub::Group {
   std::string warehouse_table;
   std::vector<Source*> members;  // registration order = site priority
-  size_t worker = 0;             // apply-worker lane owning the table
 
-  // Self-healing state, touched only by this group's round task (RunRound
-  // schedules at most one task per group); published into stats_ under
+  // Self-healing state, touched only by its lane's round task (RunRound
+  // schedules one task per lane); published into stats_ under
   // stats_mutex_.
   int consecutive_failures = 0;
   bool quarantined = false;
   int probes = 0;                // probes attempted while quarantined
   Micros next_probe_micros = 0;  // RealClock time of the next probe
   Rng rng{1};                    // backoff jitter, seeded per group
-};
-
-struct DeltaHub::StagedBatch {
-  Group* group = nullptr;
-  std::string message;
-  extract::BatchId id;           // stamped identity (invalid if unframed)
-  uint64_t bytes = 0;
-  std::vector<Source*> acks;     // queues to advance after integration
-  Status status;                 // written by the worker before `done`
-  CountDownLatch* done = nullptr;
 };
 
 DeltaHub::DeltaHub(engine::Database* warehouse, HubOptions options)
@@ -113,10 +103,6 @@ Result<std::unique_ptr<DeltaHub>> DeltaHub::Create(
     return Status::InvalidArgument("work_dir required");
   }
   if (options.extract_threads == 0) options.extract_threads = 1;
-  if (options.apply_workers == 0) options.apply_workers = 1;
-  if (options.staging_budget_bytes == 0) {
-    return Status::InvalidArgument("staging budget must be positive");
-  }
   return std::unique_ptr<DeltaHub>(
       new DeltaHub(warehouse, std::move(options)));
 }
@@ -242,15 +228,13 @@ Status DeltaHub::BuildGroups() {
   for (size_t i = 0; i < groups_.size(); ++i) {
     groups_[i]->rng = Rng(options_.retry_seed + i);
   }
-  // Partition warehouse tables across apply workers: every group writing a
-  // table maps to the same lane, so one table never applies out of order.
-  std::unordered_map<std::string, size_t> table_worker;
-  size_t next_worker = 0;
+  lanes_.clear();
+  std::unordered_map<std::string, size_t> table_lane;
   for (const auto& group : groups_) {
-    auto [it, inserted] = table_worker.emplace(
-        group->warehouse_table, next_worker % options_.apply_workers);
-    if (inserted) ++next_worker;
-    group->worker = it->second;
+    auto [it, inserted] =
+        table_lane.emplace(group->warehouse_table, lanes_.size());
+    if (inserted) lanes_.emplace_back();
+    lanes_[it->second].push_back(group.get());
   }
   return Status::OK();
 }
@@ -313,11 +297,6 @@ Status DeltaHub::Setup() {
     }
   }
 
-  worker_queues_.resize(options_.apply_workers);
-  apply_threads_.reserve(options_.apply_workers);
-  for (size_t i = 0; i < options_.apply_workers; ++i) {
-    apply_threads_.emplace_back([this, i] { ApplyWorkerLoop(i); });
-  }
   extract_pool_ = std::make_unique<ThreadPool>(options_.extract_threads);
   setup_done_ = true;
   return Status::OK();
@@ -378,7 +357,7 @@ Status DeltaHub::ProduceRound(Group* group) {
     OPDELTA_RETURN_IF_ERROR(st);
   }
 
-  // 2. Drain the group's shipped backlog — which replays anything staged
+  // 2. Apply the group's shipped backlog — which replays anything shipped
   //    before a restart first, in FIFO order.
   OPDELTA_RETURN_IF_ERROR(DrainBacklog(group));
 
@@ -416,13 +395,13 @@ Status DeltaHub::DrainBacklog(Group* group) {
     }
     if (present.empty()) return Status::OK();
 
-    std::string staged;
-    extract::BatchId staged_id;
+    std::string batch;
+    extract::BatchId id;
     if (group->members.size() == 1) {
       // Identity is best effort: a message whose frame does not decode
       // still goes to apply, fails there, and is dead-lettered.
-      (void)pipeline::DecodeBatchHeader(Slice(messages[0]), &staged_id);
-      staged = std::move(messages[0]);
+      (void)pipeline::DecodeBatchHeader(Slice(messages[0]), &id);
+      batch = std::move(messages[0]);
     } else {
       // Replica group: merge this round's per-replica batches into one
       // authoritative net-change stream (§2.2 / §4.1). The merged batch
@@ -443,7 +422,7 @@ Status DeltaHub::DrainBacklog(Group* group) {
                                     present[i]->spec.name +
                                     " shipped an op-delta batch");
         }
-        if (i == 0) staged_id = member.id;
+        if (i == 0) id = member.id;
         batches[i] = std::move(member.delta);
         replica_order.push_back(&batches[i]);
       }
@@ -453,16 +432,14 @@ Status DeltaHub::DrainBacklog(Group* group) {
           extract::Reconciler::Reconcile(replica_order, &rstats));
       std::string inner;
       pipeline::EncodeValueDeltaMessage(merged, &inner);
-      pipeline::EncodeBatchFrame(staged_id, inner, &staged);
+      pipeline::EncodeBatchFrame(id, inner, &batch);
       std::lock_guard<common::OrderedMutex> lock(stats_mutex_);
       stats_.batches_reconciled += present.size();
       stats_.duplicates_dropped += rstats.duplicates_dropped;
       stats_.conflicts += rstats.conflicts;
     }
 
-    const uint64_t bytes = staged.size();
-    OPDELTA_RETURN_IF_ERROR(StageAndApply(group, std::move(staged), staged_id,
-                                          bytes, std::move(present)));
+    OPDELTA_RETURN_IF_ERROR(ApplyBatch(group, batch, id, present));
   }
 }
 
@@ -548,194 +525,112 @@ Status DeltaHub::SuperviseRound(Group* group) {
   return st;
 }
 
-Status DeltaHub::StageAndApply(Group* group, std::string message,
-                               const extract::BatchId& id, uint64_t bytes,
-                               std::vector<Source*> acks) {
-  StagedBatch batch;
-  batch.group = group;
-  batch.message = std::move(message);
-  batch.id = id;
-  batch.bytes = bytes;
-  batch.acks = std::move(acks);
-  CountDownLatch done(1);
-  batch.done = &done;
+Status DeltaHub::ApplyBatch(Group* group, const std::string& message,
+                            const extract::BatchId& id,
+                            const std::vector<Source*>& acks) {
+  Stopwatch apply_timer;
+  warehouse::IntegrationStats istats;
+  Status st = group->members.front()->leg->Integrate(
+      warehouse_, ledger_.get(), message, &stmt_cache_, &istats);
+  if (!st.ok()) {
+    // A transient failure stays queued for SuperviseRound's retry; a
+    // partly committed batch then resumes via the ledger, never repeats.
+    // SchemaMismatch stays queued too: the batch is well-formed, the
+    // *warehouse* cannot decode or migrate to it (future epoch,
+    // incompatible DDL, drift). Dead-lettering would silently advance past
+    // a consistency boundary; instead the round fails and SuperviseRound
+    // quarantines the group with the reason surfaced in last_error.
+    if (IsTransientApplyError(st) ||
+        st.code() == StatusCode::kSchemaMismatch) {
+      return st;
+    }
+    // Divert the poison batch so the queue (and the group) can advance;
+    // if the diversion itself fails, keep the original error and let the
+    // batch replay.
+    return DeadLetter(group, message, id, acks, st).ok() ? Status::OK() : st;
+  }
+
+  // Acknowledge strictly after the ledger-inclusive warehouse commit: a
+  // crash or error before this point leaves the batch in the queues, and
+  // its redelivery is recognized by the ledger — applied batches drop as
+  // duplicates, interrupted ones resume mid-batch. An ack failure
+  // therefore degrades to a harmless redelivery, never a double apply.
+  for (Source* source : acks) {
+    Status ack = source->leg->AckShipped();
+    if (st.ok() && !ack.ok()) st = ack;
+  }
+  const Micros elapsed = apply_timer.ElapsedMicros();
 
   {
-    std::unique_lock<common::OrderedMutex> lock(staging_mutex_);
-    // Backpressure: block while the budget is exceeded, except when the
-    // staging area is empty (an oversized batch must still pass through).
-    if (staging_bytes_ > 0 &&
-        staging_bytes_ + bytes > options_.staging_budget_bytes) {
-      ++producer_stalls_;
-      producer_cv_.wait(lock, [&] {
-        return staging_bytes_ == 0 ||
-               staging_bytes_ + bytes <= options_.staging_budget_bytes;
-      });
+    std::lock_guard<common::OrderedMutex> lock(stats_mutex_);
+    ++stats_.batches_applied;
+    stats_.transactions_applied += istats.transactions;
+    stats_.apply_micros_total += elapsed;
+    if (elapsed > stats_.apply_micros_max) {
+      stats_.apply_micros_max = elapsed;
     }
-    staging_bytes_ += bytes;
-    if (staging_bytes_ > staging_peak_bytes_) {
-      staging_peak_bytes_ = staging_bytes_;
+    for (Source* source : acks) {
+      SourceStats& entry = stats_.sources[source->stats_index];
+      ++entry.batches_applied;
+      entry.duplicates_dropped += istats.duplicate_batches;
+      // The per-source applied watermark mirrors the ledger: the identity
+      // of the newest batch committed for this source.
+      if (id.valid() && source->spec.name == id.source_id) {
+        entry.applied_epoch = id.epoch;
+        entry.applied_seq = id.seq;
+      }
+      if (istats.schema_epoch > entry.applied_schema_epoch) {
+        entry.applied_schema_epoch = istats.schema_epoch;
+      }
     }
-    ++batches_staged_;
-    worker_queues_[group->worker].push_back(&batch);
   }
-  worker_cv_.notify_all();
-
-  done.Wait();
-  return batch.status;
+  if (istats.schema_migrations > 0) {
+    // A source DDL just migrated the warehouse: added columns hold their
+    // defaults until re-shipped snapshot chunks carry the live source
+    // values over, so restart the backfill from chunk one. This runs on
+    // the group's round task, so no Backfiller::Step races with it.
+    for (Source* source : acks) {
+      if (source->backfiller == nullptr) continue;
+      Status restart = source->backfiller->Restart();
+      if (!restart.ok()) {
+        OPDELTA_LOG(kWarn)
+            << "backfill restart after schema migration failed for "
+            << source->spec.name << ": " << restart.ToString();
+      }
+      RefreshSourceStats(source);
+    }
+  }
+  return st;
 }
 
-void DeltaHub::ApplyWorkerLoop(size_t worker_index) {
-  while (true) {
-    StagedBatch* batch = nullptr;
-    {
-      std::unique_lock<common::OrderedMutex> lock(staging_mutex_);
-      worker_cv_.wait(lock, [&] {
-        return workers_stop_ || !worker_queues_[worker_index].empty();
-      });
-      if (worker_queues_[worker_index].empty()) return;  // stop + drained
-      batch = worker_queues_[worker_index].front();
-      worker_queues_[worker_index].pop_front();
-    }
-
-    Stopwatch apply_timer;
-    warehouse::IntegrationStats istats;
-    Status st;
-    for (int attempt = 0;; ++attempt) {
-      istats = warehouse::IntegrationStats();  // Integrate accumulates
-      st = batch->group->members.front()->leg->Integrate(
-          warehouse_, ledger_.get(), batch->message, &stmt_cache_, &istats);
-      // Retry only transient errors; a deterministic failure would replay
-      // the same poison message forever. A retried batch whose first
-      // attempt partially committed resumes via the ledger, never repeats.
-      if (st.ok() || !IsRetryableApplyError(st) ||
-          attempt + 1 >= std::max(1, options_.apply_attempts)) {
-        break;
-      }
-      {
-        std::lock_guard<common::OrderedMutex> lock(stats_mutex_);
-        for (Source* source : batch->acks) {
-          ++stats_.sources[source->stats_index].retries;
-        }
-      }
-      std::this_thread::sleep_for(options_.backoff_initial);
-    }
-
-    bool dead_lettered = false;
-    if (!st.ok() && !IsRetryableApplyError(st) &&
-        st.code() != StatusCode::kSchemaMismatch) {
-      // SchemaMismatch is deliberately excluded from both retry and
-      // dead-letter: the batch is well-formed, the *warehouse* cannot
-      // decode or migrate to it (future epoch, incompatible DDL, drift).
-      // Dead-lettering would silently advance past a consistency boundary;
-      // instead the batch stays queued, the round fails, and SuperviseRound
-      // quarantines the group with the reason surfaced in last_error.
-      // Divert the poison batch so the queue (and the group) can advance;
-      // if the diversion itself fails, keep the original error and let the
-      // batch replay.
-      if (DeadLetter(batch, st).ok()) {
-        dead_lettered = true;
-        st = Status::OK();
-      }
-    }
-    const bool applied = st.ok() && !dead_lettered;
-    if (applied) {
-      // Acknowledge strictly after the ledger-inclusive warehouse commit:
-      // a crash or error before this point leaves the batch in the queues,
-      // and its redelivery is recognized by the ledger — applied batches
-      // drop as duplicates, interrupted ones resume mid-batch. An ack
-      // failure therefore degrades to a harmless redelivery, never a
-      // double apply.
-      for (Source* source : batch->acks) {
-        Status ack = source->leg->AckShipped();
-        if (st.ok() && !ack.ok()) st = ack;
-      }
-    }
-    const Micros elapsed = apply_timer.ElapsedMicros();
-
-    {
-      std::lock_guard<common::OrderedMutex> lock(stats_mutex_);
-      if (applied) {
-        ++stats_.batches_applied;
-        stats_.transactions_applied += istats.transactions;
-        stats_.duplicates_dropped += istats.duplicate_batches;
-        stats_.apply_micros_total += elapsed;
-        if (elapsed > stats_.apply_micros_max) {
-          stats_.apply_micros_max = elapsed;
-        }
-        for (Source* source : batch->acks) {
-          SourceStats& entry = stats_.sources[source->stats_index];
-          ++entry.batches_applied;
-          entry.duplicates_dropped += istats.duplicate_batches;
-          // The per-source applied watermark mirrors the ledger: the
-          // identity of the newest batch committed for this source.
-          if (batch->id.valid() &&
-              source->spec.name == batch->id.source_id) {
-            entry.applied_epoch = batch->id.epoch;
-            entry.applied_seq = batch->id.seq;
-          }
-          if (istats.schema_epoch > entry.applied_schema_epoch) {
-            entry.applied_schema_epoch = istats.schema_epoch;
-          }
-        }
-      }
-    }
-    if (applied && istats.schema_migrations > 0) {
-      // A source DDL just migrated the warehouse: added columns hold their
-      // defaults until re-shipped snapshot chunks carry the live source
-      // values over, so restart the backfill from chunk one. Safe here
-      // despite running off the group's round thread: the group's producer
-      // is blocked on this batch's latch until CountDown below, so no
-      // Backfiller::Step races with the restart.
-      for (Source* source : batch->acks) {
-        if (source->backfiller == nullptr) continue;
-        Status restart = source->backfiller->Restart();
-        if (!restart.ok()) {
-          OPDELTA_LOG(kWarn)
-              << "backfill restart after schema migration failed for "
-              << source->spec.name << ": " << restart.ToString();
-        }
-        RefreshSourceStats(source);
-      }
-    }
-    {
-      std::lock_guard<common::OrderedMutex> lock(staging_mutex_);
-      staging_bytes_ -= batch->bytes;
-    }
-    producer_cv_.notify_all();
-
-    batch->status = st;
-    batch->done->CountDown();  // `batch` is invalid past this line
-  }
-}
-
-Status DeltaHub::DeadLetter(StagedBatch* batch, const Status& cause) {
+Status DeltaHub::DeadLetter(Group* group, const std::string& message,
+                            const extract::BatchId& id,
+                            const std::vector<Source*>& acks,
+                            const Status& cause) {
   // Record the skip in the ledger *first*: a hole row marks this identity
   // as diverted-not-applied, so a later operator replay is admitted below
   // the watermark instead of being mistaken for a duplicate. (A crash
   // after the hole but before the log append leaves a harmless extra
   // hole; the reverse order could silently strand the batch.)
-  OPDELTA_RETURN_IF_ERROR(ledger_->RecordSkip(batch->id));
+  OPDELTA_RETURN_IF_ERROR(ledger_->RecordSkip(id));
   // Persist the undeliverable batch — identity frame included, so manual
   // replay flows through the same duplicate check — then acknowledge it
   // so the queue advances past the poison message.
-  OPDELTA_RETURN_IF_ERROR(AppendDeadLetter(options_.work_dir,
-                                           batch->group->warehouse_table,
-                                           batch->message, cause));
-  OPDELTA_LOG(kWarn) << "dead-lettered undeliverable batch "
-                     << batch->id.ToString() << " for table "
-                     << batch->group->warehouse_table << ": "
+  OPDELTA_RETURN_IF_ERROR(AppendDeadLetter(
+      options_.work_dir, group->warehouse_table, message, cause));
+  OPDELTA_LOG(kWarn) << "dead-lettered undeliverable batch " << id.ToString()
+                     << " for table " << group->warehouse_table << ": "
                      << cause.ToString();
 
   Status ack_status;
-  for (Source* source : batch->acks) {
+  for (Source* source : acks) {
     Status ack = source->leg->AckShipped();
     if (ack_status.ok() && !ack.ok()) ack_status = ack;
   }
   {
     std::lock_guard<common::OrderedMutex> lock(stats_mutex_);
     ++stats_.dead_letters;
-    for (Source* source : batch->acks) {
+    for (Source* source : acks) {
       SourceStats& entry = stats_.sources[source->stats_index];
       ++entry.dead_letters;
       entry.last_error = cause.ToString();
@@ -757,21 +652,22 @@ void DeltaHub::RetainDriverError(const Status& error) {
 Status DeltaHub::RunRound() {
   if (!setup_done_) return Status::Internal("call Setup() first");
   {
-    std::lock_guard<common::OrderedMutex> lock(staging_mutex_);
+    std::lock_guard<common::OrderedMutex> lock(driver_mutex_);
     if (stopped_) return Status::Internal("hub stopped");
   }
 
-  CountDownLatch latch(groups_.size());
+  CountDownLatch latch(lanes_.size());
   common::OrderedMutex error_mutex{
       OPDELTA_LOCK_RANK(hub_errors, common::lockrank::kHubErrors)};
   std::vector<Status> errors;
-  for (const auto& group : groups_) {
-    extract_pool_->Submit([this, group = group.get(), &latch, &error_mutex,
-                           &errors] {
-      Status st = SuperviseRound(group);
-      if (!st.ok()) {
-        std::lock_guard<common::OrderedMutex> lock(error_mutex);
-        errors.push_back(st);
+  for (const std::vector<Group*>& lane : lanes_) {
+    extract_pool_->Submit([this, &lane, &latch, &error_mutex, &errors] {
+      for (Group* group : lane) {
+        Status st = SuperviseRound(group);
+        if (!st.ok()) {
+          std::lock_guard<common::OrderedMutex> lock(error_mutex);
+          errors.push_back(st);
+        }
       }
       latch.CountDown();
     });
@@ -820,26 +716,13 @@ Status DeltaHub::Stop() {
   }
   driver_cv_.notify_all();
   if (driver_.joinable()) driver_.join();
-  Status result;
-  {
-    std::lock_guard<common::OrderedMutex> lock(driver_mutex_);
-    result = JoinErrors(driver_errors_);
-    driver_running_ = false;
-  }
 
-  // 2. Quiesce the extract pool, then the (now idle) apply workers.
+  // 2. Quiesce the extract pool, the only other threads the hub runs.
   if (extract_pool_ != nullptr) extract_pool_->Shutdown();
-  {
-    std::lock_guard<common::OrderedMutex> lock(staging_mutex_);
-    workers_stop_ = true;
-    stopped_ = true;
-  }
-  worker_cv_.notify_all();
-  for (std::thread& t : apply_threads_) {
-    if (t.joinable()) t.join();
-  }
-  apply_threads_.clear();
-  return result;
+  std::lock_guard<common::OrderedMutex> lock(driver_mutex_);
+  driver_running_ = false;
+  stopped_ = true;
+  return JoinErrors(driver_errors_);
 }
 
 HubStats DeltaHub::Stats() const {
@@ -847,13 +730,6 @@ HubStats DeltaHub::Stats() const {
   {
     std::lock_guard<common::OrderedMutex> lock(stats_mutex_);
     out = stats_;
-  }
-  {
-    std::lock_guard<common::OrderedMutex> lock(staging_mutex_);
-    out.staging_bytes = staging_bytes_;
-    out.staging_peak_bytes = staging_peak_bytes_;
-    out.batches_staged = batches_staged_;
-    out.producer_stalls = producer_stalls_;
   }
   const sql::StatementCacheStats cache = stmt_cache_.stats();
   out.stmt_cache_hits = cache.hits;

@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -65,8 +64,8 @@ struct SourceSpec {
   /// false: report mismatches in stats but do not repair them.
   bool scrub_repair = true;
 
-  /// Ignored: op-delta batches apply inline on the apply worker. Kept only
-  /// because cdcbench/cdcbench.cc compiles against this name.
+  /// Ignored: op-delta batches apply inline on the hub's round task. Kept
+  /// only because cdcbench/cdcbench.cc compiles against this name.
   size_t apply_threads = 1;
 };
 
@@ -74,20 +73,14 @@ struct HubOptions {
   /// Root directory for per-source queues and watermark files.
   std::string work_dir;
 
-  /// Workers driving extract→ship→stage producer legs (one task per
-  /// source group per round).
+  /// Workers running round tasks: one task per warehouse table per round,
+  /// which extracts, ships and applies the source groups feeding that
+  /// table one after another.
   size_t extract_threads = 4;
 
-  /// Workers applying staged batches to the warehouse. Warehouse tables
-  /// are partitioned across workers, so batches for one table always
-  /// apply in ship order (the §4.1 per-source concurrency guarantee)
-  /// while distinct tables integrate in parallel.
-  size_t apply_workers = 2;
-
-  /// Staging-area byte budget. Producers block staging new batches while
-  /// the resident staged bytes exceed this (one oversized batch is always
-  /// admitted to avoid livelock).
-  uint64_t staging_budget_bytes = 64ull << 20;
+  /// Ignored: each round task applies the batches it ships. Kept only
+  /// because cdcbench/cdcbench.cc compiles against this name.
+  size_t apply_workers = 1;
 
   /// Idle wait between rounds of the Start() background driver.
   std::chrono::milliseconds poll_interval{20};
@@ -96,7 +89,9 @@ struct HubOptions {
 
   /// Extract→ship→apply attempts per source group per round. A failing
   /// group is retried (attempts - 1) times with exponential backoff before
-  /// the round counts as failed for it.
+  /// the round counts as failed for it. A transient apply error
+  /// (Conflict/Busy/Aborted/IOError) leaves its batch queued, so the retry
+  /// re-drives it; the ledger resumes a partly committed batch.
   int produce_attempts = 3;
   /// First retry delay; doubles per retry up to backoff_max.
   std::chrono::milliseconds backoff_initial{10};
@@ -107,12 +102,6 @@ struct HubOptions {
   /// by subsequent rounds and probed at growing backoff intervals. A
   /// successful probe lifts the quarantine. <= 0 disables quarantining.
   int quarantine_after = 3;
-  /// Integration attempts per staged batch when the error is transient
-  /// (Conflict/Busy/Aborted/IOError). Deterministic failures (Corruption,
-  /// InvalidArgument, NotSupported, NotFound) skip retries and dead-letter
-  /// immediately; transient failures that exhaust retries stay queued and
-  /// replay next round.
-  int apply_attempts = 3;
   /// Seed for the retry-jitter RNG (deterministic tests).
   uint64_t retry_seed = 1;
 };
@@ -138,7 +127,7 @@ struct SourceStats {
 
   // Self-healing.
   uint64_t errors = 0;             // supervised rounds that failed
-  uint64_t retries = 0;            // backoff retries (produce + apply)
+  uint64_t retries = 0;            // backoff retries of a failed round
   uint64_t dead_letters = 0;       // batches diverted to the dead-letter log
   bool quarantined = false;        // currently skipped, probed on backoff
   std::string last_error;          // most recent failure, retained
@@ -163,25 +152,26 @@ struct HubStats {
   uint64_t rounds = 0;
   std::vector<SourceStats> sources;
 
-  // Staging area.
-  uint64_t staging_bytes = 0;       // current occupancy
-  uint64_t staging_peak_bytes = 0;
-  uint64_t batches_staged = 0;
-  uint64_t producer_stalls = 0;     // producers blocked on the byte budget
-
   // Warehouse apply.
   uint64_t batches_applied = 0;
   uint64_t transactions_applied = 0;
-  Micros apply_micros_total = 0;    // staging-pop → integrated, summed
+  Micros apply_micros_total = 0;    // integrate + acks per batch, summed
   Micros apply_micros_max = 0;
 
-  // Prepared-statement cache (shared across apply workers).
+  // Always 0: the hub has no staging area. Kept only because
+  // cdcbench/cdcbench.cc compiles against these names.
+  uint64_t staging_peak_bytes = 0;
+  uint64_t producer_stalls = 0;
+
+  // Prepared-statement cache (shared across round tasks).
   uint64_t stmt_cache_hits = 0;
   uint64_t stmt_cache_misses = 0;
 
   // Replica reconciliation.
   uint64_t batches_reconciled = 0;  // group batches merged into one
-  uint64_t duplicates_dropped = 0;
+  uint64_t duplicates_dropped = 0;  // replica keys the reconciler dropped
+                                    //   as duplicates (the ledger's batch
+                                    //   drops are per source, SourceStats)
   uint64_t conflicts = 0;
 
   // Self-healing.
@@ -190,14 +180,15 @@ struct HubStats {
 
 /// A long-running CDC orchestration service over N registered sources: the
 /// many-operational-sources → one-warehouse shape of the paper's Figure 1.
-/// Each round, every source group extracts and ships concurrently on the
-/// extract pool; shipped batches funnel through a bounded in-memory
-/// staging area (backpressure on a byte budget) to apply workers
-/// partitioned by warehouse table. Batches from a replica group pass
-/// through extract::Reconciler first, yielding one authoritative stream.
+/// Each round runs one task per warehouse table on the extract pool. The
+/// task extracts, ships and applies every source group feeding its table,
+/// one group after another and one batch at a time, so distinct tables
+/// proceed concurrently while one table never applies two batches at once.
+/// Batches from a replica group pass through extract::Reconciler first,
+/// yielding one authoritative stream.
 ///
 /// Restart safety: each source leg persists its watermark after the
-/// durable ship, and staged-but-unacknowledged batches replay from each
+/// durable ship, and shipped-but-unacknowledged batches replay from each
 /// source's PersistentQueue — a batch is acknowledged only after
 /// successful integration, and the warehouse ApplyLedger drops
 /// redeliveries, so apply is exactly-once.
@@ -219,22 +210,22 @@ class DeltaHub {
   Status AddSource(const SourceSpec& spec);
 
   /// Opens every leg (queues, watermarks, capture machinery), assembles
-  /// replica groups, partitions warehouse tables across apply workers and
-  /// starts them. Idempotent.
+  /// replica groups and per-table lanes, and starts the extract pool.
+  /// Idempotent.
   Status Setup();
 
   /// The op-delta capture wrapper for a registered kOpDelta source
   /// (nullptr for other methods or unknown names). Valid after Setup.
   extract::OpDeltaCapture* capture(const std::string& source_name);
 
-  /// Drives one synchronous round: every source group extracts, ships,
-  /// stages and applies its backlog; returns once the warehouse has
-  /// absorbed everything pending. Groups run concurrently on the extract
-  /// pool; a failing group retries with backoff and — after
-  /// quarantine_after consecutive failed rounds — is quarantined (skipped,
-  /// probed on growing backoff) so healthy groups keep flowing. Returns
-  /// every group error of the round, joined. Not reentrant (the Start()
-  /// driver or the caller, not both).
+  /// Drives one synchronous round: every source group extracts, ships and
+  /// applies its backlog; returns once the warehouse has absorbed
+  /// everything pending. Tables run concurrently on the extract pool, the
+  /// groups of one table in registration order; a failing group retries
+  /// with backoff and — after quarantine_after consecutive failed rounds —
+  /// is quarantined (skipped, probed on growing backoff) so healthy groups
+  /// keep flowing. Returns every group error of the round, joined. Not
+  /// reentrant (the Start() driver or the caller, not both).
   Status RunRound();
 
   /// Launches the background driver: RunRound in a loop with
@@ -243,9 +234,9 @@ class DeltaHub {
   /// instead of halting the loop.
   Status Start();
 
-  /// Stops the driver, drains in-flight work and joins all threads.
-  /// Returns every distinct retained driver error, joined into one Status
-  /// (the first error's code). Idempotent.
+  /// Stops the driver (after its in-flight round) and joins the extract
+  /// pool. Returns every distinct retained driver error, joined into one
+  /// Status (the first error's code). Idempotent.
   Status Stop();
 
   HubStats Stats() const;
@@ -253,27 +244,30 @@ class DeltaHub {
  private:
   struct Source;
   struct Group;
-  struct StagedBatch;
 
   DeltaHub(engine::Database* warehouse, HubOptions options);
 
   Status BuildGroups();
   Status ProduceRound(Group* group);
-  /// Stages and applies the group's already-shipped backlog (FIFO, one
-  /// batch in flight) until its queues are empty. Extracts nothing — the
-  /// scrubber relies on that to pin the warehouse at a watermark.
+  /// Applies the group's already-shipped backlog (FIFO, one batch at a
+  /// time) until its queues are empty. Extracts nothing — the scrubber
+  /// relies on that to pin the warehouse at a watermark.
   Status DrainBacklog(Group* group);
   /// ProduceRound wrapped in the self-healing policy: bounded retries with
   /// jittered exponential backoff, then quarantine with backoff probing.
   /// OK when the group succeeded or is quarantined-and-skipped.
   Status SuperviseRound(Group* group);
-  Status StageAndApply(Group* group, std::string message,
-                       const extract::BatchId& id, uint64_t bytes,
-                       std::vector<Source*> acks);
-  void ApplyWorkerLoop(size_t worker_index);
+  /// Integrates one batch and acknowledges it on every queue in `acks`. A
+  /// deterministic failure is dead-lettered; a transient one or a
+  /// SchemaMismatch returns with the batch still queued.
+  Status ApplyBatch(Group* group, const std::string& message,
+                    const extract::BatchId& id,
+                    const std::vector<Source*>& acks);
   /// Diverts an undeliverable batch to the per-table dead-letter log and
   /// acknowledges it so the queue can advance past the poison message.
-  Status DeadLetter(StagedBatch* batch, const Status& cause);
+  Status DeadLetter(Group* group, const std::string& message,
+                    const extract::BatchId& id,
+                    const std::vector<Source*>& acks, const Status& cause);
   void RefreshSourceStats(Source* source);  // locks stats_mutex_
   /// Retains a driver error for Stop(), deduplicated and capped.
   void RetainDriverError(const Status& error);
@@ -289,31 +283,18 @@ class DeltaHub {
 
   std::vector<std::unique_ptr<Source>> sources_;
   std::vector<std::unique_ptr<Group>> groups_;
+  // One lane per warehouse table: the table's groups in registration
+  // order. A round runs each lane as one extract-pool task, so one table
+  // never applies two batches at once and its dead-letter log has a
+  // single writer.
+  std::vector<std::vector<Group*>> lanes_;
   bool setup_done_ = false;
 
   std::unique_ptr<ThreadPool> extract_pool_;
 
-  // Parsed-statement skeletons shared by every apply lane; internally
+  // Parsed-statement skeletons shared by every round task; internally
   // synchronized, epoch-keyed against warehouse DDL.
   sql::StatementCache stmt_cache_;
-
-  // Staging area: per-worker FIFO lanes sharing one byte budget. The
-  // staging counters live here (not in stats_) so producers and workers
-  // never need both mutexes at once.
-  mutable common::OrderedMutex staging_mutex_{
-      OPDELTA_LOCK_RANK(hub_staging, common::lockrank::kHubStaging)};
-  // _any: these wait on an OrderedMutex, keeping held-rank tracking
-  // correct across the unlock/relock inside wait.
-  std::condition_variable_any producer_cv_;  // staged bytes released
-  std::condition_variable_any worker_cv_;    // work queued / shutdown
-  std::vector<std::deque<StagedBatch*>> worker_queues_;
-  uint64_t staging_bytes_ = 0;
-  uint64_t staging_peak_bytes_ = 0;
-  uint64_t batches_staged_ = 0;
-  uint64_t producer_stalls_ = 0;
-  bool workers_stop_ = false;
-  std::vector<std::thread> apply_threads_;
-  bool stopped_ = false;  // Stop() ran; the hub is permanently quiesced
 
   // Background driver.
   std::thread driver_;
@@ -322,10 +303,11 @@ class DeltaHub {
   std::condition_variable_any driver_cv_;
   bool driver_stop_ = false;
   bool driver_running_ = false;
+  bool stopped_ = false;  // Stop() ran; the hub is permanently quiesced
   std::vector<Status> driver_errors_;  // distinct retained errors, capped
 
-  // Aggregate counters (everything HubStats reports except
-  // staging_bytes_, which lives under staging_mutex_).
+  // Aggregate counters (everything HubStats reports except the
+  // statement-cache counters, which stmt_cache_ keeps).
   mutable common::OrderedMutex stats_mutex_{
       OPDELTA_LOCK_RANK(hub_stats, common::lockrank::kHubStats)};
   HubStats stats_;

@@ -31,7 +31,7 @@ struct LegStats {
 /// One source table's extract→ship half of the Figure-1 loop: watermarked
 /// extraction by any Method, durable shipping through a PersistentQueue,
 /// restart-safe persisted state. The integrate half is pulled by whoever
-/// consumes the queue — a `hub::DeltaHub` apply worker, or a test or tool
+/// consumes the queue — a `hub::DeltaHub` round task, or a test or tool
 /// driving one leg by hand — via PeekShipped / Integrate / AckShipped.
 ///
 /// The watermark persists after a successful durable enqueue: once a batch

@@ -105,9 +105,9 @@ Status PersistentQueue::Enqueue(Slice message, bool durable) {
   if (log_ == nullptr) return Status::Internal("queue not open");
   if (max_backlog_bytes_ != 0) {
     // Backpressure on the *unacknowledged* backlog (acknowledged frames
-    // stay in the log but cost the consumer nothing). Mirrors the hub's
-    // staging budget: an empty backlog always admits, so one oversized
-    // message cannot wedge the queue forever.
+    // stay in the log but cost the consumer nothing). An empty backlog
+    // always admits, so one oversized message cannot wedge the queue
+    // forever.
     const uint64_t size = log_->Size();
     const uint64_t backlog = size > read_offset_ ? size - read_offset_ : 0;
     if (backlog > 0 && backlog + message.size() + 8 > max_backlog_bytes_) {

@@ -407,7 +407,6 @@ struct HubFixture {
     OPDELTA_EXPECT_OK(wl.CreateTable(wh.get(), "parts"));
     options.work_dir = dir.Sub("hub");
     options.extract_threads = 1;
-    options.apply_workers = 1;
     options.quarantine_after = 0;  // conflicts retry, never quarantine
     spec.name = "bf";
     spec.method = method;
@@ -602,7 +601,7 @@ TEST(BackfillHubTest, RandomizedConcurrentWritesConverge) {
 
 // -------------------------------------------------- apply-ledger racing
 
-/// Two sources' apply workers advance the ledger concurrently. Each write
+/// Two sources' round tasks advance the ledger concurrently. Each write
 /// replaces only its own source's row, so neither waits on the other: with
 /// a 50 ms lock timeout every Advance succeeds on its first attempt, no
 /// watermark is lost, and the ledger ends at one row per source.
@@ -678,9 +677,7 @@ TEST(BackfillCrashTest, ResumesAndConvergesAfterEveryCrashPoint) {
     hub::HubOptions options;
     options.work_dir = work_dir;
     options.extract_threads = 1;
-    options.apply_workers = 1;
     options.produce_attempts = 1;  // retries can't help a dead disk
-    options.apply_attempts = 1;
     options.quarantine_after = 0;
     auto make_hub = [&]() -> Result<std::unique_ptr<hub::DeltaHub>> {
       OPDELTA_ASSIGN_OR_RETURN(std::unique_ptr<hub::DeltaHub> hub,

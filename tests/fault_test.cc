@@ -571,9 +571,7 @@ TEST(HubCrashPointTest, WarehouseConvergesAfterEveryCrashPoint) {
   hub::HubOptions options;
   options.work_dir = work_dir;
   options.extract_threads = 1;
-  options.apply_workers = 1;
   options.produce_attempts = 1;  // retries can't help a dead disk
-  options.apply_attempts = 1;
   options.quarantine_after = 0;
   auto make_hub = [&]() -> Result<std::unique_ptr<hub::DeltaHub>> {
     OPDELTA_ASSIGN_OR_RETURN(std::unique_ptr<hub::DeltaHub> hub,
@@ -669,9 +667,7 @@ TEST(WarehouseApplyCrashTest, DeadDiskMidApplyRollsBackAndAppliesOnce) {
   hub::HubOptions options;
   options.work_dir = dir.Sub("hubw");
   options.extract_threads = 1;
-  options.apply_workers = 1;
   options.produce_attempts = 1;
-  options.apply_attempts = 1;
   options.quarantine_after = 0;
   Result<std::unique_ptr<hub::DeltaHub>> hub =
       hub::DeltaHub::Create(wh.get(), options);
@@ -738,7 +734,6 @@ TEST(WarehouseApplyCrashTest, AckFailureAfterCommitDegradesToDroppedRedelivery) 
   hub::HubOptions options;
   options.work_dir = dir.Sub("hubw");
   options.produce_attempts = 1;
-  options.apply_attempts = 1;
   options.quarantine_after = 0;
   hub::SourceSpec spec;
   spec.name = "s1";

@@ -521,7 +521,6 @@ struct HubFixture {
     OPDELTA_EXPECT_OK(wl.CreateTable(wh.get(), "parts"));
     options.work_dir = dir.Sub("hub" + tag);
     options.extract_threads = 1;
-    options.apply_workers = 1;
     options.quarantine_after = 0;  // conflicts retry, never quarantine
     spec.name = "sc";
     spec.method = pipeline::Method::kOpDelta;

@@ -266,12 +266,6 @@ void PrintHubStatsJson(const hub::HubStats& stats) {
   std::printf("{\n");
   std::printf("  \"rounds\": %llu,\n",
               static_cast<unsigned long long>(stats.rounds));
-  std::printf("  \"batches_staged\": %llu,\n",
-              static_cast<unsigned long long>(stats.batches_staged));
-  std::printf("  \"staging_peak_bytes\": %llu,\n",
-              static_cast<unsigned long long>(stats.staging_peak_bytes));
-  std::printf("  \"producer_stalls\": %llu,\n",
-              static_cast<unsigned long long>(stats.producer_stalls));
   std::printf("  \"batches_reconciled\": %llu,\n",
               static_cast<unsigned long long>(stats.batches_reconciled));
   std::printf("  \"duplicates_dropped\": %llu,\n",
@@ -342,11 +336,6 @@ void PrintHubStatsJson(const hub::HubStats& stats) {
 void PrintHubStatsText(const hub::HubStats& stats) {
   std::printf("rounds                %10llu\n",
               static_cast<unsigned long long>(stats.rounds));
-  std::printf("batches staged        %10llu  (peak %llu bytes, %llu "
-              "producer stalls)\n",
-              static_cast<unsigned long long>(stats.batches_staged),
-              static_cast<unsigned long long>(stats.staging_peak_bytes),
-              static_cast<unsigned long long>(stats.producer_stalls));
   std::printf("batches reconciled    %10llu  (%llu duplicates dropped, "
               "%llu conflicts)\n",
               static_cast<unsigned long long>(stats.batches_reconciled),
