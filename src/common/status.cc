@@ -28,8 +28,6 @@ const char* CodeName(StatusCode code) {
       return "AlreadyExists";
     case StatusCode::kOutOfRange:
       return "OutOfRange";
-    case StatusCode::kResourceExhausted:
-      return "ResourceExhausted";
     case StatusCode::kInternal:
       return "Internal";
     case StatusCode::kSchemaMismatch:

@@ -20,7 +20,6 @@ enum class StatusCode {
   kAborted,        // transaction aborted
   kAlreadyExists,
   kOutOfRange,
-  kResourceExhausted,  // a bounded resource (queue, budget) is full
   kInternal,
   kSchemaMismatch,  // schema-epoch drift: decoder has no schema for the data
 };
@@ -65,9 +64,6 @@ class [[nodiscard]] Status {
   static Status OutOfRange(std::string msg) {
     return Status(StatusCode::kOutOfRange, std::move(msg));
   }
-  static Status ResourceExhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
-  }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
@@ -81,9 +77,6 @@ class [[nodiscard]] Status {
   bool IsAborted() const { return code_ == StatusCode::kAborted; }
   bool IsCorruption() const { return code_ == StatusCode::kCorruption; }
   bool IsIOError() const { return code_ == StatusCode::kIOError; }
-  bool IsResourceExhausted() const {
-    return code_ == StatusCode::kResourceExhausted;
-  }
   bool IsSchemaMismatch() const {
     return code_ == StatusCode::kSchemaMismatch;
   }

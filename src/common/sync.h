@@ -66,7 +66,7 @@ inline constexpr int kWal = 40;             // redo-log append serialization
 inline constexpr int kBufferPool = 44;  // frame table + LRU (page I/O held)
 inline constexpr int kFileAlloc = 46;   // page allocation in FileManager
 // Transport.
-inline constexpr int kTransportQueue = 48;  // persistent queue log + cursor
+inline constexpr int kTransportQueue = 48;  // persistent queue log
 inline constexpr int kNetSim = 50;          // network fault dice
 // Common leaves.
 inline constexpr int kThreadPool = 60;       // task queue

@@ -58,6 +58,11 @@ struct BatchId {
   /// kSchemaMismatch instead of guessing.
   uint64_t schema_epoch = 0;
 
+  /// The shipping leg's extraction position after this batch (timestamp or
+  /// LSN watermark, drained DDL epoch, 0 for triggers); a restarted leg
+  /// resumes from its newest frame's. Not part of the identity.
+  uint64_t position = 0;
+
   /// Identity-less batches (unstamped tooling) apply without
   /// deduplication.
   bool valid() const { return !source_id.empty() && epoch != 0 && seq != 0; }

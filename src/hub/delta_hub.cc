@@ -53,8 +53,6 @@ Status JoinErrors(const std::vector<Status>& errors) {
     case StatusCode::kAborted: return Status::Aborted(joined);
     case StatusCode::kAlreadyExists: return Status::AlreadyExists(joined);
     case StatusCode::kOutOfRange: return Status::OutOfRange(joined);
-    case StatusCode::kResourceExhausted:
-      return Status::ResourceExhausted(joined);
     case StatusCode::kSchemaMismatch: return Status::SchemaMismatch(joined);
     default: return Status::Internal(joined);
   }
@@ -337,7 +335,7 @@ void DeltaHub::RefreshSourceStats(Source* source) {
 }
 
 Status DeltaHub::ProduceRound(Group* group) {
-  // 1. Extract→ship every member (durable; watermark persists with it).
+  // 1. Extract→ship every member (durable; the frame carries the position).
   for (Source* source : group->members) {
     OPDELTA_RETURN_IF_ERROR(source->leg->ExtractAndShip());
     RefreshSourceStats(source);

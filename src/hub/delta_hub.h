@@ -70,7 +70,8 @@ struct SourceSpec {
 };
 
 struct HubOptions {
-  /// Root directory for per-source queues and watermark files.
+  /// Root directory for each source's queue log (its only hub-side state,
+  /// `<work_dir>/<name>/queue/queue.log`) and the dead-letter logs.
   std::string work_dir;
 
   /// Workers running round tasks: one task per warehouse table per round,
@@ -187,11 +188,11 @@ struct HubStats {
 /// Batches from a replica group pass through extract::Reconciler first,
 /// yielding one authoritative stream.
 ///
-/// Restart safety: each source leg persists its watermark after the
-/// durable ship, and shipped-but-unacknowledged batches replay from each
-/// source's PersistentQueue — a batch is acknowledged only after
-/// successful integration, and the warehouse ApplyLedger drops
-/// redeliveries, so apply is exactly-once.
+/// Restart safety: each source's PersistentQueue log is its only hub-side
+/// state. Shipped frames carry the leg's extraction position, a restarted
+/// leg resumes from its newest frame, and unacknowledged batches replay —
+/// a batch is acked (a log record) only after successful integration, and
+/// the warehouse ApplyLedger drops redeliveries, so apply is exactly-once.
 ///
 /// One source is the paper's Figure-1 loop (extract → ship → integrate) as
 /// a library object; N sources share one warehouse.
@@ -209,9 +210,9 @@ class DeltaHub {
   /// Registers a source. Must precede Setup().
   Status AddSource(const SourceSpec& spec);
 
-  /// Opens every leg (queues, watermarks, capture machinery), assembles
-  /// replica groups and per-table lanes, and starts the extract pool.
-  /// Idempotent.
+  /// Opens every leg (its queue, the extraction position restored from the
+  /// queue's newest frame, capture machinery), assembles replica groups
+  /// and per-table lanes, and starts the extract pool. Idempotent.
   Status Setup();
 
   /// The op-delta capture wrapper for a registered kOpDelta source

@@ -1,7 +1,6 @@
 #ifndef OPDELTA_PIPELINE_PIPELINE_OPTIONS_H_
 #define OPDELTA_PIPELINE_PIPELINE_OPTIONS_H_
 
-#include <cstdint>
 #include <string>
 
 namespace opdelta::pipeline {
@@ -44,15 +43,10 @@ struct PipelineOptions {
   /// kOpDelta: the DB-sink log table (created by Setup).
   std::string op_log_table = "op_log";
 
-  /// Directory for the shipping queue and the watermark state file.
+  /// Directory for the leg's state: the shipping queue's log,
+  /// `<work_dir>/queue/queue.log`, whose frames also carry the extraction
+  /// position.
   std::string work_dir;
-
-  /// Bound on the shipping queue's unacknowledged backlog, in bytes. A
-  /// ship into a full queue fails with kResourceExhausted and the leg
-  /// retains the extracted batch for the next round (backpressure, not
-  /// drop) — a slow warehouse stalls extraction instead of growing the
-  /// queue without limit. 0 = unbounded.
-  uint64_t queue_max_bytes = 0;
 };
 
 }  // namespace opdelta::pipeline

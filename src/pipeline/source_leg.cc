@@ -22,7 +22,7 @@ constexpr char kOpDeltaMessage = 'O';
 constexpr char kFrame = 'F';
 constexpr char kLiveKind = 'B';
 constexpr char kSnapshotKind = 'C';
-constexpr uint8_t kFrameVersion = 1;
+constexpr uint8_t kFrameVersion = 2;
 // Feature bits reserved for additive frame extensions. None are defined
 // yet, so any set bit comes from a newer writer this build cannot decode.
 constexpr uint32_t kKnownFeatureBits = 0;
@@ -74,7 +74,8 @@ Status DecodeFrameHeader(Slice* input, extract::BatchId* id, uint32_t* crc) {
   Slice source;
   if (!GetLengthPrefixed(input, &source) ||
       !GetFixed64(input, &decoded.epoch) || !GetFixed64(input, &decoded.seq) ||
-      !GetFixed64(input, &decoded.schema_epoch) || !GetFixed32(input, crc)) {
+      !GetFixed64(input, &decoded.schema_epoch) ||
+      !GetFixed64(input, &decoded.position) || !GetFixed32(input, crc)) {
     return Status::Corruption("batch identity frame");
   }
   decoded.source_id = source.ToString();
@@ -141,6 +142,7 @@ void EncodeBatchFrame(const extract::BatchId& id, const std::string& inner,
   PutFixed64(out, id.epoch);
   PutFixed64(out, id.seq);
   PutFixed64(out, id.schema_epoch);
+  PutFixed64(out, id.position);
   // End-to-end payload checksum, stamped once at capture and carried with
   // the batch through every hop (queue, staging memory, dead-letter files,
   // any transport). The queue's own per-frame CRC only covers its log;
@@ -255,38 +257,28 @@ Result<std::unique_ptr<SourceLeg>> SourceLeg::Create(
 Status SourceLeg::Setup() {
   if (setup_done_) return Status::OK();
   OPDELTA_RETURN_IF_ERROR(Env::Default()->CreateDir(options_.work_dir));
-  OPDELTA_RETURN_IF_ERROR(
-      queue_.Open(options_.work_dir + "/queue", options_.queue_max_bytes));
-  OPDELTA_RETURN_IF_ERROR(LoadState());
+  OPDELTA_RETURN_IF_ERROR(queue_.Open(options_.work_dir + "/queue"));
 
-  // Reconcile the identity state against the durable queue: a crash after
-  // the enqueue but before the state save must not reuse the stamped seq
-  // for different data (fatal for destructive extraction methods, whose
-  // re-extraction yields *new* changes under the old number — the ledger
-  // would drop them as duplicates). The queue outlives the state file, so
-  // the stamps found in it are authoritative.
-  OPDELTA_RETURN_IF_ERROR(queue_.ForEachMessage([&](Slice message) {
-    extract::BatchId id;
-    if (!DecodeBatchHeader(message, &id).ok() || !id.valid()) return true;
-    if (id.epoch > epoch_ || (id.epoch == epoch_ && id.seq >= next_seq_)) {
-      epoch_ = id.epoch;
-      next_seq_ = id.seq + 1;
-    }
-    return true;
-  }));
-  // A fresh capture state (or a wiped state file with an empty queue)
-  // mints a new epoch, ordered after any previously applied one by the
-  // wall clock, so recycled sequence numbers can never collide with
-  // identities the warehouse ledger has already recorded. Persisting can
-  // wait for the first shipped batch: until then the epoch stamps nothing,
-  // and once a stamped batch is durably enqueued the queue scan above
-  // re-derives it even if the state save never lands.
-  if (epoch_ == 0) {
+  // The newest frame holds the leg's restart state: its epoch, its seq and
+  // the position after it, synced in one append with its batch.
+  std::string newest;
+  Status peek = queue_.PeekLast(&newest);
+  if (!peek.ok() && !peek.IsNotFound()) return peek;
+  extract::BatchId id;
+  if (peek.ok() && DecodeBatchHeader(Slice(newest), &id).ok() && id.valid()) {
+    epoch_ = id.epoch;
+    next_seq_ = id.seq + 1;
+    position_ = id.position;
+  } else {
+    // No frame (an empty queue, or a newest message that carries no
+    // state): start afresh under a new epoch, ordered after any applied one
+    // by the wall clock so recycled seqs never collide with identities the
+    // ledger recorded. An op-delta leg drains from the current DDL epoch.
     epoch_ = static_cast<uint64_t>(RealClock::Default()->NowMicros());
     next_seq_ = 1;
+    position_ =
+        options_.method == Method::kOpDelta ? source_->ddl_epoch() : 0;
   }
-  // A fresh leg drains from the source's current epoch.
-  if (drained_epoch_ == 0) drained_epoch_ = source_->ddl_epoch();
 
   switch (options_.method) {
     case Method::kTrigger: {
@@ -318,45 +310,20 @@ Status SourceLeg::Setup() {
   return Status::OK();
 }
 
-Status SourceLeg::LoadState() {
-  const std::string path = options_.work_dir + "/watermarks";
-  if (!Env::Default()->FileExists(path)) return Status::OK();
-  std::string data;
-  OPDELTA_RETURN_IF_ERROR(Env::Default()->ReadFileToString(path, &data));
-  Slice input(data);
-  uint64_t ts = 0;
-  if (!GetFixed64(&input, &ts) || !GetFixed64(&input, &lsn_watermark_) ||
-      !GetFixed64(&input, &epoch_) || !GetFixed64(&input, &next_seq_) ||
-      !GetFixed64(&input, &drained_epoch_)) {
-    return Status::Corruption("pipeline watermark file");
-  }
-  ts_watermark_ = static_cast<Micros>(ts);
-  return Status::OK();
-}
-
-Status SourceLeg::SaveState() {
-  std::string data;
-  PutFixed64(&data, static_cast<uint64_t>(ts_watermark_));
-  PutFixed64(&data, lsn_watermark_);
-  PutFixed64(&data, epoch_);
-  PutFixed64(&data, next_seq_);
-  PutFixed64(&data, drained_epoch_);
-  return WriteFileAtomic(Env::Default(), options_.work_dir + "/watermarks",
-                         Slice(data));
-}
-
 Status SourceLeg::ExtractPending() {
   engine::Table* src = source_->GetTable(options_.source_table);
 
   // Frames the inner message under the identity stamped at capture: a
   // ship retry re-ships these exact bytes under this exact identity, so
   // the warehouse sees one stable (source, epoch, seq) per batch of data.
-  // Consecutive pending frames get consecutive seqs.
+  // Consecutive pending frames get consecutive seqs. Each frame carries
+  // the position that holds after it, so callers advance position_ first.
   auto stage = [&](const std::string& inner, uint64_t records,
                    uint64_t schema_epoch) {
     extract::BatchId id{options_.source_id, epoch_,
                         next_seq_ + pending_.size()};
     id.schema_epoch = schema_epoch;
+    id.position = position_;
     PendingFrame pf;
     pf.records = records;
     pf.seq = id.seq;
@@ -368,18 +335,20 @@ Status SourceLeg::ExtractPending() {
     case Method::kTimestamp: {
       extract::TimestampExtractor extractor(source_, options_.source_table,
                                             options_.timestamp_column);
+      Micros watermark = static_cast<Micros>(position_);
       OPDELTA_ASSIGN_OR_RETURN(DeltaBatch batch,
-                               extractor.ExtractSince(ts_watermark_));
+                               extractor.ExtractSince(watermark));
       if (batch.records.empty()) return Status::OK();
       // Advance conservatively to the largest timestamp actually seen.
       const int ts_col =
           src->schema().ColumnIndex(options_.timestamp_column);
       for (const extract::DeltaRecord& r : batch.records) {
         if (!r.image[ts_col].is_null() &&
-            r.image[ts_col].AsTimestamp() > ts_watermark_) {
-          ts_watermark_ = r.image[ts_col].AsTimestamp();
+            r.image[ts_col].AsTimestamp() > watermark) {
+          watermark = r.image[ts_col].AsTimestamp();
         }
       }
+      position_ = static_cast<uint64_t>(watermark);
       std::string inner;
       EncodeValueDeltaMessage(batch, &inner);
       stage(inner, batch.records.size(), source_->ddl_epoch());
@@ -387,13 +356,15 @@ Status SourceLeg::ExtractPending() {
     }
 
     case Method::kLog: {
-      txn::Lsn new_watermark = lsn_watermark_;
+      txn::Lsn new_watermark = position_;
       OPDELTA_ASSIGN_OR_RETURN(
           DeltaBatch batch,
-          log_extractor_.ExtractSince(lsn_watermark_, src->id(),
+          log_extractor_.ExtractSince(position_, src->id(),
                                       options_.source_table, src->schema(),
                                       &new_watermark));
-      lsn_watermark_ = new_watermark;
+      // The watermark may advance on an empty batch too (records on other
+      // tables); it is persisted with the next frame that ships.
+      position_ = new_watermark;
       if (batch.records.empty()) return Status::OK();
       std::string inner;
       EncodeValueDeltaMessage(batch, &inner);
@@ -419,7 +390,7 @@ Status SourceLeg::ExtractPending() {
       // events found mid-log.
       OPDELTA_ASSIGN_OR_RETURN(
           std::shared_ptr<const catalog::SchemaMap> schemas,
-          source_->SchemaMapAt(drained_epoch_));
+          source_->SchemaMapAt(position_));
       std::vector<extract::OpDeltaTxn> txns;
       OPDELTA_RETURN_IF_ERROR(extract::OpDeltaLogReader::DrainDbTable(
           source_, options_.op_log_table, *schemas, &txns));
@@ -429,15 +400,15 @@ Status SourceLeg::ExtractPending() {
       // schema-epoch stamp, but before images on the two sides of a DDL
       // encode under different schemas. Each segment ships under the
       // epoch its rows were written in and ends with the event that
-      // closes that epoch; the next segment opens under the event's
-      // post-change epoch.
+      // closes that epoch, whose post-change epoch is the segment's
+      // position and the next segment's schema epoch.
       std::vector<extract::OpDeltaTxn> segment;
       uint64_t seg_records = 0;
-      auto flush_segment = [&]() {
+      auto flush_segment = [&](uint64_t schema_epoch) {
         if (segment.empty()) return;
         std::string inner(1, kOpDeltaMessage);
         inner.append(extract::SerializeOpDeltaTxns(segment));
-        stage(inner, seg_records, drained_epoch_);
+        stage(inner, seg_records, schema_epoch);
         segment.clear();
         seg_records = 0;
       };
@@ -451,11 +422,12 @@ Status SourceLeg::ExtractPending() {
         seg_records += t.ops.size();
         segment.push_back(std::move(t));
         if (post_ddl_epoch != 0) {
-          flush_segment();
-          drained_epoch_ = post_ddl_epoch;
+          const uint64_t schema_epoch = position_;
+          position_ = post_ddl_epoch;
+          flush_segment(schema_epoch);
         }
       }
-      flush_segment();
+      flush_segment(position_);
       return Status::OK();
     }
   }
@@ -472,12 +444,10 @@ Status SourceLeg::ExtractAndShip(bool* shipped,
   if (pending_.empty()) {
     // Nothing staged from a failed ship or a DDL-split drain: extract.
     // Extraction is destructive (drained capture state / advanced
-    // watermarks), so anything it stages must ship or stay pending.
+    // position), so anything it stages must ship or stay pending.
     OPDELTA_RETURN_IF_ERROR(ExtractPending());
   }
-  // The watermark may advance even on an empty round (kLog skips
-  // non-matching records); persist it regardless.
-  if (pending_.empty()) return SaveState();
+  if (pending_.empty()) return Status::OK();
 
   PendingFrame& front = pending_.front();
   OPDELTA_RETURN_IF_ERROR(queue_.Enqueue(Slice(front.frame),
@@ -489,10 +459,7 @@ Status SourceLeg::ExtractAndShip(bool* shipped,
   if (shipped != nullptr) *shipped = true;
   if (shipped_message != nullptr) *shipped_message = front.frame;
   pending_.pop_front();
-  // Persisting after the durable enqueue makes the pair restart-safe: a
-  // crash here replays the staged batch, never re-extracts it — and Setup
-  // re-derives next_seq_ from the queue if this save never lands.
-  return SaveState();
+  return Status::OK();
 }
 
 Status SourceLeg::ShipSnapshot(const extract::DeltaBatch& chunk) {
@@ -509,15 +476,16 @@ Status SourceLeg::ShipSnapshot(const extract::DeltaBatch& chunk) {
   extract::BatchId id{options_.source_id, epoch_, next_seq_,
                       /*snapshot=*/true};
   id.schema_epoch = source_->ddl_epoch();
+  // The chunk may be the newest frame when the leg restarts, so it carries
+  // the position too.
+  id.position = position_;
   std::string message;
   EncodeBatchFrame(id, inner, &message);
   OPDELTA_RETURN_IF_ERROR(queue_.Enqueue(Slice(message), /*durable=*/true));
   next_seq_++;
   stats_.batches_shipped++;
   stats_.bytes_shipped += message.size();
-  // A crash before this save re-derives next_seq_ from the queue scan in
-  // Setup, exactly as the live path does.
-  return SaveState();
+  return Status::OK();
 }
 
 Status SourceLeg::PeekShipped(std::string* message) {

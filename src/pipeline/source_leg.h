@@ -30,13 +30,16 @@ struct LegStats {
 
 /// One source table's extract→ship half of the Figure-1 loop: watermarked
 /// extraction by any Method, durable shipping through a PersistentQueue,
-/// restart-safe persisted state. The integrate half is pulled by whoever
-/// consumes the queue — a `hub::DeltaHub` round task, or a test or tool
-/// driving one leg by hand — via PeekShipped / Integrate / AckShipped.
+/// restart-safe state. The integrate half is pulled by whoever consumes the
+/// queue — a `hub::DeltaHub` round task, or a test or tool driving one leg
+/// by hand — via PeekShipped / Integrate / AckShipped.
 ///
-/// The watermark persists after a successful durable enqueue: once a batch
-/// is staged in the queue it is never re-extracted, and a crash before
-/// integration replays it from the queue (at-least-once delivery).
+/// The queue log (`<work_dir>/queue/queue.log`) is the leg's only durable
+/// state. Every frame carries the extraction position that holds after it,
+/// in the same synced append as its batch: once a batch is in the queue it
+/// is never re-extracted, a crash before integration replays it from the
+/// queue (at-least-once delivery), and Setup resumes from the newest
+/// frame. An empty round writes nothing.
 ///
 /// Threading: ExtractAndShip and the consumer-side calls may run on
 /// different threads, but each side must be externally serialized (one
@@ -47,15 +50,18 @@ class SourceLeg {
                                                    PipelineOptions options);
 
   /// Installs capture machinery (trigger / op-log table), opens the queue,
-  /// loads the persisted watermark. Idempotent.
+  /// and restores the capture epoch, the next seq and the extraction
+  /// position from the queue's newest frame (a fresh epoch when there is
+  /// none). Idempotent.
   Status Setup();
 
   /// For Method::kOpDelta: the capture wrapper the application must route
   /// its statements through. nullptr for other methods.
   extract::OpDeltaCapture* capture() { return capture_.get(); }
 
-  /// Extracts changes since the watermark, ships them durably, persists
-  /// the advanced watermark. `*shipped` reports whether a batch went out.
+  /// Extracts changes since the position, ships them durably in one frame
+  /// that carries the advanced position. `*shipped` reports whether a batch
+  /// went out.
   /// When `shipped_message` is non-null it receives a copy of the framed
   /// message that went out (empty if nothing shipped) — the backfiller
   /// inspects it for events concurrent with a chunk select.
@@ -104,9 +110,6 @@ class SourceLeg {
  private:
   SourceLeg(engine::Database* source, PipelineOptions options);
 
-  Status LoadState();
-  Status SaveState();
-
   /// Extracts pending changes into one or more framed queue messages
   /// appended to `pending_` (none = nothing to ship). Op-delta drains
   /// split at schema events; every other method yields at most one frame.
@@ -122,29 +125,25 @@ class SourceLeg {
   extract::LogExtractor log_extractor_;
   bool setup_done_ = false;
 
-  Micros ts_watermark_ = 0;
-  txn::Lsn lsn_watermark_ = 0;
-
-  // Batch-identity state (persisted with the watermarks): `epoch_` is
-  // minted once per capture-state lifetime, `next_seq_` stamps the next
-  // shipped batch. Setup reconciles next_seq_ with the stamps found in the
-  // durable queue, so a crash between the enqueue and the state save can
-  // never reuse a sequence number for different data.
+  // Batch-identity state, restored by Setup from the newest frame:
+  // `epoch_` is minted once per capture-state lifetime, `next_seq_` stamps
+  // the next shipped batch.
   uint64_t epoch_ = 0;
   uint64_t next_seq_ = 1;
 
-  // Source DDL epoch through which the op log has been drained (persisted
-  // with the watermarks). The source catalog may already be several DDL
-  // changes ahead of rows still sitting in the log; drained before images
-  // must decode against the schemas of *this* epoch, not the current one.
-  // 0 = a fresh leg; Setup seeds it from the source's current epoch.
-  uint64_t drained_epoch_ = 0;
+  // Extraction position (extract::BatchId::position): the timestamp
+  // watermark (kTimestamp), the LSN watermark (kLog), 0 (kTrigger), or the
+  // source DDL epoch through which the op log has been drained (kOpDelta).
+  // The source catalog may already be several DDL changes ahead of rows
+  // still sitting in the op log; drained before images decode against the
+  // schemas of *this* epoch, not the current one.
+  uint64_t position_ = 0;
   LegStats stats_;
 
   // Batches that were extracted but not yet durably enqueued, in ship
   // order, each already framed under its stamped identity. Extraction is
   // destructive for kTrigger/kOpDelta (the capture table is drained) and
-  // advances in-memory watermarks for the others, so the frames must be
+  // advances the in-memory position for the others, so the frames must be
   // retained and retried — dropping them on a ship failure would lose
   // data. More than one entry pends only when an op-delta drain was split
   // at schema events into per-epoch frames.
@@ -157,12 +156,13 @@ class SourceLeg {
 };
 
 /// Message framing. A shipped message is an 'F' identity frame — 'F',
-/// version byte, fixed32 feature bits, kind ('B' live batch, 'C' backfill
-/// snapshot chunk), the stamped extract::BatchId with the payload's schema
-/// epoch, and a CRC32C over the payload — around a payload that is a
-/// one-byte tag ('V' value-delta batch, 'O' op-delta transaction log) plus
-/// the encoded body. Unknown frame versions, feature bits, or kinds fail
-/// with kSchemaMismatch naming the offender — never a guessed decode.
+/// version byte (2), fixed32 feature bits, kind ('B' live batch, 'C'
+/// backfill snapshot chunk), the stamped extract::BatchId (length-prefixed
+/// source id, fixed64 epoch, seq, schema epoch and position), and a CRC32C
+/// over the payload — around a payload that is a one-byte tag ('V'
+/// value-delta batch, 'O' op-delta transaction log) plus the encoded body.
+/// Unknown frame versions, feature bits, or kinds fail with
+/// kSchemaMismatch naming the offender — never a guessed decode.
 Status DecodeValueDeltaMessage(const std::string& message,
                                extract::DeltaBatch* out);
 void EncodeValueDeltaMessage(const extract::DeltaBatch& batch,

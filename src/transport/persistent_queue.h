@@ -1,11 +1,10 @@
 #ifndef OPDELTA_TRANSPORT_PERSISTENT_QUEUE_H_
 #define OPDELTA_TRANSPORT_PERSISTENT_QUEUE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "common/env.h"
@@ -17,10 +16,13 @@ namespace opdelta::transport {
 /// Durable FIFO message queue with at-least-once delivery: the "persistent
 /// queues ... [whose] choice depends on the requirement of transaction
 /// guarantees" transport of §1. Messages survive process restarts; a
-/// consumer Peek()s, processes, then Ack()s to advance the read cursor.
+/// consumer Peek()s, processes, then Ack()s.
 ///
-/// On-disk layout: an append-only message log (framed, CRC-protected) plus
-/// a small cursor file updated on Ack.
+/// On-disk layout: one append-only log (`queue.log`) of framed,
+/// CRC-protected records. A record with a payload is a message; an empty
+/// record is an ack, and acknowledges the oldest message no earlier ack
+/// record has. Open replays the acks to find the read cursor, so the log
+/// is the queue's only file.
 ///
 /// Crash tolerance mirrors txn::Wal: an incomplete frame at the tail of the
 /// log (a torn append) is truncated away on Open and the queue continues; a
@@ -35,66 +37,57 @@ class PersistentQueue {
   PersistentQueue(const PersistentQueue&) = delete;
   PersistentQueue& operator=(const PersistentQueue&) = delete;
 
-  /// Opens (creating if needed) a queue rooted at `dir`. A non-zero
-  /// `max_backlog_bytes` bounds the unacknowledged backlog: Enqueue
-  /// returns kResourceExhausted (backpressure, not data loss — the caller
-  /// retains the message and retries) once the pending bytes would exceed
-  /// the bound. A message into an *empty* backlog is always admitted, so
-  /// one oversized message can never wedge the queue.
-  Status Open(const std::string& dir, uint64_t max_backlog_bytes = 0);
+  /// Opens (creating if needed) a queue rooted at `dir`.
+  Status Open(const std::string& dir);
   Status Close();
 
-  /// Appends a message durably (fsync when `durable`). kResourceExhausted
-  /// when a backlog bound is configured and this message would exceed it.
+  /// Appends a message (fsync when `durable`, which also makes every
+  /// earlier ack durable). An empty message is InvalidArgument: the empty
+  /// record is the log's ack.
   Status Enqueue(Slice message, bool durable = false);
 
   /// Reads the message at the cursor without consuming it. Returns
   /// NotFound when the queue is drained.
   Status Peek(std::string* message);
 
-  /// Advances the cursor past the message returned by the last Peek.
+  /// Acknowledges the message returned by the last Peek by appending an
+  /// ack record. The record is written but not synced; the next durable
+  /// Enqueue syncs it. An ack lost to a power failure only redelivers its
+  /// message.
   Status Ack();
 
-  /// Messages appended since Open (not persisted across reopen). Readable
-  /// from any thread while producers are enqueueing.
-  uint64_t enqueued() const {
-    return enqueued_.load(std::memory_order_relaxed);
-  }
+  /// Reads the newest message in the log, acknowledged or not. Returns
+  /// NotFound when the log holds no message.
+  Status PeekLast(std::string* message);
+
   /// Current backlog (messages after the cursor).
   Result<uint64_t> Backlog();
 
-  /// Visits every message currently in the log — acknowledged and pending
-  /// alike — in append order; `fn` returns false to stop early. Used by
-  /// producers recovering their stamped batch sequence after a crash that
-  /// lost the producer-side state file but not the durable queue. The
-  /// visit runs over an atomic prefix snapshot of the log taken under the
-  /// queue mutex, but the visitor itself runs WITHOUT the mutex and may
-  /// re-enter this queue (messages it enqueues are past the snapshot and
-  /// are not visited).
-  Status ForEachMessage(const std::function<bool(Slice)>& fn);
-
  private:
   /// Scans the log from offset 0, truncating a torn tail frame (crash
-  /// artifact) and rejecting complete frames with CRC mismatch. Runs on
-  /// Open before the log is reopened for append.
+  /// artifact), rejecting complete frames with CRC mismatch, and replaying
+  /// the ack records into the cursor. Runs on Open before the log is
+  /// reopened for append.
   Status RecoverLog();
+  /// Appends one record; on failure heals the log and returns the error.
+  /// Requires mutex_.
+  Status AppendRecord(Slice payload, bool durable);
   /// After a failed append: truncates the log back to `frame_start` and
   /// reopens it so a retry starts from a clean frame boundary.
   void HealFailedAppend(uint64_t frame_start);
-  Status LoadCursor();
-  Status SaveCursor();
+  /// Flushes the log and opens a reader over it. Requires mutex_.
+  Status OpenReader(std::unique_ptr<RandomAccessFile>* reader);
 
   std::string dir_;
-  uint64_t max_backlog_bytes_ = 0;  // 0 = unbounded
   std::unique_ptr<WritableFile> log_;
   common::OrderedMutex mutex_{
       OPDELTA_LOCK_RANK(transport_queue, common::lockrank::kTransportQueue)};
-  uint64_t read_offset_ = 0;   // byte offset of the cursor in the log
+  // Byte offset of the oldest unacknowledged message, or of an ack record
+  // before it (Peek skips those).
+  uint64_t read_offset_ = 0;
   uint64_t peeked_next_ = 0;   // offset after the last peeked message
   bool has_peeked_ = false;
-  // Atomic: enqueued() reads it without mutex_ while producers mutate it
-  // under mutex_ in Enqueue().
-  std::atomic<uint64_t> enqueued_{0};
+  std::optional<uint64_t> newest_;  // offset of the newest message
 };
 
 }  // namespace opdelta::transport

@@ -665,8 +665,8 @@ TEST(BackfillCrashTest, ResumesAndConvergesAfterEveryCrashPoint) {
     fenv.SetScope(work_dir);
     ScopedEnvOverride guard(&fenv);
 
-    // Source and warehouse live on healthy disks; only the hub's queue,
-    // cursor and watermark files crash.
+    // Source and warehouse live on healthy disks; only the hub's state
+    // (each source's queue log) crashes.
     auto src = OpenDb(dir, "src" + tag, NoTimestampOptions());
     auto wh = OpenDb(dir, "wh" + tag, NoTimestampOptions());
     workload::PartsWorkload wl;

@@ -552,9 +552,13 @@ TEST(HubDeadLetterTest, PoisonMessageIsDivertedAndEverythingElseApplies) {
 /// seeded torn tail), and a fresh hub over the same work_dir must bring
 /// the warehouse to exactly the source's state — nothing lost, nothing
 /// applied twice.
-TEST(HubCrashPointTest, WarehouseConvergesAfterEveryCrashPoint) {
+void HubCrashSweep(pipeline::Method method) {
   TempDir dir;
-  auto src = OpenDb(dir, "src", NoTimestampOptions());
+  // A timestamp source stamps its own rows; the warehouse keeps the
+  // shipped stamps.
+  engine::DatabaseOptions src_options = NoTimestampOptions();
+  src_options.auto_timestamp = method == pipeline::Method::kTimestamp;
+  auto src = OpenDb(dir, "src", src_options);
   auto wh = OpenDb(dir, "wh", NoTimestampOptions());
   workload::PartsWorkload wl;
   OPDELTA_ASSERT_OK(wl.CreateTable(src.get(), "parts"));
@@ -562,8 +566,8 @@ TEST(HubCrashPointTest, WarehouseConvergesAfterEveryCrashPoint) {
   sql::Executor exec(src.get());
   const std::string work_dir = dir.Sub("hubcrash");
 
-  // The hub's transport state (queue, cursor, watermarks) crashes; the
-  // source and warehouse databases are different machines and survive.
+  // The hub's state (each source's queue log) crashes; the source and
+  // warehouse databases are different machines and survive.
   FaultInjectionEnv fenv(Env::Default(), FaultSeedFromEnv(1234));
   fenv.SetScope(work_dir);
   ScopedEnvOverride guard(&fenv);
@@ -579,7 +583,7 @@ TEST(HubCrashPointTest, WarehouseConvergesAfterEveryCrashPoint) {
     hub::SourceSpec spec;
     spec.name = "s1";
     spec.source = src.get();
-    spec.method = pipeline::Method::kLog;
+    spec.method = method;
     spec.source_table = "parts";
     spec.warehouse_table = "parts";
     OPDELTA_RETURN_IF_ERROR(hub->AddSource(spec));
@@ -621,8 +625,8 @@ TEST(HubCrashPointTest, WarehouseConvergesAfterEveryCrashPoint) {
     fenv.ClearFaults();
     OPDELTA_ASSERT_OK(fenv.CrashAndDropUnsynced(/*torn_tails=*/true));
 
-    // Reboot and recover: replay the queue, re-extract past the
-    // watermark, converge.
+    // Reboot and recover: replay the queue, re-extract past the position
+    // in its newest frame, converge.
     Result<std::unique_ptr<hub::DeltaHub>> recovered = make_hub();
     ASSERT_TRUE(recovered.ok())
         << "crash point " << crash_point << ": "
@@ -638,6 +642,19 @@ TEST(HubCrashPointTest, WarehouseConvergesAfterEveryCrashPoint) {
   // Some crash points land between the warehouse commit and the durable
   // ack, so the sweep must have exercised the ledger's duplicate drop.
   EXPECT_GT(redeliveries_dropped, 0u);
+}
+
+/// The sweep drives the non-destructive methods, whose extraction position
+/// rides in the shipped frame. (The op-delta and trigger drains delete
+/// their capture rows before the durable enqueue, so a hub crash in
+/// between can still lose a drained batch.)
+TEST(HubCrashPointTest, WarehouseConvergesAfterEveryCrashPoint) {
+  for (pipeline::Method method :
+       {pipeline::Method::kLog, pipeline::Method::kTimestamp}) {
+    SCOPED_TRACE(pipeline::MethodName(method));
+    HubCrashSweep(method);
+    if (HasFatalFailure()) return;
+  }
 }
 
 // ----------------------------------------------- warehouse-side crash points
@@ -718,8 +735,9 @@ TEST(WarehouseApplyCrashTest, DeadDiskMidApplyRollsBackAndAppliesOnce) {
 }
 
 /// Deterministic ack-after-commit window: the warehouse commit lands but
-/// the queue cursor cannot be written, so the batch is redelivered. The
-/// ledger must drop it — one committed apply, zero extra rows.
+/// the ack record cannot be appended to the queue log, so the batch is
+/// redelivered. The ledger must drop it — one committed apply, zero extra
+/// rows.
 TEST(WarehouseApplyCrashTest, AckFailureAfterCommitDegradesToDroppedRedelivery) {
   TempDir dir;
   auto src = OpenDb(dir, "src", NoTimestampOptions());
@@ -757,9 +775,10 @@ TEST(WarehouseApplyCrashTest, AckFailureAfterCommitDegradesToDroppedRedelivery) 
     OPDELTA_ASSERT_OK(
         capture->RunTransaction({wl.MakeInsert("parts", 0, 25)}).status());
 
-    // Fail exactly the consumer cursor: the apply commits, the ack cannot.
-    fenv.SetScope("queue.cursor");
-    fenv.SetErrorProbability(OpKind::kWrite, 1.0);
+    // The queue log's disk dies after two writes: the enqueue's append and
+    // sync land, the apply commits, and the ack's append fails.
+    fenv.SetScope("queue.log");
+    fenv.FailAllOpsAfter(2);
     Status round = (*hub)->RunRound();
     EXPECT_FALSE(round.ok()) << "ack failure must surface";
     // The batch applied (commit preceded the failed ack)...
@@ -768,7 +787,7 @@ TEST(WarehouseApplyCrashTest, AckFailureAfterCommitDegradesToDroppedRedelivery) 
     OPDELTA_EXPECT_OK((*hub)->Stop());
   }
 
-  // ...and after a restart — the durable cursor never advanced — the
+  // ...and after a restart — the log holds no ack for the batch — the
   // redelivery on the healed disk is dropped by the ledger.
   fenv.ClearFaults();
   Result<std::unique_ptr<hub::DeltaHub>> hub = make_hub();

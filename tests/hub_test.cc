@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <thread>
@@ -354,9 +355,9 @@ TEST(HubRestartTest, ShippedButUnappliedBatchesReplayWithoutLossOrDup) {
 }
 
 TEST(HubExactlyOnceTest, ForcedRedeliveryIsDroppedByTheLedger) {
-  // The queue is at-least-once: losing the consumer cursor (as a torn
-  // cursor write or a restored backup would) redelivers every batch it
-  // still holds. The apply ledger must recognize the redelivery and drop
+  // The queue is at-least-once: an ack is written but not synced, so a
+  // power failure before the next durable ship loses it and the batch is
+  // redelivered. The apply ledger must recognize the redelivery and drop
   // it — acked means committed, and committed means never applied twice.
   TempDir dir;
   auto src = OpenDb(dir, "src", NoTimestampOptions());
@@ -364,6 +365,12 @@ TEST(HubExactlyOnceTest, ForcedRedeliveryIsDroppedByTheLedger) {
   workload::PartsWorkload wl;
   OPDELTA_ASSERT_OK(wl.CreateTable(src.get(), "parts"));
   OPDELTA_ASSERT_OK(wl.CreateTable(wh.get(), "parts"));
+
+  // Tracks what the hub's files have synced; the databases are out of
+  // scope and survive.
+  FaultInjectionEnv fenv(Env::Default());
+  fenv.SetScope(dir.Sub("hubw"));
+  ScopedEnvOverride guard(&fenv);
 
   HubOptions options;
   options.work_dir = dir.Sub("hubw");
@@ -404,10 +411,9 @@ TEST(HubExactlyOnceTest, ForcedRedeliveryIsDroppedByTheLedger) {
   EXPECT_TRUE(TablesEqual(src.get(), "parts", wh.get(), "parts"));
   const uint64_t rows_before = CountRows(wh.get(), "parts");
 
-  // Force redelivery: drop the cursor, so the already-acknowledged batch
-  // replays from offset zero on the next hub.
-  OPDELTA_ASSERT_OK(Env::Default()->DeleteFile(
-      dir.Sub("hubw") + "/s1/queue/queue.cursor"));
+  // Force redelivery: a power failure drops the unsynced ack, so the
+  // already-acknowledged batch replays on the next hub.
+  OPDELTA_ASSERT_OK(fenv.CrashAndDropUnsynced(/*torn_tails=*/false));
 
   Result<std::unique_ptr<DeltaHub>> hub = make_hub();
   ASSERT_TRUE(hub.ok()) << hub.status().ToString();
@@ -541,6 +547,82 @@ TEST(HubExactlyOnceTest, QuarantinedSourceResumesFromPersistedWatermark) {
   EXPECT_EQ(after.applied_epoch, before.applied_epoch);  // same capture epoch
   EXPECT_GT(after.applied_seq, before.applied_seq);      // watermark advanced
   OPDELTA_EXPECT_OK((*hub)->Stop());
+}
+
+TEST(HubDurableStateTest, QueueLogIsTheOnlyStateAndIdleRoundsWriteNothing) {
+  // Each source's only hub-side state is its queue log: the extraction
+  // position rides in the shipped frames and acks are records in the same
+  // log. So a round that finds nothing to ship touches no hub file.
+  TempDir dir;
+  auto log_db = OpenDb(dir, "logsrc", NoTimestampOptions());
+  auto op_db = OpenDb(dir, "opsrc", NoTimestampOptions());
+  auto wh = OpenDb(dir, "wh", NoTimestampOptions());
+  workload::PartsWorkload wl;
+  OPDELTA_ASSERT_OK(wl.CreateTable(log_db.get(), "parts_log"));
+  OPDELTA_ASSERT_OK(wl.CreateTable(op_db.get(), "parts_op"));
+  OPDELTA_ASSERT_OK(
+      wh->CreateTable("parts_log", workload::PartsWorkload::Schema()));
+  OPDELTA_ASSERT_OK(
+      wh->CreateTable("parts_op", workload::PartsWorkload::Schema()));
+
+  const std::string work_dir = dir.Sub("hubw");
+  FaultInjectionEnv fenv(Env::Default());
+  fenv.SetScope(work_dir);
+  ScopedEnvOverride guard(&fenv);
+
+  HubOptions options;
+  options.work_dir = work_dir;
+  Result<std::unique_ptr<DeltaHub>> hub = DeltaHub::Create(wh.get(), options);
+  ASSERT_TRUE(hub.ok()) << hub.status().ToString();
+  SourceSpec log_spec;
+  log_spec.name = "s1";
+  log_spec.source = log_db.get();
+  log_spec.method = pipeline::Method::kLog;
+  log_spec.source_table = "parts_log";
+  log_spec.warehouse_table = "parts_log";
+  OPDELTA_ASSERT_OK((*hub)->AddSource(log_spec));
+  SourceSpec op_spec;
+  op_spec.name = "s2";
+  op_spec.source = op_db.get();
+  op_spec.method = pipeline::Method::kOpDelta;
+  op_spec.source_table = "parts_op";
+  op_spec.warehouse_table = "parts_op";
+  OPDELTA_ASSERT_OK((*hub)->AddSource(op_spec));
+  OPDELTA_ASSERT_OK((*hub)->Setup());
+
+  OPDELTA_ASSERT_OK(sql::Executor(log_db.get())
+                        .ExecuteSql(wl.MakeInsert("parts_log", 0, 20).ToSql())
+                        .status());
+  OPDELTA_ASSERT_OK((*hub)->capture("s2")
+                        ->RunTransaction({wl.MakeInsert("parts_op", 0, 20)})
+                        .status());
+  OPDELTA_ASSERT_OK((*hub)->RunRound());
+  EXPECT_TRUE(TablesEqual(log_db.get(), "parts_log", wh.get(), "parts_log"));
+  EXPECT_TRUE(TablesEqual(op_db.get(), "parts_op", wh.get(), "parts_op"));
+  for (const SourceStats& s : (*hub)->Stats().sources) {
+    EXPECT_EQ(s.batches_applied, 1u) << s.name;
+  }
+
+  // From here on every write to the hub's files fails; an idle round must
+  // not attempt one.
+  fenv.FailAllOpsAfter(0);
+  OPDELTA_EXPECT_OK((*hub)->RunRound());
+  EXPECT_EQ(fenv.faults_injected(), 0u);
+  fenv.ClearFaults();
+  OPDELTA_ASSERT_OK((*hub)->Stop());
+
+  for (const char* name : {"s1", "s2"}) {
+    SCOPED_TRACE(name);
+    const std::string source_dir = work_dir + "/" + name;
+    std::vector<std::string> files;
+    OPDELTA_ASSERT_OK(Env::Default()->ListDir(source_dir, &files));
+    std::sort(files.begin(), files.end());
+    EXPECT_EQ(files, std::vector<std::string>{"queue"});
+    files.clear();
+    OPDELTA_ASSERT_OK(Env::Default()->ListDir(source_dir + "/queue", &files));
+    std::sort(files.begin(), files.end());
+    EXPECT_EQ(files, std::vector<std::string>{"queue.log"});
+  }
 }
 
 TEST(HubFanInTest, TwoSourcesFeedOneWarehouseTableInOrder) {

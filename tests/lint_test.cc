@@ -672,6 +672,28 @@ TEST(LintR8Test, FlagsBlockingIoUnderLock) {
   EXPECT_NE(report.findings[0].message.find("store_mu"), std::string::npos);
 }
 
+TEST(LintR8Test, FlagsQueueLogReadUnderLock) {
+  // PeekLast reads the queue's log under the queue mutex; calling it with
+  // another lock held stacks a file read inside that critical section.
+  LintReport report = LintOne("src/a.cc", R"(
+class Leg {
+ public:
+  Status Restore() {
+    std::lock_guard<common::OrderedMutex> g(mu_);
+    return queue_.PeekLast(&newest_);
+  }
+ private:
+  transport::PersistentQueue queue_;
+  std::string newest_;
+  common::OrderedMutex mu_{OPDELTA_LOCK_RANK(leg_mu, 10)};
+};
+)");
+  ASSERT_EQ(report.findings.size(), 1u);
+  EXPECT_EQ(report.findings[0].rule, RuleId::kR8BlockingUnderLock);
+  EXPECT_NE(report.findings[0].message.find("PeekLast"), std::string::npos)
+      << report.findings[0].message;
+}
+
 TEST(LintR8Test, NegativeWhenIoIsOutsideTheCriticalSection) {
   EXPECT_TRUE(LintOne("src/a.cc", R"(
 class Store {

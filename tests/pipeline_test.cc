@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include "common/fault_env.h"
 #include "common/random.h"
 #include "hub/delta_hub.h"
 #include "pipeline/source_leg.h"
 #include "sql/executor.h"
+#include "sql/parser.h"
 #include "workload/workload.h"
 #include "tests/test_util.h"
 
@@ -12,6 +14,7 @@ namespace {
 
 using opdelta::testing::CountRows;
 using opdelta::testing::OpenDb;
+using opdelta::testing::ScopedEnvOverride;
 using opdelta::testing::TablesEqual;
 using opdelta::testing::TempDir;
 
@@ -153,6 +156,63 @@ INSTANTIATE_TEST_SUITE_P(Methods, PipelineTest,
                          });
 
 TEST(PipelineRestartTest, WatermarkSurvivesRestart) {
+  // For every method, a new hub over the same work dir resumes from the
+  // position carried by the queue's newest frame: the round after the
+  // restart extracts only the changes made since.
+  struct Case {
+    Method method;
+    uint64_t update_records;  // what a 10-row UPDATE extracts
+  };
+  for (const Case& c : {Case{Method::kTimestamp, 10}, Case{Method::kLog, 20},
+                        Case{Method::kTrigger, 20},
+                        Case{Method::kOpDelta, 1}}) {
+    SCOPED_TRACE(MethodName(c.method));
+    TempDir dir;
+    engine::DatabaseOptions src_options;
+    src_options.auto_timestamp = c.method == Method::kTimestamp;
+    engine::DatabaseOptions wh_options;
+    wh_options.auto_timestamp = false;
+    auto src = OpenDb(dir, "src", src_options);
+    auto wh = OpenDb(dir, "wh", wh_options);
+    workload::PartsWorkload wl;
+    OPDELTA_ASSERT_OK(wl.CreateTable(src.get(), "parts"));
+    OPDELTA_ASSERT_OK(wl.CreateTable(wh.get(), "parts"));
+    sql::Executor exec(src.get());
+    auto run = [&](hub::DeltaHub* hub, const sql::Statement& stmt) {
+      if (c.method == Method::kOpDelta) {
+        return hub->capture("parts")->RunTransaction({stmt}).status();
+      }
+      return exec.ExecuteSql(stmt.ToSql()).status();
+    };
+
+    {
+      Result<std::unique_ptr<hub::DeltaHub>> hub =
+          OneSourceHub(src.get(), wh.get(), c.method, dir.Sub("pipeline"));
+      ASSERT_TRUE(hub.ok()) << hub.status().ToString();
+      OPDELTA_ASSERT_OK(run(hub->get(), wl.MakeInsert("parts", 0, 100)));
+      OPDELTA_ASSERT_OK((*hub)->RunRound());
+      EXPECT_TRUE(TablesEqual(src.get(), "parts", wh.get(), "parts"));
+      OPDELTA_ASSERT_OK((*hub)->Stop());
+    }
+
+    // "Restart": the first batch must not re-ship.
+    Result<std::unique_ptr<hub::DeltaHub>> hub2 =
+        OneSourceHub(src.get(), wh.get(), c.method, dir.Sub("pipeline"));
+    ASSERT_TRUE(hub2.ok()) << hub2.status().ToString();
+    OPDELTA_ASSERT_OK(run(hub2->get(), wl.MakeUpdate("parts", 0, 10, "after")));
+    OPDELTA_ASSERT_OK((*hub2)->RunRound());
+    EXPECT_EQ((*hub2)->Stats().sources[0].records_extracted,
+              c.update_records);
+    EXPECT_EQ((*hub2)->Stats().sources[0].duplicates_dropped, 0u);
+    EXPECT_TRUE(TablesEqual(src.get(), "parts", wh.get(), "parts"));
+    OPDELTA_ASSERT_OK((*hub2)->Stop());
+  }
+}
+
+TEST(PipelineRestartTest, OpDeltaLegResumesAtThePostAlterEpoch) {
+  // The frame that closes a captured ALTER carries the post-ALTER epoch as
+  // its position, so a leg restarted right after it decodes and stamps the
+  // next drain under the new schema.
   TempDir dir;
   engine::DatabaseOptions options;
   options.auto_timestamp = false;
@@ -161,32 +221,62 @@ TEST(PipelineRestartTest, WatermarkSurvivesRestart) {
   workload::PartsWorkload wl;
   OPDELTA_ASSERT_OK(wl.CreateTable(src.get(), "parts"));
   OPDELTA_ASSERT_OK(wl.CreateTable(wh.get(), "parts"));
-  sql::Executor exec(src.get());
+  PipelineOptions popts;
+  popts.method = Method::kOpDelta;
+  popts.source_table = "parts";
+  popts.warehouse_table = "parts";
+  popts.work_dir = dir.Sub("leg");
+  const uint64_t pre_alter = src->ddl_epoch();
 
   {
-    Result<std::unique_ptr<hub::DeltaHub>> hub =
-        OneSourceHub(src.get(), wh.get(), Method::kLog, dir.Sub("pipeline"));
-    ASSERT_TRUE(hub.ok());
+    Result<std::unique_ptr<SourceLeg>> leg = SourceLeg::Create(src.get(), popts);
+    OPDELTA_ASSERT_OK(leg.status());
+    OPDELTA_ASSERT_OK((*leg)->Setup());
+    extract::OpDeltaCapture* capture = (*leg)->capture();
     OPDELTA_ASSERT_OK(
-        exec.ExecuteSql(wl.MakeInsert("parts", 0, 100).ToSql()).status());
-    OPDELTA_ASSERT_OK((*hub)->RunRound());
-    EXPECT_TRUE(TablesEqual(src.get(), "parts", wh.get(), "parts"));
-    OPDELTA_ASSERT_OK((*hub)->Stop());
+        capture->RunTransaction({wl.MakeInsert("parts", 0, 10)}).status());
+    Result<uint64_t> post_alter = capture->ExecuteDdl(
+        sql::Parser::Parse("ALTER TABLE parts ADD COLUMN qty INT64 DEFAULT 3")
+            ->alter());
+    OPDELTA_ASSERT_OK(post_alter.status());
+    ASSERT_GT(*post_alter, pre_alter);
+    bool shipped = false;
+    std::string message;
+    OPDELTA_ASSERT_OK((*leg)->ExtractAndShip(&shipped, &message));
+    ASSERT_TRUE(shipped);
+    extract::BatchId id;
+    OPDELTA_ASSERT_OK(DecodeBatchHeader(Slice(message), &id));
+    EXPECT_EQ(id.schema_epoch, pre_alter);  // rows written before the ALTER
+    EXPECT_EQ(id.position, *post_alter);    // the epoch drained through
   }
 
-  // "Restart": a new hub over the same work dir must resume from the
-  // persisted LSN watermark — the first batch must not re-ship.
-  Result<std::unique_ptr<hub::DeltaHub>> hub2 =
-      OneSourceHub(src.get(), wh.get(), Method::kLog, dir.Sub("pipeline"));
-  ASSERT_TRUE(hub2.ok());
+  Result<std::unique_ptr<SourceLeg>> leg = SourceLeg::Create(src.get(), popts);
+  OPDELTA_ASSERT_OK(leg.status());
+  OPDELTA_ASSERT_OK((*leg)->Setup());
   OPDELTA_ASSERT_OK(
-      exec.ExecuteSql(wl.MakeUpdate("parts", 0, 10, "after").ToSql())
+      (*leg)
+          ->capture()
+          ->RunTransaction({wl.MakeUpdate("parts", 0, 5, "post")})
           .status());
-  OPDELTA_ASSERT_OK((*hub2)->RunRound());
-  // Only the update's 20 images (before+after per row) were extracted.
-  EXPECT_EQ((*hub2)->Stats().sources[0].records_extracted, 20u);
+  bool shipped = false;
+  std::string message;
+  OPDELTA_ASSERT_OK((*leg)->ExtractAndShip(&shipped, &message));
+  ASSERT_TRUE(shipped);
+  extract::BatchId id;
+  OPDELTA_ASSERT_OK(DecodeBatchHeader(Slice(message), &id));
+  EXPECT_EQ(id.schema_epoch, src->ddl_epoch());
+  EXPECT_EQ(id.position, src->ddl_epoch());
+
+  // Both frames replay into the warehouse, the ALTER included.
+  while (true) {
+    Status peek = (*leg)->PeekShipped(&message);
+    if (peek.IsNotFound()) break;
+    OPDELTA_ASSERT_OK(peek);
+    OPDELTA_ASSERT_OK(
+        (*leg)->Integrate(wh.get(), nullptr, message, nullptr, nullptr));
+    OPDELTA_ASSERT_OK((*leg)->AckShipped());
+  }
   EXPECT_TRUE(TablesEqual(src.get(), "parts", wh.get(), "parts"));
-  OPDELTA_ASSERT_OK((*hub2)->Stop());
 }
 
 // ------------------------------------------------- batch payload CRC
@@ -244,11 +334,12 @@ TEST(BatchCrcTest, CorruptPayloadRejectedAtApply) {
   EXPECT_TRUE(TablesEqual(src.get(), "parts", wh.get(), "parts"));
 }
 
-// --------------------------------------------------- queue backpressure
+// ----------------------------------------------------- failed ship
 
-/// A bounded shipping queue stalls extraction (kResourceExhausted, batch
-/// retained) rather than dropping data; draining the backlog un-wedges
-/// the leg and everything converges without loss or duplication.
+/// A ship that fails after a destructive op-delta drain keeps the drained
+/// batch pending rather than dropping it, and snapshot ships wait behind
+/// it; once the disk heals, the retried ship and a full drain deliver
+/// every row exactly once.
 TEST(BackpressureTest, FullQueueRetainsBatchUntilDrained) {
   TempDir dir;
   engine::DatabaseOptions options;
@@ -258,31 +349,35 @@ TEST(BackpressureTest, FullQueueRetainsBatchUntilDrained) {
   workload::PartsWorkload wl;
   OPDELTA_ASSERT_OK(wl.CreateTable(src.get(), "parts"));
   OPDELTA_ASSERT_OK(wl.CreateTable(wh.get(), "parts"));
+
+  // Only the leg's queue log fails; installed before Setup opens it.
+  FaultInjectionEnv fenv(Env::Default());
+  fenv.SetScope("queue.log");
+  ScopedEnvOverride guard(&fenv);
+
   PipelineOptions popts;
   popts.method = Method::kOpDelta;
   popts.source_table = "parts";
   popts.warehouse_table = "parts";
   popts.work_dir = dir.Sub("leg");
-  popts.queue_max_bytes = 2048;  // a couple of small batches at most
   Result<std::unique_ptr<SourceLeg>> leg =
       SourceLeg::Create(src.get(), std::move(popts));
   OPDELTA_ASSERT_OK(leg.status());
   OPDELTA_ASSERT_OK((*leg)->Setup());
+  extract::OpDeltaCapture* capture = (*leg)->capture();
 
-  // Ship without draining until the bound pushes back.
-  Status st;
-  int rounds = 0;
-  for (; rounds < 200; ++rounds) {
-    OPDELTA_ASSERT_OK(
-        (*leg)
-            ->capture()
-            ->RunTransaction({wl.MakeInsert("parts", rounds * 10, 10)})
-            .status());
-    st = (*leg)->ExtractAndShip();
-    if (!st.ok()) break;
-  }
-  ASSERT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+  OPDELTA_ASSERT_OK(
+      capture->RunTransaction({wl.MakeInsert("parts", 0, 10)}).status());
+  OPDELTA_ASSERT_OK((*leg)->ExtractAndShip());
   const uint64_t shipped_before = (*leg)->stats().batches_shipped;
+
+  // The drain empties the op log, then the queue refuses the write.
+  OPDELTA_ASSERT_OK(
+      capture->RunTransaction({wl.MakeInsert("parts", 10, 10)}).status());
+  fenv.SetErrorProbability(FaultInjectionEnv::OpKind::kWrite, 1.0);
+  Status st = (*leg)->ExtractAndShip();
+  ASSERT_TRUE(st.IsIOError()) << st.ToString();
+  EXPECT_EQ((*leg)->stats().batches_shipped, shipped_before);
 
   // The retained batch blocks snapshot ships too (stable identities).
   extract::DeltaBatch chunk;
@@ -290,16 +385,13 @@ TEST(BackpressureTest, FullQueueRetainsBatchUntilDrained) {
   chunk.schema = workload::PartsWorkload::Schema();
   EXPECT_EQ((*leg)->ShipSnapshot(chunk).code(), StatusCode::kBusy);
 
-  // Drain one message and the retried ship goes through.
-  std::string message;
-  OPDELTA_ASSERT_OK((*leg)->PeekShipped(&message));
-  OPDELTA_ASSERT_OK(
-      (*leg)->Integrate(wh.get(), nullptr, message, nullptr, nullptr));
-  OPDELTA_ASSERT_OK((*leg)->AckShipped());
+  // The disk heals and the retried ship goes through.
+  fenv.ClearFaults();
   OPDELTA_ASSERT_OK((*leg)->ExtractAndShip());
   EXPECT_EQ((*leg)->stats().batches_shipped, shipped_before + 1);
 
   // Full drain: every batch arrives exactly once.
+  std::string message;
   while (true) {
     Status peek = (*leg)->PeekShipped(&message);
     if (peek.IsNotFound()) break;
@@ -308,6 +400,7 @@ TEST(BackpressureTest, FullQueueRetainsBatchUntilDrained) {
         (*leg)->Integrate(wh.get(), nullptr, message, nullptr, nullptr));
     OPDELTA_ASSERT_OK((*leg)->AckShipped());
   }
+  EXPECT_EQ(CountRows(wh.get(), "parts"), 20u);
   EXPECT_TRUE(TablesEqual(src.get(), "parts", wh.get(), "parts"));
 }
 

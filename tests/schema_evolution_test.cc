@@ -195,10 +195,12 @@ TEST(FrameCompatTest, VersionedFrameCarriesSchemaEpoch) {
   id.epoch = 7;
   id.seq = 42;
   id.schema_epoch = 3;
+  id.position = 9001;
   std::string frame;
   pipeline::EncodeBatchFrame(id, "payload", &frame);
   ASSERT_FALSE(frame.empty());
   EXPECT_EQ(frame[0], 'F');
+  EXPECT_EQ(frame[1], 2);  // version 2 carries the extraction position
 
   extract::BatchId out;
   std::string body;
@@ -207,6 +209,7 @@ TEST(FrameCompatTest, VersionedFrameCarriesSchemaEpoch) {
   EXPECT_EQ(out.epoch, 7u);
   EXPECT_EQ(out.seq, 42u);
   EXPECT_EQ(out.schema_epoch, 3u);
+  EXPECT_EQ(out.position, 9001u);
   EXPECT_FALSE(out.snapshot);
   EXPECT_EQ(body, "payload");
 }
@@ -961,8 +964,9 @@ TEST_P(RandomizedDdlTest, ConcurrentWritesAndDdlConverge) {
     OPDELTA_ASSERT_OK((*hub)->RunRound());
 
     if (round == kRounds / 2) {
-      // Crash-restart the whole transport mid-stream: durable queues and
-      // watermarks replay; the ledger dedupes; epochs keep decoding.
+      // Crash-restart the whole transport mid-stream: the durable queue
+      // replays and its newest frame restores the drained epoch; the
+      // ledger dedupes; epochs keep decoding.
       OPDELTA_ASSERT_OK((*hub)->Stop());
       hub->reset();
       hub = make_hub();

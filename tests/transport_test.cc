@@ -219,9 +219,9 @@ TEST(PersistentQueueTest, ConcurrentProducerSingleConsumer) {
 
 TEST(PersistentQueueTest, ConcurrentProducersWithLiveConsumer) {
   // The hub's shape: several producers enqueueing while a consumer
-  // Peek/Acks concurrently and other threads read enqueued()/Backlog().
-  // Counts must come out exact — this is the test that catches the
-  // formerly-unsynchronized enqueued_ counter under TSan.
+  // Peek/Acks concurrently, its ack records interleaving with their
+  // messages in the one log. Per-producer order and the counts must come
+  // out exact.
   TempDir dir;
   PersistentQueue q;
   OPDELTA_ASSERT_OK(q.Open(dir.Sub("q")));
@@ -259,26 +259,11 @@ TEST(PersistentQueueTest, ConcurrentProducersWithLiveConsumer) {
     }
   });
 
-  // Monitor thread exercising the lock-free enqueued() reader.
-  std::atomic<bool> stop_monitor{false};
-  std::thread monitor([&]() {
-    uint64_t last = 0;
-    while (!stop_monitor.load()) {
-      const uint64_t now = q.enqueued();
-      EXPECT_GE(now, last);  // monotone
-      EXPECT_LE(now, static_cast<uint64_t>(kTotal));
-      last = now;
-    }
-  });
-
   for (auto& t : producers) t.join();
   consumer.join();
-  stop_monitor.store(true);
-  monitor.join();
 
   EXPECT_EQ(enqueue_failures.load(), 0);
   EXPECT_EQ(consumed, kTotal);
-  EXPECT_EQ(q.enqueued(), static_cast<uint64_t>(kTotal));
   Result<uint64_t> backlog = q.Backlog();
   ASSERT_TRUE(backlog.ok());
   EXPECT_EQ(*backlog, 0u);  // fully drained: backlog exact
@@ -341,78 +326,107 @@ TEST(PersistentQueueTest, TornTailTruncatedAndQueueContinues) {
   EXPECT_EQ(msg, "gamma");
 }
 
-TEST(PersistentQueueTest, ForEachMessageVisitorMayReenterQueue) {
-  // Regression: the visitor used to run under the queue mutex, so any
-  // callback touching the queue self-deadlocked. It now runs over a prefix
-  // snapshot without the lock; re-entrant Enqueue must work, and the
-  // messages it appends land past the snapshot and are not visited.
+TEST(PersistentQueueTest, PeekLastReadsTheNewestMessageAcrossReopen) {
+  TempDir dir;
+  {
+    PersistentQueue q;
+    OPDELTA_ASSERT_OK(q.Open(dir.Sub("q")));
+    std::string msg;
+    EXPECT_TRUE(q.PeekLast(&msg).IsNotFound());
+    OPDELTA_ASSERT_OK(q.Enqueue(Slice("first"), /*durable=*/true));
+    OPDELTA_ASSERT_OK(q.Enqueue(Slice("second"), /*durable=*/true));
+    OPDELTA_ASSERT_OK(q.PeekLast(&msg));
+    EXPECT_EQ(msg, "second");
+    // Acknowledged or not, the newest message stays readable.
+    OPDELTA_ASSERT_OK(q.Peek(&msg));
+    OPDELTA_ASSERT_OK(q.Ack());
+    OPDELTA_ASSERT_OK(q.Peek(&msg));
+    OPDELTA_ASSERT_OK(q.Ack());
+    OPDELTA_ASSERT_OK(q.PeekLast(&msg));
+    EXPECT_EQ(msg, "second");
+    OPDELTA_ASSERT_OK(q.Close());
+  }
+  PersistentQueue q;
+  OPDELTA_ASSERT_OK(q.Open(dir.Sub("q")));
+  std::string msg;
+  OPDELTA_ASSERT_OK(q.PeekLast(&msg));
+  EXPECT_EQ(msg, "second");  // the ack records after it are skipped
+  OPDELTA_ASSERT_OK(q.Enqueue(Slice("third"), /*durable=*/true));
+  OPDELTA_ASSERT_OK(q.PeekLast(&msg));
+  EXPECT_EQ(msg, "third");
+}
+
+TEST(PersistentQueueTest, AcksAreReplayedAtOpen) {
+  TempDir dir;
+  {
+    PersistentQueue q;
+    OPDELTA_ASSERT_OK(q.Open(dir.Sub("q")));
+    for (const char* m : {"one", "two", "three"}) {
+      OPDELTA_ASSERT_OK(q.Enqueue(Slice(m), /*durable=*/true));
+    }
+    std::string msg;
+    for (int i = 0; i < 2; ++i) {
+      OPDELTA_ASSERT_OK(q.Peek(&msg));
+      OPDELTA_ASSERT_OK(q.Ack());
+    }
+    OPDELTA_ASSERT_OK(q.Close());
+  }
+  // The log is the queue's only file: no cursor file holds the position.
+  std::vector<std::string> files;
+  OPDELTA_ASSERT_OK(Env::Default()->ListDir(dir.Sub("q"), &files));
+  EXPECT_EQ(files, std::vector<std::string>{"queue.log"});
+
+  PersistentQueue q;
+  OPDELTA_ASSERT_OK(q.Open(dir.Sub("q")));
+  Result<uint64_t> backlog = q.Backlog();
+  ASSERT_TRUE(backlog.ok()) << backlog.status().ToString();
+  EXPECT_EQ(*backlog, 1u);
+  std::string msg;
+  OPDELTA_ASSERT_OK(q.Peek(&msg));
+  EXPECT_EQ(msg, "three");
+}
+
+TEST(PersistentQueueTest, TornAckRecordIsTruncatedAndItsMessageRedelivered) {
+  TempDir dir;
+  const std::string log = dir.Sub("q") + "/queue.log";
+  uint64_t before_ack = 0;
+  {
+    PersistentQueue q;
+    OPDELTA_ASSERT_OK(q.Open(dir.Sub("q")));
+    OPDELTA_ASSERT_OK(q.Enqueue(Slice("alpha"), /*durable=*/true));
+    OPDELTA_ASSERT_OK(Env::Default()->GetFileSize(log, &before_ack));
+    std::string msg;
+    OPDELTA_ASSERT_OK(q.Peek(&msg));
+    OPDELTA_ASSERT_OK(q.Ack());
+    OPDELTA_ASSERT_OK(q.Close());
+  }
+  // A crash tore the ack record: half of its 8-byte header reached disk.
+  uint64_t size = 0;
+  OPDELTA_ASSERT_OK(Env::Default()->GetFileSize(log, &size));
+  ASSERT_EQ(size, before_ack + 8);
+  OPDELTA_ASSERT_OK(Env::Default()->Truncate(log, before_ack + 4));
+
+  PersistentQueue q;
+  OPDELTA_ASSERT_OK(q.Open(dir.Sub("q")));
+  OPDELTA_ASSERT_OK(Env::Default()->GetFileSize(log, &size));
+  EXPECT_EQ(size, before_ack);  // the torn ack is gone
+  std::string msg;
+  OPDELTA_ASSERT_OK(q.Peek(&msg));
+  EXPECT_EQ(msg, "alpha");  // unacknowledged again: redelivered
+  OPDELTA_ASSERT_OK(q.Ack());
+  EXPECT_TRUE(q.Peek(&msg).IsNotFound());
+}
+
+TEST(PersistentQueueTest, EnqueueRejectsAnEmptyMessage) {
+  // The empty record is the log's ack, so it cannot be a message.
   TempDir dir;
   PersistentQueue q;
   OPDELTA_ASSERT_OK(q.Open(dir.Sub("q")));
-  OPDELTA_ASSERT_OK(q.Enqueue(Slice("a"), true));
-  OPDELTA_ASSERT_OK(q.Enqueue(Slice("b"), true));
-
-  int visited = 0;
-  OPDELTA_ASSERT_OK(q.ForEachMessage([&](Slice message) {
-    ++visited;
-    Status echo = q.Enqueue(Slice("echo-" + message.ToString()), true);
-    EXPECT_TRUE(echo.ok()) << echo.ToString();
-    return true;
-  }));
-  EXPECT_EQ(visited, 2);  // the snapshot excludes the re-entrant appends
-
-  std::map<std::string, int> seen;
-  OPDELTA_ASSERT_OK(q.ForEachMessage([&](Slice message) {
-    seen[message.ToString()]++;
-    return true;
-  }));
-  EXPECT_EQ(seen.size(), 4u);
-  EXPECT_EQ(seen["echo-a"], 1);
-  EXPECT_EQ(seen["echo-b"], 1);
-}
-
-// ----------------------------------------------------------- backlog bound
-
-TEST(PersistentQueueTest, BoundedBacklogSurfacesBackpressure) {
-  TempDir dir;
-  PersistentQueue q;
-  // Each 10-byte message frames to 18 bytes (4-byte length + 4-byte CRC).
-  OPDELTA_ASSERT_OK(q.Open(dir.Sub("q"), /*max_backlog_bytes=*/40));
-  OPDELTA_ASSERT_OK(q.Enqueue(Slice("0123456789")));
-  OPDELTA_ASSERT_OK(q.Enqueue(Slice("abcdefghij")));
-  Status st = q.Enqueue(Slice("KLMNOPQRST"));
-  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
-
-  // Backpressure, not loss: nothing was appended, FIFO order holds, and a
-  // drain re-admits the retained message.
+  Status st = q.Enqueue(Slice(), /*durable=*/true);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
   std::string msg;
-  OPDELTA_ASSERT_OK(q.Peek(&msg));
-  EXPECT_EQ(msg, "0123456789");
-  OPDELTA_ASSERT_OK(q.Ack());
-  OPDELTA_ASSERT_OK(q.Enqueue(Slice("KLMNOPQRST")));
-  OPDELTA_ASSERT_OK(q.Peek(&msg));
-  EXPECT_EQ(msg, "abcdefghij");
-  OPDELTA_ASSERT_OK(q.Ack());
-  OPDELTA_ASSERT_OK(q.Peek(&msg));
-  EXPECT_EQ(msg, "KLMNOPQRST");
-}
-
-TEST(PersistentQueueTest, OversizedMessageAdmittedIntoEmptyBacklog) {
-  TempDir dir;
-  PersistentQueue q;
-  OPDELTA_ASSERT_OK(q.Open(dir.Sub("q"), /*max_backlog_bytes=*/16));
-  // Larger than the bound, but the backlog is empty: admitting it is the
-  // only way the queue can ever make progress on it.
-  const std::string big(64, 'x');
-  OPDELTA_ASSERT_OK(q.Enqueue(Slice(big)));
-  // With the oversized message pending, everything else must wait...
-  EXPECT_EQ(q.Enqueue(Slice("tiny")).code(), StatusCode::kResourceExhausted);
-  // ...until it drains.
-  std::string msg;
-  OPDELTA_ASSERT_OK(q.Peek(&msg));
-  EXPECT_EQ(msg, big);
-  OPDELTA_ASSERT_OK(q.Ack());
-  OPDELTA_ASSERT_OK(q.Enqueue(Slice("tiny")));
+  EXPECT_TRUE(q.Peek(&msg).IsNotFound());
+  EXPECT_TRUE(q.PeekLast(&msg).IsNotFound());
 }
 
 // ----------------------------------------------------------- link faults

@@ -293,8 +293,9 @@ bool IsBlockingMethod(const std::string& s) {
       "ReadFileToString", "WriteFileAtomic", "RenameFile", "DeleteFile",
       "CreateDir", "ListDir", "ReadPage", "WritePage", "AllocatePage",
       "Append", "Sync", "Flush",
-      // transport::PersistentQueue append/drain + shipping.
-      "Enqueue", "Peek", "Ack", "ForEachMessage", "Ship",
+      // transport::PersistentQueue append/drain (each reads or appends the
+      // log under the queue mutex) + shipping.
+      "Enqueue", "Peek", "Ack", "PeekLast", "Backlog", "Ship",
       // Joins: blocking on other threads while holding a lock.
       "Wait", "WaitIdle",
   };
