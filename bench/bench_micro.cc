@@ -253,7 +253,7 @@ void BM_Crc32c(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Crc32c)->Arg(100)->Arg(8192);
+BENCHMARK(BM_Crc32c)->Arg(100)->Arg(8192)->Arg(128 << 10);
 
 }  // namespace
 }  // namespace opdelta

@@ -11,16 +11,18 @@ Status AsciiDump::DumpTable(engine::Database* db, const std::string& table,
   std::unique_ptr<WritableFile> file;
   OPDELTA_RETURN_IF_ERROR(Env::Default()->NewWritableFile(path, &file));
   std::string buf;
+  Status write_status;
   Status st = db->Scan(nullptr, table, pred,
                        [&](const storage::Rid&, const catalog::Row& row) {
                          catalog::CsvCodec::EncodeLine(row, &buf);
                          if (buf.size() >= 1 << 20) {
-                           if (!file->Append(Slice(buf)).ok()) return false;
+                           write_status = file->Append(Slice(buf));
                            buf.clear();
                          }
-                         return true;
+                         return write_status.ok();
                        });
   OPDELTA_RETURN_IF_ERROR(st);
+  OPDELTA_RETURN_IF_ERROR(write_status);
   if (!buf.empty()) OPDELTA_RETURN_IF_ERROR(file->Append(Slice(buf)));
   OPDELTA_RETURN_IF_ERROR(file->Sync());
   return file->Close();

@@ -29,6 +29,7 @@ Status ExportUtil::Export(engine::Database* db, const std::string& table,
   // Stream rows in chunks so huge tables never materialize in memory.
   std::string buf;
   uint64_t rows = 0;
+  Status write_status;
   Status scan_status = db->Scan(
       nullptr, table, engine::Predicate::True(),
       [&](const storage::Rid&, const catalog::Row& row) {
@@ -37,12 +38,13 @@ Status ExportUtil::Export(engine::Database* db, const std::string& table,
         ++rows;
         if (buf.size() >= 1 << 20) {
           crc = Crc32cExtend(crc, buf.data(), buf.size());
-          if (!file->Append(Slice(buf)).ok()) return false;
+          write_status = file->Append(Slice(buf));
           buf.clear();
         }
-        return true;
+        return write_status.ok();
       });
   OPDELTA_RETURN_IF_ERROR(scan_status);
+  OPDELTA_RETURN_IF_ERROR(write_status);
   if (!buf.empty()) {
     crc = Crc32cExtend(crc, buf.data(), buf.size());
     OPDELTA_RETURN_IF_ERROR(file->Append(Slice(buf)));

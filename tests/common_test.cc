@@ -216,6 +216,77 @@ TEST(Crc32Test, DetectsCorruption) {
   EXPECT_NE(Crc32c(data.data(), data.size()), crc);
 }
 
+uint32_t PortableCrc(const std::string& data) {
+  return Crc32cExtendPortableForTesting(0, data.data(), data.size());
+}
+
+TEST(Crc32Test, HardwarePathSelectedOnSse42Cpus) {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  EXPECT_EQ(Crc32cUsesHardwareForTesting(),
+            __builtin_cpu_supports("sse4.2") != 0);
+#else
+  EXPECT_FALSE(Crc32cUsesHardwareForTesting());
+#endif
+}
+
+TEST(Crc32Test, Rfc3720VectorsOnBothPaths) {
+  // RFC 3720 section B.4.
+  std::string ascending(32, '\0');
+  std::string descending(32, '\0');
+  for (int i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<char>(i);
+    descending[i] = static_cast<char>(31 - i);
+  }
+  const std::pair<std::string, uint32_t> vectors[] = {
+      {std::string(32, '\0'), 0x8A9136AAu},
+      {std::string(32, '\xff'), 0x62A8AB43u},
+      {ascending, 0x46DD794Eu},
+      {descending, 0x113FDB5Cu},
+  };
+  for (const auto& [data, expected] : vectors) {
+    EXPECT_EQ(Crc32c(data.data(), data.size()), expected);
+    EXPECT_EQ(PortableCrc(data), expected);
+  }
+}
+
+TEST(Crc32Test, MatchesTablePathAtEveryLengthAndOffset) {
+  Rng rng(20260);
+  std::string buf(128 * 1024 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Uniform(256));
+  // `buf` is heap-allocated, so its data is at least 8-byte aligned.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const std::string piece = buf.substr(offset, len);
+      ASSERT_EQ(Crc32c(buf.data() + offset, len), PortableCrc(piece))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  for (size_t len : {size_t{4096}, size_t{64 * 1024 + 3}, size_t{128 * 1024}}) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      EXPECT_EQ(Crc32c(buf.data() + offset, len),
+                PortableCrc(buf.substr(offset, len)))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, ExtendAtEverySplitMatchesOneShot) {
+  Rng rng(7);
+  std::string data(100, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Uniform(256));
+  const uint32_t whole = Crc32c(data.data(), data.size());
+  for (size_t split = 0; split <= data.size(); ++split) {
+    EXPECT_EQ(Crc32cExtend(Crc32c(data.data(), split), data.data() + split,
+                           data.size() - split),
+              whole);
+    EXPECT_EQ(Crc32cExtendPortableForTesting(
+                  PortableCrc(data.substr(0, split)), data.data() + split,
+                  data.size() - split),
+              whole);
+  }
+}
+
 // -------------------------------------------------------------------- Rng
 
 TEST(RngTest, DeterministicPerSeed) {

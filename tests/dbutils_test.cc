@@ -32,6 +32,100 @@ class DbUtilsTest : public ::testing::Test {
   std::unique_ptr<engine::Database> src_, dst_;
 };
 
+// Forwards to the env it wraps, except that the `fail_at`-th Append
+// (counting from 1) to the file at `path` fails, once, with an IOError.
+class FailOneAppendEnv : public Env {
+ public:
+  FailOneAppendEnv(Env* base, std::string path, int fail_at)
+      : base_(base), path_(std::move(path)), countdown_(fail_at) {}
+
+  Status NewWritableFile(const std::string& path,
+                         std::unique_ptr<WritableFile>* out) override {
+    OPDELTA_RETURN_IF_ERROR(base_->NewWritableFile(path, out));
+    if (path == path_) *out = std::make_unique<File>(std::move(*out), this);
+    return Status::OK();
+  }
+  Status NewAppendableFile(const std::string& path,
+                           std::unique_ptr<WritableFile>* out) override {
+    return base_->NewAppendableFile(path, out);
+  }
+  Status NewRandomAccessFile(const std::string& path,
+                             std::unique_ptr<RandomAccessFile>* out) override {
+    return base_->NewRandomAccessFile(path, out);
+  }
+  Status NewRandomRWFile(const std::string& path,
+                         std::unique_ptr<RandomRWFile>* out) override {
+    return base_->NewRandomRWFile(path, out);
+  }
+  Status ReadFileToString(const std::string& path, std::string* out) override {
+    return base_->ReadFileToString(path, out);
+  }
+  Status WriteStringToFile(const std::string& path, Slice data) override {
+    return base_->WriteStringToFile(path, data);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  bool DirExists(const std::string& path) override {
+    return base_->DirExists(path);
+  }
+  Status DeleteFile(const std::string& path) override {
+    return base_->DeleteFile(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Status GetFileSize(const std::string& path, uint64_t* size) override {
+    return base_->GetFileSize(path, size);
+  }
+  Status Truncate(const std::string& path, uint64_t size) override {
+    return base_->Truncate(path, size);
+  }
+  Status CreateDir(const std::string& path) override {
+    return base_->CreateDir(path);
+  }
+  Status RemoveDirAll(const std::string& path) override {
+    return base_->RemoveDirAll(path);
+  }
+  Status ListDir(const std::string& path,
+                 std::vector<std::string>* children) override {
+    return base_->ListDir(path, children);
+  }
+
+ private:
+  class File : public WritableFile {
+   public:
+    File(std::unique_ptr<WritableFile> base, FailOneAppendEnv* env)
+        : base_(std::move(base)), env_(env) {}
+    Status Append(Slice data) override {
+      if (--env_->countdown_ == 0) {
+        return Status::IOError("injected append fault");
+      }
+      return base_->Append(data);
+    }
+    Status Flush() override { return base_->Flush(); }
+    Status Sync() override { return base_->Sync(); }
+    Status Close() override { return base_->Close(); }
+    uint64_t Size() const override { return base_->Size(); }
+
+   private:
+    std::unique_ptr<WritableFile> base_;
+    FailOneAppendEnv* env_;
+  };
+
+  Env* base_;
+  std::string path_;
+  int countdown_;
+};
+
+// Adds table `big` to `db`: about 2 MB of rows, so Export and DumpTable
+// write it in more than one 1 MiB chunk.
+void CreateBigTable(engine::Database* db) {
+  workload::PartsWorkload big({.record_bytes = 1000});
+  OPDELTA_ASSERT_OK(big.CreateTable(db, "big"));
+  OPDELTA_ASSERT_OK(big.Populate(db, "big", 2000));
+}
+
 // ---------------------------------------------------------- Export/Import
 
 TEST_F(DbUtilsTest, ExportImportRoundTrip) {
@@ -110,6 +204,16 @@ TEST_F(DbUtilsTest, ImportDoesMorePhysicalIoThanLoader) {
   EXPECT_GT(import_db->wal()->bytes_appended(),
             500u * 100u);  // ≥ one ~100B image per row
   EXPECT_EQ(loader_db->wal()->bytes_appended(), 0u);
+}
+
+TEST_F(DbUtilsTest, ExportReportsAFailedChunkWrite) {
+  ASSERT_NO_FATAL_FAILURE(CreateBigTable(src_.get()));
+  const std::string path = dir_.Sub("big.exp");
+  // Append 1 is the header; append 2 is the first 1 MiB chunk of rows.
+  FailOneAppendEnv env(Env::Default(), path, 2);
+  opdelta::testing::ScopedEnvOverride scoped(&env);
+  const Status st = ExportUtil::Export(src_.get(), "big", path);
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
 }
 
 class ExportImportPropertyTest : public ::testing::TestWithParam<uint64_t> {
@@ -199,6 +303,16 @@ TEST_F(DbUtilsTest, DumpRespectsPredicate) {
   OPDELTA_ASSERT_OK(
       AsciiDump::ReadCsv(path, workload::PartsWorkload::Schema(), &rows));
   EXPECT_EQ(rows.size(), 100u);
+}
+
+TEST_F(DbUtilsTest, DumpReportsAFailedChunkWrite) {
+  ASSERT_NO_FATAL_FAILURE(CreateBigTable(src_.get()));
+  const std::string path = dir_.Sub("big.csv");
+  FailOneAppendEnv env(Env::Default(), path, 1);  // the first 1 MiB chunk
+  opdelta::testing::ScopedEnvOverride scoped(&env);
+  const Status st = AsciiDump::DumpTable(src_.get(), "big",
+                                         engine::Predicate::True(), path);
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
 }
 
 TEST_F(DbUtilsTest, DumpRowsAndReadBack) {
