@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the substrate primitives every
 // experiment rests on: row codec, slotted pages, B+tree, WAL append, engine
-// DML, archive-log extraction rounds, statement parse/render, and CRC. Useful for spotting regressions
+// DML, net-change apply, archive-log extraction rounds, statement
+// parse/render, and CRC. Useful for spotting regressions
 // that would distort the paper-level benches.
 #include <benchmark/benchmark.h>
 
@@ -16,6 +17,7 @@
 #include "sql/parser.h"
 #include "storage/page.h"
 #include "txn/wal.h"
+#include "warehouse/integrator.h"
 #include "workload/workload.h"
 
 namespace opdelta {
@@ -145,6 +147,54 @@ void BM_EngineScan100k(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100000);
 }
 BENCHMARK(BM_EngineScan100k);
+
+// Net-change apply of one window-shaped batch per iteration, as a log
+// source ships it after a batch-window cycle: 500 upserts of present keys,
+// 100 deletes and 100 inserts of new keys, applied by ApplyNetChanges to an
+// indexed 20k-row warehouse. The live key range slides by 100 each
+// iteration, so the table keeps 20k rows. Items are rows applied.
+void BM_ApplyNetChanges(benchmark::State& state) {
+  bench::ScratchDir dir("micro_apply_net");
+  workload::PartsWorkload wl;
+  engine::DatabaseOptions options;
+  options.auto_timestamp = false;  // the warehouse keeps the source's stamps
+  std::unique_ptr<engine::Database> db;
+  BENCH_OK(engine::Database::Open(dir.Sub("wh"), options, &db));
+  BENCH_OK(wl.CreateTable(db.get(), "parts"));
+  constexpr int64_t kRows = 20000;
+  BENCH_OK(wl.Populate(db.get(), "parts", kRows));
+  BENCH_OK(db->CreateIndex("parts", "id"));
+  int64_t lo = 0;  // live keys are [lo, lo + kRows)
+  int64_t pass = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    extract::DeltaBatch batch;
+    batch.table = "parts";
+    batch.schema = workload::PartsWorkload::Schema();
+    auto add = [&](extract::DeltaOp op, int64_t id) {
+      catalog::Row image = wl.MakeRow(id);
+      image[1] = catalog::Value::String(pass % 2 == 0 ? "revise" : "active");
+      image[3] = catalog::Value::Timestamp(pass);
+      batch.records.push_back(
+          extract::DeltaRecord{op, 0, batch.records.size(), std::move(image)});
+    };
+    for (int64_t id = lo; id < lo + 100; ++id) {
+      add(extract::DeltaOp::kDelete, id);
+    }
+    for (int64_t id = lo + 100; id < lo + 600; ++id) {
+      add(extract::DeltaOp::kUpsert, id);
+    }
+    for (int64_t id = lo + kRows; id < lo + kRows + 100; ++id) {
+      add(extract::DeltaOp::kInsert, id);
+    }
+    lo += 100;
+    ++pass;
+    state.ResumeTiming();
+    BENCH_OK(warehouse::ApplyNetChanges(db.get(), "parts", batch, nullptr));
+  }
+  state.SetItemsProcessed(state.iterations() * 700);
+}
+BENCHMARK(BM_ApplyNetChanges)->Unit(benchmark::kMicrosecond);
 
 // One log-method extraction round on a kept LogExtractor — a small
 // committed transaction, then one ExtractSince — after `range(0)` MB of

@@ -642,35 +642,9 @@ Result<size_t> Database::UpdateWhere(
     Row after = before;
     for (const auto& [idx, value] : sets) after[idx] = value;
     StampTimestamp(schema, &after, explicit_ts_col);
-
-    std::string before_enc = RowCodec::Encode(schema, before);
-    std::string after_enc = RowCodec::Encode(schema, after);
-    Rid new_rid;
-    {
-      std::unique_lock<common::OrderedSharedMutex> latch(table->latch);
-      table->IndexErase(before, rid);
-      OPDELTA_RETURN_IF_ERROR(table->heap()->Update(
-          rid, Slice(after_enc), &new_rid, FreedSlotFilter(table->id())));
-      table->IndexInsert(after, new_rid);
-      if (!(new_rid == rid)) {
-        // Relocation freed the old slot; keep it ours until we resolve.
-        QuarantineFreedSlot(txn->id(), table->id(), rid);
-      }
-    }
-
-    // Undo before WAL: a failed append must still be rollback-able.
-    txn->undo_log().push_back(UndoEntry{LogRecordType::kUpdate, table->id(),
-                                        new_rid, before_enc});
-
-    LogRecord rec;
-    rec.type = LogRecordType::kUpdate;
-    rec.txn_id = txn->id();
-    rec.table_id = table->id();
-    rec.rid = rid;
-    rec.rid2 = new_rid;
-    rec.before = std::move(before_enc);
-    rec.after = after_enc;
-    OPDELTA_RETURN_IF_ERROR(wal_.Append(&rec));
+    OPDELTA_RETURN_IF_ERROR(ReplaceRow(txn, table, rid, before,
+                                       RowCodec::Encode(schema, before), after,
+                                       RowCodec::Encode(schema, after)));
     fired.push_back(Fired{std::move(before), std::move(after)});
   }
 
@@ -813,6 +787,88 @@ Status Database::CollectMatches(
   return decode_status;
 }
 
+Result<bool> Database::UpsertByKey(Transaction* txn,
+                                   const std::string& table_name, Row row) {
+  Table* table = GetTable(table_name);
+  if (table == nullptr) return Status::NotFound("table " + table_name);
+  const catalog::Schema& schema = table->schema();
+  StampTimestamp(schema, &row);
+  OPDELTA_RETURN_IF_ERROR(catalog::ValidateRow(schema, row));
+  const int key = schema.KeyColumnIndex();
+  if (key < 0) return Status::InvalidArgument("table has no key column");
+  Predicate by_key =
+      Predicate::Where(schema.column(key).name, CompareOp::kEq, row[key]);
+  OPDELTA_RETURN_IF_ERROR(by_key.Bind(schema));
+  OPDELTA_RETURN_IF_ERROR(
+      locks_.LockTable(txn->id(), table->id(), LockMode::kIX));
+  OPDELTA_RETURN_IF_ERROR(CheckSchemaUnchanged(table, schema));
+
+  for (;;) {
+    std::vector<std::pair<Rid, Row>> matches;
+    OPDELTA_RETURN_IF_ERROR(CollectMatches(table, by_key, &matches));
+    if (matches.empty()) break;
+    const Rid rid = matches.front().first;
+    OPDELTA_RETURN_IF_ERROR(
+        locks_.LockRow(txn->id(), table->id(), rid, /*exclusive=*/true));
+    // Lock, then read again: the unlocked image may have been deleted or
+    // rewritten by the writer the lock waited for.
+    std::string before_enc;
+    Row before;
+    Status read = ReadRow(table, rid, &before_enc, &before);
+    if (read.IsNotFound() || (read.ok() && !by_key.Matches(before))) continue;
+    OPDELTA_RETURN_IF_ERROR(read);
+    OPDELTA_RETURN_IF_ERROR(ReplaceRow(txn, table, rid, before,
+                                       std::move(before_enc), row,
+                                       RowCodec::Encode(schema, row)));
+    OPDELTA_RETURN_IF_ERROR(FireTriggers(table, txn, kOnUpdate, before, row));
+    return true;
+  }
+  OPDELTA_RETURN_IF_ERROR(InsertImpl(txn, table_name, std::move(row), nullptr,
+                                     /*stamp=*/false, /*fire_triggers=*/true));
+  return false;
+}
+
+Status Database::ReadRow(Table* table, const Rid& rid, std::string* encoded,
+                         Row* row) {
+  std::shared_lock<common::OrderedSharedMutex> latch(table->latch);
+  OPDELTA_RETURN_IF_ERROR(table->heap()->Read(rid, encoded));
+  return RowCodec::Decode(table->schema(), Slice(*encoded), row);
+}
+
+Status Database::ReplaceRow(Transaction* txn, Table* table, const Rid& rid,
+                            const Row& before, std::string before_enc,
+                            const Row& after, std::string after_enc,
+                            Rid* new_rid_out) {
+  Rid new_rid;
+  {
+    std::unique_lock<common::OrderedSharedMutex> latch(table->latch);
+    table->IndexErase(before, rid);
+    OPDELTA_RETURN_IF_ERROR(table->heap()->Update(
+        rid, Slice(after_enc), &new_rid, FreedSlotFilter(table->id())));
+    table->IndexInsert(after, new_rid);
+    if (!(new_rid == rid)) {
+      // Relocation freed the old slot; keep it ours until we resolve.
+      QuarantineFreedSlot(txn->id(), table->id(), rid);
+    }
+  }
+
+  // Undo before WAL: a failed append must still be rollback-able.
+  txn->undo_log().push_back(UndoEntry{LogRecordType::kUpdate, table->id(),
+                                      new_rid, before_enc});
+
+  LogRecord rec;
+  rec.type = LogRecordType::kUpdate;
+  rec.txn_id = txn->id();
+  rec.table_id = table->id();
+  rec.rid = rid;
+  rec.rid2 = new_rid;
+  rec.before = std::move(before_enc);
+  rec.after = std::move(after_enc);
+  OPDELTA_RETURN_IF_ERROR(wal_.Append(&rec));
+  if (new_rid_out != nullptr) *new_rid_out = new_rid;
+  return Status::OK();
+}
+
 Status Database::ReadAt(Transaction* txn, const std::string& table_name,
                         const Rid& rid, Row* out) {
   Table* table = GetTable(table_name);
@@ -823,10 +879,8 @@ Status Database::ReadAt(Transaction* txn, const std::string& table_name,
     OPDELTA_RETURN_IF_ERROR(
         locks_.LockRow(txn->id(), table->id(), rid, /*exclusive=*/false));
   }
-  std::shared_lock<common::OrderedSharedMutex> latch(table->latch);
   std::string record;
-  OPDELTA_RETURN_IF_ERROR(table->heap()->Read(rid, &record));
-  return RowCodec::Decode(table->schema(), Slice(record), out);
+  return ReadRow(table, rid, &record, out);
 }
 
 Status Database::UpdateAt(Transaction* txn, const std::string& table_name,
@@ -842,37 +896,11 @@ Status Database::UpdateAt(Transaction* txn, const std::string& table_name,
   OPDELTA_RETURN_IF_ERROR(
       locks_.LockRow(txn->id(), table->id(), rid, /*exclusive=*/true));
 
-  std::string after_enc = RowCodec::Encode(schema, row);
   std::string before_enc;
-  Rid new_rid;
-  {
-    std::unique_lock<common::OrderedSharedMutex> latch(table->latch);
-    OPDELTA_RETURN_IF_ERROR(table->heap()->Read(rid, &before_enc));
-    Row before_row;
-    OPDELTA_RETURN_IF_ERROR(
-        RowCodec::Decode(schema, Slice(before_enc), &before_row));
-    table->IndexErase(before_row, rid);
-    OPDELTA_RETURN_IF_ERROR(table->heap()->Update(
-        rid, Slice(after_enc), &new_rid, FreedSlotFilter(table->id())));
-    table->IndexInsert(row, new_rid);
-    if (!(new_rid == rid)) {
-      QuarantineFreedSlot(txn->id(), table->id(), rid);
-    }
-  }
-
-  LogRecord rec;
-  rec.type = LogRecordType::kUpdate;
-  rec.txn_id = txn->id();
-  rec.table_id = table->id();
-  rec.rid = rid;
-  rec.rid2 = new_rid;
-  rec.before = before_enc;
-  rec.after = after_enc;
-  OPDELTA_RETURN_IF_ERROR(wal_.Append(&rec));
-  txn->undo_log().push_back(UndoEntry{LogRecordType::kUpdate, table->id(),
-                                      new_rid, std::move(before_enc)});
-  if (new_rid_out != nullptr) *new_rid_out = new_rid;
-  return Status::OK();
+  Row before;
+  OPDELTA_RETURN_IF_ERROR(ReadRow(table, rid, &before_enc, &before));
+  return ReplaceRow(txn, table, rid, before, std::move(before_enc), row,
+                    RowCodec::Encode(schema, row), new_rid_out);
 }
 
 Status Database::DeleteAt(Transaction* txn, const std::string& table_name,
@@ -896,16 +924,17 @@ Status Database::DeleteAt(Transaction* txn, const std::string& table_name,
     QuarantineFreedSlot(txn->id(), table->id(), rid);
   }
 
+  // Undo before WAL: a failed append must still be rollback-able.
+  txn->undo_log().push_back(
+      UndoEntry{LogRecordType::kDelete, table->id(), rid, before_enc});
+
   LogRecord rec;
   rec.type = LogRecordType::kDelete;
   rec.txn_id = txn->id();
   rec.table_id = table->id();
   rec.rid = rid;
-  rec.before = before_enc;
-  OPDELTA_RETURN_IF_ERROR(wal_.Append(&rec));
-  txn->undo_log().push_back(UndoEntry{LogRecordType::kDelete, table->id(),
-                                      rid, std::move(before_enc)});
-  return Status::OK();
+  rec.before = std::move(before_enc);
+  return wal_.Append(&rec);
 }
 
 Status Database::Scan(

@@ -123,11 +123,35 @@ class Database {
   Result<size_t> DeleteWhere(txn::Transaction* txn, const std::string& table,
                              const Predicate& pred);
 
-  // Point operations by rid — used by log-apply tooling and integrators.
-  // They take the same locks and write the same WAL records as the scan
-  // forms but skip predicate evaluation. UpdateAt reports the (possibly
-  // relocated) rid. Triggers do NOT fire for point ops: they model a
-  // recovery-manager-style apply path below the trigger layer.
+  /// Keyed full-row write: replaces the row whose key column equals
+  /// `row`'s key with `row`, or inserts `row` when no row has that key.
+  /// Returns true when a row was replaced, false when `row` was inserted.
+  ///   - Stamps the timestamp column and validates exactly as Insert does:
+  ///     with auto_timestamp off the image's own stamp is kept.
+  ///   - Finds the row by the access path UpdateWhere would pick for
+  ///     `key = value`: the key column's B+tree when it has one, else a
+  ///     heap scan. Takes table IX, X-locks the row found, then reads it
+  ///     again and uses that image as the before image; if the row is gone
+  ///     or its key changed meanwhile, it looks the key up again.
+  ///   - Replaces in place (one kUpdate WAL record; the rid changes only
+  ///     when the new image no longer fits its page) and fires update
+  ///     triggers, as UpdateWhere does; an insert fires insert triggers.
+  ///   - The engine enforces no key uniqueness: if several rows share the
+  ///     key, the first one found is replaced. A caller that needs one row
+  ///     per key holds the table-X lock, as warehouse::ApplyNetChanges
+  ///     does, so no other writer can add the key between lookup and
+  ///     insert.
+  Result<bool> UpsertByKey(txn::Transaction* txn, const std::string& table,
+                           catalog::Row row);
+
+  // Point operations by rid — used by log replay
+  // (extract::LogExtractor::ReplayInto), the snapshot-differential apply
+  // and the aggregate-view maintainer. They take the same locks, push the
+  // same undo entries (before the WAL append, so Abort rolls back even a
+  // write whose log append failed) and write the same WAL records as the
+  // scan forms but skip predicate evaluation. UpdateAt reports the
+  // (possibly relocated) rid. Triggers do NOT fire for point ops: they
+  // model a recovery-manager-style apply path below the trigger layer.
   Status ReadAt(txn::Transaction* txn, const std::string& table,
                 const storage::Rid& rid, catalog::Row* out);
   Status UpdateAt(txn::Transaction* txn, const std::string& table,
@@ -255,6 +279,21 @@ class Database {
   Status InsertImpl(txn::Transaction* txn, const std::string& table,
                     catalog::Row row, storage::Rid* rid_out, bool stamp,
                     bool fire_triggers);
+
+  /// Reads and decodes the row at `rid` under the table's shared latch.
+  Status ReadRow(Table* table, const storage::Rid& rid, std::string* encoded,
+                 catalog::Row* row);
+
+  /// The row-replace sequence of every update path. `txn` holds `rid`'s X
+  /// lock and `before`/`before_enc` is its current image. Under the table
+  /// latch: erases `before`'s index entries, updates the heap (a
+  /// relocation skips quarantined slots and quarantines the slot it
+  /// frees) and indexes `after` at the new rid. Then pushes the undo entry
+  /// and appends the kUpdate WAL record, in that order.
+  Status ReplaceRow(txn::Transaction* txn, Table* table,
+                    const storage::Rid& rid, const catalog::Row& before,
+                    std::string before_enc, const catalog::Row& after,
+                    std::string after_enc, storage::Rid* new_rid = nullptr);
 
   /// Access-path selection: when a conjunct compares an indexed
   /// int64/timestamp column against a literal, derive the B+tree key range

@@ -1,5 +1,7 @@
 #include "warehouse/integrator.h"
 
+#include <functional>
+
 #include "sql/parser.h"
 
 namespace opdelta::warehouse {
@@ -10,10 +12,20 @@ using sql::DeleteStmt;
 using sql::InsertStmt;
 using sql::Statement;
 
-Status ValueDeltaIntegrator::Apply(const extract::DeltaBatch& batch,
-                                   const extract::BatchId& id,
-                                   ApplyLedger* ledger,
-                                   IntegrationStats* stats) {
+namespace {
+
+/// The frame every value-delta apply shares: one indivisible warehouse
+/// transaction under a table-X lock (the outage). Admits `id` through
+/// `ledger` first (a redelivery is dropped whole), rejects a batch captured
+/// with another column count, then runs `write` inside the transaction and
+/// advances the ledger in it before committing; any error aborts. `write`
+/// gets the warehouse table's schema and counts its statements and rows.
+Status ApplyExclusive(
+    engine::Database* db, const std::string& table,
+    const catalog::Schema& batch_schema, const extract::BatchId& id,
+    ApplyLedger* ledger, IntegrationStats* stats,
+    const std::function<Status(txn::Transaction*, const catalog::Schema&,
+                               IntegrationStats*)>& write) {
   // A value-delta batch is one indivisible warehouse transaction, so its
   // ledger granularity is all-or-nothing (total_txns = 1).
   if (ledger != nullptr && id.valid()) {
@@ -27,97 +39,46 @@ Status ValueDeltaIntegrator::Apply(const extract::DeltaBatch& batch,
       return Status::OK();
     }
   }
-  engine::Table* t = db_->GetTable(table_);
-  if (t == nullptr) return Status::NotFound("table " + table_);
-  if (batch.schema.num_columns() != 0 &&
-      batch.schema.num_columns() != t->schema().num_columns()) {
+  engine::Table* t = db->GetTable(table);
+  if (t == nullptr) return Status::NotFound("table " + table);
+  const catalog::Schema& schema = t->schema();
+  if (batch_schema.num_columns() != 0 &&
+      batch_schema.num_columns() != schema.num_columns()) {
     // A batch captured under a different column count than the warehouse
     // table now has would integrate garbage positionally. Value-delta
     // streams carry no migration events, so this is a quarantine, not a
     // retry.
     return Status::SchemaMismatch(
-        "value-delta batch for table " + table_ + " was captured with " +
-        std::to_string(batch.schema.num_columns()) +
+        "value-delta batch for table " + table + " was captured with " +
+        std::to_string(batch_schema.num_columns()) +
         " columns but the warehouse table has " +
-        std::to_string(t->schema().num_columns()) +
+        std::to_string(schema.num_columns()) +
         "; re-snapshot the warehouse");
   }
-  const int key_col = t->schema().KeyColumnIndex();
-  if (key_col < 0) return Status::InvalidArgument("table has no key column");
-  const std::string& key_name = t->schema().column(key_col).name;
+  if (schema.KeyColumnIndex() < 0) {
+    return Status::InvalidArgument("table has no key column");
+  }
 
   IntegrationStats local;
   Stopwatch wall;
-
-  auto delete_by_key = [&](const catalog::Row& image) {
-    DeleteStmt d;
-    d.table = table_;
-    d.where = engine::Predicate::Where(key_name, engine::CompareOp::kEq,
-                                       image[key_col]);
-    return Statement(std::move(d));
-  };
-  auto insert_image = [&](const catalog::Row& image) {
-    InsertStmt i;
-    i.table = table_;
-    i.rows.push_back(image);
-    return Statement(std::move(i));
-  };
-
-  // Translate every record into single SQL statements up front.
-  std::vector<Statement> stmts;
-  stmts.reserve(batch.records.size() * 2);
-  for (const DeltaRecord& r : batch.records) {
-    switch (r.op) {
-      case DeltaOp::kInsert:
-        stmts.push_back(insert_image(r.image));
-        break;
-      case DeltaOp::kDelete:
-        stmts.push_back(delete_by_key(r.image));
-        break;
-      case DeltaOp::kUpdateBefore:
-        stmts.push_back(delete_by_key(r.image));
-        break;
-      case DeltaOp::kUpdateAfter:
-        stmts.push_back(insert_image(r.image));
-        break;
-      case DeltaOp::kUpsert:
-        stmts.push_back(delete_by_key(r.image));
-        stmts.push_back(insert_image(r.image));
-        break;
-    }
-  }
-
-  // The indivisible batch: one transaction, table-X lock (the outage).
-  // The translated statements are executed directly as typed net-change
-  // rows — the executor coerces literals to column types either way, so
-  // round-tripping each row through ToSql() and the parser would buy
-  // nothing but a lex/parse per row on the hot path.
-  std::unique_ptr<txn::Transaction> txn = db_->Begin();
+  std::unique_ptr<txn::Transaction> txn = db->Begin();
   Stopwatch outage;
-  Status st = db_->LockTableExclusive(txn.get(), table_);
-  for (const Statement& stmt : stmts) {
-    if (!st.ok()) break;
-    Result<size_t> r = executor_.Execute(txn.get(), stmt);
-    st = r.status();
-    if (st.ok()) {
-      local.statements_executed++;
-      local.rows_affected += r.value();
-    }
-  }
+  Status st = db->LockTableExclusive(txn.get(), table);
+  if (st.ok()) st = write(txn.get(), schema, &local);
   // Record apply progress inside the same transaction: the watermark and
-  // the delta statements commit or roll back together under the WAL.
+  // the delta rows commit or roll back together under the WAL.
   if (st.ok() && ledger != nullptr && id.valid()) {
     st = ledger->Advance(txn.get(), id, /*txns_applied=*/1);
   }
   if (!st.ok()) {
-    (void)db_->Abort(txn.get());  // surface the apply/ledger error
+    (void)db->Abort(txn.get());  // surface the apply/ledger error
     return st;
   }
-  Status commit = db_->Commit(txn.get());
+  Status commit = db->Commit(txn.get());
   if (!commit.ok()) {
     // A failed commit leaves the transaction active; abort it so its locks
     // release and a retry does not deadlock against our own ghost.
-    (void)db_->Abort(txn.get());
+    (void)db->Abort(txn.get());
     return commit;
   }
   local.outage_micros = outage.ElapsedMicros();
@@ -125,6 +86,61 @@ Status ValueDeltaIntegrator::Apply(const extract::DeltaBatch& batch,
   local.wall_micros = wall.ElapsedMicros();
   if (stats != nullptr) *stats = local;
   return Status::OK();
+}
+
+}  // namespace
+
+Status ValueDeltaIntegrator::Apply(const extract::DeltaBatch& batch,
+                                   const extract::BatchId& id,
+                                   ApplyLedger* ledger,
+                                   IntegrationStats* stats) {
+  return ApplyExclusive(
+      db_, table_, batch.schema, id, ledger, stats,
+      [&](txn::Transaction* txn, const catalog::Schema& schema,
+          IntegrationStats* local) -> Status {
+        const int key_col = schema.KeyColumnIndex();
+        const std::string& key_name = schema.column(key_col).name;
+        // Each record becomes single SQL statements, executed directly as
+        // typed rows: the executor coerces literals to column types either
+        // way, so round-tripping each row through ToSql() and the parser
+        // would buy nothing but a lex/parse per row on the hot path.
+        auto execute = [&](const Statement& stmt) -> Status {
+          OPDELTA_ASSIGN_OR_RETURN(size_t rows, executor_.Execute(txn, stmt));
+          local->statements_executed++;
+          local->rows_affected += rows;
+          return Status::OK();
+        };
+        auto delete_by_key = [&](const catalog::Row& image) {
+          DeleteStmt d;
+          d.table = table_;
+          d.where = engine::Predicate::Where(key_name, engine::CompareOp::kEq,
+                                             image[key_col]);
+          return execute(Statement(std::move(d)));
+        };
+        auto insert_image = [&](const catalog::Row& image) {
+          InsertStmt i;
+          i.table = table_;
+          i.rows.push_back(image);
+          return execute(Statement(std::move(i)));
+        };
+        for (const DeltaRecord& r : batch.records) {
+          switch (r.op) {
+            case DeltaOp::kInsert:
+            case DeltaOp::kUpdateAfter:
+              OPDELTA_RETURN_IF_ERROR(insert_image(r.image));
+              break;
+            case DeltaOp::kDelete:
+            case DeltaOp::kUpdateBefore:
+              OPDELTA_RETURN_IF_ERROR(delete_by_key(r.image));
+              break;
+            case DeltaOp::kUpsert:
+              OPDELTA_RETURN_IF_ERROR(delete_by_key(r.image));
+              OPDELTA_RETURN_IF_ERROR(insert_image(r.image));
+              break;
+          }
+        }
+        return Status::OK();
+      });
 }
 
 Status OpDeltaIntegrator::ApplySchemaEvent(const extract::SchemaEvent& ev,
@@ -270,23 +286,31 @@ Status ApplyNetChanges(engine::Database* warehouse, const std::string& table,
                        IntegrationStats* stats) {
   extract::NetChanges net;
   OPDELTA_RETURN_IF_ERROR(ComputeNetChanges(batch, &net));
-  extract::DeltaBatch translated;
-  translated.table = table;
-  translated.schema = batch.schema;
-  uint64_t seq = 0;
-  for (const auto& [key, state] : net) {
-    if (state.has_value()) {
-      translated.records.push_back(
-          extract::DeltaRecord{DeltaOp::kUpsert, 0, seq++, *state});
-    } else {
-      catalog::Row img(batch.schema.num_columns());
-      img[0] = key;
-      translated.records.push_back(
-          extract::DeltaRecord{DeltaOp::kDelete, 0, seq++, std::move(img)});
-    }
-  }
-  ValueDeltaIntegrator integrator(warehouse, table);
-  return integrator.Apply(translated, id, ledger, stats);
+  return ApplyExclusive(
+      warehouse, table, batch.schema, id, ledger, stats,
+      [&](txn::Transaction* txn, const catalog::Schema& schema,
+          IntegrationStats* local) -> Status {
+        const std::string& key_name =
+            schema.column(schema.KeyColumnIndex()).name;
+        // One keyed write per net change, in key order: a surviving key is
+        // replaced in place (or inserted), a deleted one removed.
+        for (auto& [key, state] : net) {
+          size_t rows = 1;
+          if (state.has_value()) {
+            OPDELTA_RETURN_IF_ERROR(
+                warehouse->UpsertByKey(txn, table, std::move(*state)).status());
+          } else {
+            OPDELTA_ASSIGN_OR_RETURN(
+                rows, warehouse->DeleteWhere(
+                          txn, table,
+                          engine::Predicate::Where(
+                              key_name, engine::CompareOp::kEq, key)));
+          }
+          local->statements_executed++;
+          local->rows_affected += rows;
+        }
+        return Status::OK();
+      });
 }
 
 }  // namespace opdelta::warehouse

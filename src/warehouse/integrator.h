@@ -38,12 +38,14 @@ struct IntegrationStats {
   uint64_t schema_epoch = 0;       // highest frame schema epoch applied
 };
 
-/// Value-delta integration (the incumbent the paper measures against).
-/// "Since the transaction context of value delta is lost, each original
-/// transaction will be captured by one or more value delta records and
-/// each of which will be translated into a single SQL statement" and the
-/// whole batch "applied as an indivisible batch" — under a table-X lock,
-/// which is the warehouse outage.
+/// Value-delta integration: the paper's per-record incumbent, which the
+/// §4.1 window and online-maintenance benches measure Op-Delta against. It
+/// is no longer the pipeline's apply path (final-state sources apply
+/// through ApplyNetChanges). "Since the transaction context of value delta
+/// is lost, each original transaction will be captured by one or more
+/// value delta records and each of which will be translated into a single
+/// SQL statement" and the whole batch "applied as an indivisible batch" —
+/// under a table-X lock, which is the warehouse outage.
 ///
 /// Translation rules (paper §4.1):
 ///   insert record                -> 1 INSERT statement
@@ -136,9 +138,12 @@ class OpDeltaIntegrator {
 
 /// Applies the *net* changes of a batch keyed by the table's key column —
 /// the integration style for extraction methods that only observe final
-/// states (timestamp, differential snapshot, reconciled replicas). Each
-/// surviving key becomes an upsert (delete-by-key + insert) or a
-/// delete-by-key, applied as one exclusive-locked batch.
+/// states (timestamp, log, trigger, reconciled replicas, backfill and scrub
+/// chunks). In key order, each surviving key is one keyed write
+/// (engine::Database::UpsertByKey: the row is replaced in place, or
+/// inserted when the key is absent) and each deleted key one
+/// DELETE-by-key, all in one transaction under a table-X lock with the
+/// ledger advance. stats->statements_executed counts the keyed writes.
 Status ApplyNetChanges(engine::Database* warehouse, const std::string& table,
                        const extract::DeltaBatch& batch,
                        IntegrationStats* stats);

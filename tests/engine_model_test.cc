@@ -1,10 +1,14 @@
 // Randomized model checking for the engine: a reference std::map mirrors
 // every committed change, aborted transactions must leave no trace, and
 // the table must equal the model after every step — with and without a
-// secondary index (exercising both access paths).
+// secondary index (exercising both access paths). Steps insert, update a
+// key range, delete a key range, or upsert keys by key (in place, relocated
+// by a longer image, or inserted when absent).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
 
 #include "common/random.h"
 #include "engine/database.h"
@@ -61,7 +65,7 @@ TEST_P(EngineModelTest, MatchesReferenceModel) {
     std::map<int64_t, Row> staged = model;
     Status st;
 
-    switch (rng.Uniform(3)) {
+    switch (rng.Uniform(4)) {
       case 0: {  // insert a few fresh rows
         const size_t n = 1 + rng.Uniform(8);
         for (size_t i = 0; i < n && st.ok(); ++i) {
@@ -84,6 +88,26 @@ TEST_P(EngineModelTest, MatchesReferenceModel) {
                  .status();
         for (auto& [id, row] : staged) {
           if (id >= lo && id < hi) row[1] = Value::String(status);
+        }
+        break;
+      }
+      case 2: {  // keyed upserts of present and absent keys
+        const size_t n = 1 + rng.Uniform(4);
+        for (size_t i = 0; i < n && st.ok(); ++i) {
+          const int64_t id = rng.Uniform(next_id + 2);
+          next_id = std::max(next_id, id + 1);
+          Row row = wl.MakeRow(id);
+          row[1] = Value::String("u" + std::to_string(step));
+          if (rng.OneIn(3)) {
+            // A longer image: the row relocates when its page is full.
+            row[2] = Value::String(std::string(400 + rng.Uniform(400), 'L'));
+          }
+          Result<bool> replaced = db->UpsertByKey(txn.get(), "parts", row);
+          st = replaced.status();
+          if (st.ok()) {
+            EXPECT_EQ(replaced.value(), staged.count(id) == 1) << "id " << id;
+          }
+          staged[id] = row;
         }
         break;
       }

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <map>
 #include <thread>
 
+#include "common/fault_env.h"
 #include "engine/database.h"
 #include "engine/snapshot.h"
 #include "workload/workload.h"
@@ -352,6 +355,42 @@ TEST_F(DatabaseTest, DropTriggerStopsFiring) {
   EXPECT_TRUE(db_->DropTrigger("parts", "t").IsNotFound());
 }
 
+TEST_F(DatabaseTest, UpsertByKeyReplacesInPlaceOrInserts) {
+  auto sink = std::make_shared<RecordingSink>();
+  OPDELTA_ASSERT_OK(
+      db_->CreateTrigger("parts", TriggerDef{"t", kOnAll, sink}));
+  storage::Rid rid;
+  OPDELTA_ASSERT_OK(db_->WithTransaction([&](txn::Transaction* txn) {
+    return db_->Insert(txn, "parts", PartsRow(1, "aaaa"), &rid);
+  }));
+
+  OPDELTA_ASSERT_OK(db_->WithTransaction([&](txn::Transaction* txn) -> Status {
+    Result<bool> replaced = db_->UpsertByKey(txn, "parts", PartsRow(1, "bbbb"));
+    OPDELTA_RETURN_IF_ERROR(replaced.status());
+    EXPECT_TRUE(replaced.value());
+    Result<bool> inserted = db_->UpsertByKey(txn, "parts", PartsRow(2, "new"));
+    OPDELTA_RETURN_IF_ERROR(inserted.status());
+    EXPECT_FALSE(inserted.value());
+    return Status::OK();
+  }));
+
+  // A same-size image stays at its rid; both writes are stamped.
+  Row at_rid;
+  OPDELTA_ASSERT_OK(db_->ReadAt(nullptr, "parts", rid, &at_rid));
+  EXPECT_EQ(at_rid[1].AsString(), "bbbb");
+  const auto contents = TableContents(db_.get(), "parts");
+  ASSERT_EQ(contents.size(), 2u);
+  EXPECT_EQ(contents.at(Value::Int64(2))[1].AsString(), "new");
+  EXPECT_FALSE(at_rid[3].is_null());
+  EXPECT_FALSE(contents.at(Value::Int64(2))[3].is_null());
+
+  ASSERT_EQ(sink->events.size(), 3u);
+  EXPECT_EQ(sink->events[1], kOnUpdate);
+  EXPECT_EQ(sink->befores[1][1].AsString(), "aaaa");
+  EXPECT_EQ(sink->afters[1][1].AsString(), "bbbb");
+  EXPECT_EQ(sink->events[2], kOnInsert);
+}
+
 // ---------------------------------------------------------------- Indexes
 
 TEST_F(DatabaseTest, IndexScanRange) {
@@ -614,6 +653,66 @@ TEST(FreedSlotQuarantineTest, InsertSkipsSlotFreedByOpenDelete) {
   for (int64_t id : {0, 1, 2, 9}) {
     EXPECT_EQ(contents.count(Value::Int64(id)), 1u) << "key " << id;
   }
+}
+
+// A write whose WAL append fails must still be rolled back by Abort, so
+// every write path pushes its undo entry before the append. Faults are
+// scoped to the log; the table files stay writable.
+class WalFaultTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    fenv_.SetScope("/wal/");
+    db_ = OpenDb(dir_, "db");
+    OPDELTA_ASSERT_OK(db_->CreateTable("parts", PartsSchema()));
+    for (int64_t id = 0; id < 10; ++id) {
+      OPDELTA_ASSERT_OK(db_->WithTransaction([&](txn::Transaction* txn) {
+        return db_->Insert(txn, "parts", PartsRow(id, "active"), &rids_[id]);
+      }));
+    }
+    before_ = TableContents(db_.get(), "parts");
+  }
+
+  // Runs `write` in a transaction whose next WAL append fails, expects the
+  // IOError, aborts, and checks that the table reads as before.
+  void ExpectRolledBack(const std::function<Status(txn::Transaction*)>& write) {
+    auto txn = db_->Begin();
+    fenv_.FailAllOpsAfter(0);
+    Status st = write(txn.get());
+    fenv_.ClearFaults();
+    EXPECT_TRUE(st.IsIOError()) << st.ToString();
+    OPDELTA_ASSERT_OK(db_->Abort(txn.get()));
+    const auto after = TableContents(db_.get(), "parts");
+    ASSERT_EQ(after.size(), before_.size());
+    for (const auto& [key, row] : before_) {
+      ASSERT_EQ(after.count(key), 1u) << key.ToSqlLiteral();
+      EXPECT_EQ(catalog::CompareRows(after.at(key), row), 0) << key.ToSqlLiteral();
+    }
+  }
+
+  FaultInjectionEnv fenv_{Env::Default()};
+  opdelta::testing::ScopedEnvOverride env_override_{&fenv_};
+  TempDir dir_;
+  std::unique_ptr<Database> db_;
+  std::map<int64_t, storage::Rid> rids_;
+  std::map<Value, Row> before_;
+};
+
+TEST_F(WalFaultTest, UpdateAtRollsBackAfterFailedLogAppend) {
+  ExpectRolledBack([&](txn::Transaction* txn) {
+    return db_->UpdateAt(txn, "parts", rids_[3], PartsRow(3, "CHANGED"));
+  });
+}
+
+TEST_F(WalFaultTest, DeleteAtRollsBackAfterFailedLogAppend) {
+  ExpectRolledBack([&](txn::Transaction* txn) {
+    return db_->DeleteAt(txn, "parts", rids_[3]);
+  });
+}
+
+TEST_F(WalFaultTest, UpsertByKeyRollsBackAfterFailedLogAppend) {
+  ExpectRolledBack([&](txn::Transaction* txn) {
+    return db_->UpsertByKey(txn, "parts", PartsRow(3, "CHANGED")).status();
+  });
 }
 
 }  // namespace

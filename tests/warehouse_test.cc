@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
+#include <map>
 #include <set>
 #include <thread>
+#include <utility>
+#include <vector>
 
+#include "common/random.h"
 #include "extract/op_delta.h"
 #include "extract/trigger_extractor.h"
 #include "warehouse/apply_ledger.h"
@@ -748,6 +754,211 @@ TEST_F(ApplyLedgerTest, InvalidIdentityBypassesDeduplication) {
   EXPECT_EQ(CountRows(wh_.get(), ledger_->table()), 0u);
   // ...so a redelivery is (by design) applied again.
   EXPECT_EQ(Admit(anon, 1).decision, Decision::kFresh);
+}
+
+// ---------------------------------------------------------- ApplyNetChanges
+
+Row NetRow(int64_t id, const std::string& status, Micros stamp) {
+  return {Value::Int64(id), Value::String(status), Value::String("p"),
+          Value::Timestamp(stamp)};
+}
+
+// Seeded final-state batches over a source that starts with keys
+// [0, preloaded): before/after update pairs (some with a longer image, so
+// the row relocates), deletes, inserts of new keys and re-inserts of
+// deleted keys. A third of the writes pick one of the five smallest live
+// keys, so a batch often writes a key several times.
+std::vector<DeltaBatch> NetChangeBatches(uint64_t seed, int64_t preloaded,
+                                         int batches) {
+  Rng rng(seed);
+  std::map<int64_t, Row> source;
+  for (int64_t id = 0; id < preloaded; ++id) source[id] = NetRow(id, "base", 0);
+  std::vector<int64_t> deleted;
+  int64_t next_key = preloaded;
+  uint64_t seq = 0;
+  auto live_key = [&]() {
+    auto it = source.lower_bound(static_cast<int64_t>(rng.Uniform(next_key)));
+    if (rng.OneIn(3) || it == source.end()) {
+      it = source.begin();
+      std::advance(it, rng.Uniform(std::min<size_t>(5, source.size())));
+    }
+    return it->first;
+  };
+  std::vector<DeltaBatch> out;
+  for (int b = 0; b < batches; ++b) {
+    DeltaBatch batch;
+    batch.table = "parts";
+    batch.schema = workload::PartsWorkload::Schema();
+    auto add = [&](DeltaOp op, const Row& image) {
+      batch.records.push_back(DeltaRecord{op, 0, seq++, image});
+    };
+    for (int i = 0; i < 40; ++i) {
+      const Micros stamp = b * 1000 + i + 1;
+      const std::string tag = std::to_string(b) + "." + std::to_string(i);
+      const uint64_t op = source.empty() ? 9 : rng.Uniform(10);
+      if (op < 5) {
+        const int64_t id = live_key();
+        Row after = source[id];
+        after[1] = Value::String("u" + tag);
+        after[3] = Value::Timestamp(stamp);
+        if (rng.OneIn(4)) {
+          after[2] = Value::String(std::string(100 + rng.Uniform(300), 'g'));
+        }
+        add(DeltaOp::kUpdateBefore, source[id]);
+        add(DeltaOp::kUpdateAfter, after);
+        source[id] = after;
+      } else if (op < 7) {
+        const int64_t id = live_key();
+        add(DeltaOp::kDelete, source[id]);
+        source.erase(id);
+        deleted.push_back(id);
+      } else {
+        int64_t id = next_key;
+        if (!deleted.empty() && rng.OneIn(2)) {
+          id = deleted.back();
+          deleted.pop_back();
+        } else {
+          ++next_key;
+        }
+        source[id] = NetRow(id, "i" + tag, stamp);
+        add(DeltaOp::kInsert, source[id]);
+      }
+    }
+    out.push_back(std::move(batch));
+  }
+  return out;
+}
+
+// ApplyNetChanges writes each surviving key in place; the paper's
+// incumbent, ValueDeltaIntegrator, deletes and re-inserts it. Fed the same
+// net changes as upsert/delete records, the two must leave equal rows and
+// equal ledger watermarks, with and without an index on the key and with
+// the warehouse keeping or re-stamping the timestamp column.
+TEST(NetChangeApplyTest, KeyedWritesMatchDeleteInsertTranslation) {
+  const std::vector<DeltaBatch> batches = NetChangeBatches(20, 200, 30);
+  for (bool indexed : {false, true}) {
+    for (bool auto_timestamp : {false, true}) {
+      SCOPED_TRACE(std::string(indexed ? "indexed" : "scan") +
+                   (auto_timestamp ? ", auto_timestamp" : ""));
+      TempDir dir;
+      engine::DatabaseOptions options;
+      options.auto_timestamp = auto_timestamp;
+      auto keyed = OpenDb(dir, "keyed", options);
+      auto twin = OpenDb(dir, "twin", options);
+      ApplyLedger keyed_ledger(keyed.get());
+      ApplyLedger twin_ledger(twin.get());
+      for (auto [db, ledger] : {std::pair{keyed.get(), &keyed_ledger},
+                                std::pair{twin.get(), &twin_ledger}}) {
+        OPDELTA_ASSERT_OK(
+            db->CreateTable("parts", workload::PartsWorkload::Schema()));
+        OPDELTA_ASSERT_OK(db->WithTransaction([&](txn::Transaction* txn) {
+          for (int64_t id = 0; id < 200; ++id) {
+            OPDELTA_RETURN_IF_ERROR(
+                db->InsertRaw(txn, "parts", NetRow(id, "base", 0)));
+          }
+          return Status::OK();
+        }));
+        if (indexed) OPDELTA_ASSERT_OK(db->CreateIndex("parts", "id"));
+        OPDELTA_ASSERT_OK(ledger->Setup());
+      }
+
+      for (size_t b = 0; b < batches.size(); ++b) {
+        const extract::BatchId id = Bid("src", 1, b + 1);
+        IntegrationStats stats;
+        OPDELTA_ASSERT_OK(ApplyNetChanges(keyed.get(), "parts", batches[b],
+                                          id, &keyed_ledger, &stats));
+        extract::NetChanges net;
+        OPDELTA_ASSERT_OK(extract::ComputeNetChanges(batches[b], &net));
+        EXPECT_EQ(stats.statements_executed, net.size());
+        DeltaBatch records;
+        records.table = "parts";
+        records.schema = batches[b].schema;
+        for (const auto& [key, state] : net) {
+          Row image = state.value_or(Row(records.schema.num_columns()));
+          image[0] = key;
+          records.records.push_back(DeltaRecord{
+              state.has_value() ? DeltaOp::kUpsert : DeltaOp::kDelete, 0,
+              records.records.size(), std::move(image)});
+        }
+        ValueDeltaIntegrator incumbent(twin.get(), "parts");
+        OPDELTA_ASSERT_OK(incumbent.Apply(records, id, &twin_ledger, nullptr));
+      }
+
+      // With auto_timestamp on, each side stamps its own apply time.
+      auto expect_rows = [&](const std::map<Value, Row>& got,
+                             const std::map<Value, Row>& want) {
+        ASSERT_EQ(got.size(), want.size());
+        for (const auto& [key, want_row] : want) {
+          ASSERT_EQ(got.count(key), 1u) << key.ToSqlLiteral();
+          Row a = got.at(key);
+          Row b = want_row;
+          if (auto_timestamp) a[3] = b[3] = Value::Null();
+          EXPECT_EQ(catalog::CompareRows(a, b), 0) << key.ToSqlLiteral();
+        }
+      };
+      const auto keyed_rows = TableContents(keyed.get(), "parts");
+      ASSERT_NO_FATAL_FAILURE(
+          expect_rows(keyed_rows, TableContents(twin.get(), "parts")));
+      const Result<ApplyLedger::Watermark> keyed_mark = keyed_ledger.Get("src");
+      const Result<ApplyLedger::Watermark> twin_mark = twin_ledger.Get("src");
+      OPDELTA_ASSERT_OK(keyed_mark.status());
+      OPDELTA_ASSERT_OK(twin_mark.status());
+      EXPECT_TRUE(keyed_mark->exists);
+      EXPECT_EQ(keyed_mark->exists, twin_mark->exists);
+      EXPECT_EQ(keyed_mark->epoch, twin_mark->epoch);
+      EXPECT_EQ(keyed_mark->seq, twin_mark->seq);
+      EXPECT_EQ(keyed_mark->txns, twin_mark->txns);
+      EXPECT_EQ(keyed_mark->seq, batches.size());
+
+      // A redelivered batch is dropped whole.
+      IntegrationStats again;
+      OPDELTA_ASSERT_OK(ApplyNetChanges(keyed.get(), "parts", batches.back(),
+                                        Bid("src", 1, batches.size()),
+                                        &keyed_ledger, &again));
+      EXPECT_EQ(again.duplicate_batches, 1u);
+      EXPECT_EQ(again.statements_executed, 0u);
+      const auto after_redelivery = TableContents(keyed.get(), "parts");
+      ASSERT_EQ(after_redelivery.size(), keyed_rows.size());
+      for (const auto& [key, row] : keyed_rows) {
+        EXPECT_EQ(catalog::CompareRows(after_redelivery.at(key), row), 0)
+            << key.ToSqlLiteral();
+      }
+    }
+  }
+}
+
+// Same-size images are rewritten where they are: 50 batches upserting the
+// same 500 keys leave the heap exactly as large as the preload made it.
+// Deleting and re-inserting each row (the incumbent's translation) moves
+// every row of every batch.
+TEST_F(WarehouseTest, RepeatedUpsertsKeepTheHeapFlat) {
+  OPDELTA_ASSERT_OK(Preload(2000));
+  OPDELTA_ASSERT_OK(wh_->CreateIndex("parts", "id"));
+  const storage::FileManager* file = wh_->GetTable("parts")->file();
+  const uint32_t preloaded_pages = file->num_pages();
+  uint32_t first_batch_pages = 0;
+  for (int b = 0; b < 50; ++b) {
+    DeltaBatch batch;
+    batch.table = "parts";
+    batch.schema = workload::PartsWorkload::Schema();
+    std::string status = std::to_string(1000 + b);  // "1000".."1049"
+    status[0] = 's';                                 // same size as "base"
+    for (int64_t id = 0; id < 500; ++id) {
+      batch.records.push_back(DeltaRecord{DeltaOp::kUpsert, 0,
+                                          static_cast<uint64_t>(id),
+                                          PartsRow(id, status)});
+    }
+    IntegrationStats stats;
+    OPDELTA_ASSERT_OK(ApplyNetChanges(wh_.get(), "parts", batch, &stats));
+    EXPECT_EQ(stats.statements_executed, 500u);
+    if (b == 0) first_batch_pages = file->num_pages();
+  }
+  EXPECT_EQ(first_batch_pages, preloaded_pages);
+  EXPECT_EQ(file->num_pages(), first_batch_pages);
+  const auto contents = TableContents(wh_.get(), "parts");
+  EXPECT_EQ(contents.size(), 2000u);
+  EXPECT_EQ(contents.at(Value::Int64(499))[1].AsString(), "s049");
+  EXPECT_EQ(contents.at(Value::Int64(500))[1].AsString(), "base");
 }
 
 }  // namespace
