@@ -109,6 +109,25 @@ void BM_WalAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_WalAppend);
 
+// One transaction-shaped burst per iteration: N 100-byte appends, then one
+// Sync (a commit without fdatasync, as sync_on_commit is off). Items are
+// records.
+void BM_WalCommit(benchmark::State& state) {
+  bench::ScratchDir dir("micro_wal_commit");
+  txn::Wal wal;
+  BENCH_OK(wal.Open(dir.Sub("wal"), txn::WalOptions()));
+  txn::LogRecord rec;
+  rec.type = txn::LogRecordType::kInsert;
+  rec.after = std::string(100, 'v');
+  const int64_t records = state.range(0);
+  for (auto _ : state) {
+    for (int64_t i = 0; i < records; ++i) BENCH_OK(wal.Append(&rec));
+    BENCH_OK(wal.Sync());
+  }
+  state.SetItemsProcessed(state.iterations() * records);
+}
+BENCHMARK(BM_WalCommit)->Arg(1)->Arg(8)->Arg(100)->Arg(500);
+
 void BM_EngineInsert(benchmark::State& state) {
   bench::ScratchDir dir("micro_insert");
   workload::PartsWorkload wl;

@@ -31,6 +31,9 @@ inline void PutFixed64(std::string* dst, uint64_t v) {
   dst->append(buf, 8);
 }
 
+/// Writes v over the 4 bytes at dst, as PutFixed32 would append them.
+inline void EncodeFixed32(char* dst, uint32_t v) { std::memcpy(dst, &v, 4); }
+
 inline uint16_t DecodeFixed16(const char* p) {
   uint16_t v;
   std::memcpy(&v, p, 2);

@@ -371,8 +371,7 @@ Status Database::Commit(Transaction* txn) {
   LogRecord rec;
   rec.type = LogRecordType::kCommit;
   rec.txn_id = txn->id();
-  OPDELTA_RETURN_IF_ERROR(wal_.Append(&rec));
-  OPDELTA_RETURN_IF_ERROR(wal_.Sync());
+  OPDELTA_RETURN_IF_ERROR(wal_.AppendCommit(&rec));
   txn->MarkCommitted();
   locks_.ReleaseAll(txn->id());
   ReleaseFreedSlots(txn->id());
@@ -470,8 +469,9 @@ Status Database::Abort(Transaction* txn) {
   rec.type = LogRecordType::kAbort;
   rec.txn_id = txn->id();
   // Best effort: replay treats a txn without a commit record as aborted,
-  // so a lost abort record changes nothing.
-  (void)wal_.Append(&rec);
+  // so a lost abort record changes nothing. It is written at once, so it
+  // releases the resume point a LogExtractor pins at the txn's records.
+  if (wal_.Append(&rec).ok()) (void)wal_.Flush();
   txn->MarkAborted();
   locks_.ReleaseAll(txn->id());
   ReleaseFreedSlots(txn->id());

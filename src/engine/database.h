@@ -96,7 +96,16 @@ class Database {
   // -- Transactions ----------------------------------------------------
   /// Begins a transaction (logs kBegin).
   std::unique_ptr<txn::Transaction> Begin();
+  /// Logs the commit record and writes the transaction's buffered log
+  /// records with it (Wal::AppendCommit): once Commit returns OK, the whole
+  /// transaction is readable in the log, and durable under
+  /// WalOptions::sync_on_commit. On error nothing of the commit is logged
+  /// and the transaction stays active; the caller must Abort it.
   Status Commit(txn::Transaction* txn);
+  /// Rolls the transaction's writes back, then logs an abort record and
+  /// writes the log tail, so a log reader sees the transaction end. The
+  /// abort record is best effort: a transaction without a commit record
+  /// replays as aborted, and the next Open writes the missing record.
   Status Abort(txn::Transaction* txn);
 
   /// Runs fn inside a transaction, committing on OK and aborting on error.

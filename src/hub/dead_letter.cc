@@ -60,13 +60,22 @@ Status AppendDeadLetter(const std::string& work_dir, const std::string& table,
                         const std::string& message, const Status& cause) {
   Env* env = Env::Default();
   OPDELTA_RETURN_IF_ERROR(env->CreateDir(DeadLetterDir(work_dir)));
+  const std::string path = DeadLetterPath(work_dir, table);
   std::unique_ptr<WritableFile> file;
-  OPDELTA_RETURN_IF_ERROR(
-      env->NewAppendableFile(DeadLetterPath(work_dir, table), &file));
+  OPDELTA_RETURN_IF_ERROR(env->NewAppendableFile(path, &file));
+  const uint64_t start = file->Size();
   std::string frame;
   EncodeEntry(message, cause.ToString(), &frame);
-  OPDELTA_RETURN_IF_ERROR(file->Append(Slice(frame)));
-  OPDELTA_RETURN_IF_ERROR(file->Sync());
+  Status st = file->Append(Slice(frame));
+  if (st.ok()) st = file->Sync();
+  if (!st.ok()) {
+    // Cut the torn or unsynced entry off, so the next append starts at a
+    // whole entry. Best effort: if the cut fails too, the incomplete entry
+    // stays at the end, where ReadDeadLetters reads it as the log's end.
+    (void)file->Close();
+    (void)env->Truncate(path, start);
+    return st;
+  }
   return file->Close();
 }
 
@@ -79,20 +88,24 @@ Status ReadDeadLetters(const std::string& work_dir, const std::string& table,
   std::string data;
   OPDELTA_RETURN_IF_ERROR(env->ReadFileToString(path, &data));
   Slice input(data);
+  auto take = [&input](std::string* field) {
+    uint32_t len = 0;
+    if (!GetFixed32(&input, &len) || input.size() < len) return false;
+    field->assign(input.data(), len);
+    input.remove_prefix(len);
+    return true;
+  };
   while (!input.empty()) {
-    uint32_t message_len = 0;
-    if (!GetFixed32(&input, &message_len) || input.size() < message_len) {
-      return Status::Corruption("dead-letter frame in " + path);
-    }
+    const size_t left = input.size();
     DeadLetterEntry entry;
-    entry.message.assign(input.data(), message_len);
-    input.remove_prefix(message_len);
-    uint32_t cause_len = 0;
-    if (!GetFixed32(&input, &cause_len) || input.size() < cause_len) {
-      return Status::Corruption("dead-letter frame in " + path);
+    if (!take(&entry.message) || !take(&entry.cause)) {
+      // A crash mid-append, or a failed append whose cut failed too, leaves
+      // an incomplete final entry: the log ends before it.
+      OPDELTA_LOG(kWarn) << "dead-letter log " << path
+                         << " ends in an incomplete entry (" << left
+                         << " bytes); reading the entries before it";
+      break;
     }
-    entry.cause.assign(input.data(), cause_len);
-    input.remove_prefix(cause_len);
     // Identity is best effort: a poison message may not decode at all.
     (void)pipeline::DecodeBatchHeader(Slice(entry.message), &entry.id);
     out->push_back(std::move(entry));

@@ -30,11 +30,13 @@ std::string DeadLetterPath(const std::string& work_dir,
 Status ListDeadLetterTables(const std::string& work_dir,
                             std::vector<std::string>* tables);
 
-/// Appends one entry durably (create-if-missing, fsync).
+/// Appends one entry durably (create-if-missing, fsync). A failed append
+/// or sync truncates the log back to its size before the append.
 Status AppendDeadLetter(const std::string& work_dir, const std::string& table,
                         const std::string& message, const Status& cause);
 
-/// Reads every entry of `table`'s log. Missing log = empty result.
+/// Reads every entry of `table`'s log. Missing log = empty result. An
+/// incomplete final entry (a torn append) ends the log, with a warning.
 Status ReadDeadLetters(const std::string& work_dir, const std::string& table,
                        std::vector<DeadLetterEntry>* out);
 

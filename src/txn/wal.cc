@@ -1,6 +1,7 @@
 #include "txn/wal.h"
 
 #include <algorithm>
+#include <set>
 
 #include "common/coding.h"
 #include "common/crc32.h"
@@ -8,6 +9,10 @@
 namespace opdelta::txn {
 
 namespace {
+
+/// The tail is written once it holds this many bytes, so a long transaction
+/// (a bulk load) keeps at most about this much of the log in memory.
+constexpr size_t kTailCapacity = 64 << 10;
 
 /// Accepts exactly the names WalSegmentName produces (any digit count, so
 /// indexes past 999999 still parse). Stricter than the old sscanf pattern:
@@ -69,8 +74,9 @@ std::string WalSegmentName(uint64_t index) {
 }
 
 Wal::~Wal() {
-  // Destructor close is best-effort: commit durability came from Sync.
-  if (active_ != nullptr) (void)active_->Close();
+  // Destructor close is best-effort: commit durability came from
+  // AppendCommit.
+  (void)Close();
 }
 
 Status Wal::Open(const std::string& dir, const WalOptions& options) {
@@ -82,13 +88,21 @@ Status Wal::Open(const std::string& dir, const WalOptions& options) {
   // Find existing segments so LSNs and indexes continue monotonically.
   OPDELTA_RETURN_IF_ERROR(ListSegmentIndexes(env, dir, &segment_indexes_));
 
-  // Continue the LSN and txn-id sequences from existing records.
+  // Continue the LSN and txn-id sequences from existing records, and find
+  // the transactions a crash left without a commit or abort record.
   WalPosition end;
+  std::set<TxnId> losers;
   if (!segment_indexes_.empty()) {
     OPDELTA_RETURN_IF_ERROR(ReadFrom(
         dir, WalPosition{},
         [&](const LogRecord& r, const WalPosition&) {
           if (r.txn_id > max_txn_id_at_open_) max_txn_id_at_open_ = r.txn_id;
+          if (r.type == LogRecordType::kBegin) {
+            losers.insert(r.txn_id);
+          } else if (r.type == LogRecordType::kCommit ||
+                     r.type == LogRecordType::kAbort) {
+            losers.erase(r.txn_id);
+          }
           return true;
         },
         &end));
@@ -109,58 +123,135 @@ Status Wal::Open(const std::string& dir, const WalOptions& options) {
       segment_indexes_.empty() ? 1 : segment_indexes_.back() + 1;
   segment_indexes_.push_back(active_index_);
   // NOLINTNEXTLINE(opdelta-R8: segment creation must be serialized with rotation; runs once at Open)
-  return env->NewWritableFile(dir_ + "/" + WalSegmentName(active_index_),
-                              &active_);
+  OPDELTA_RETURN_IF_ERROR(env->NewWritableFile(
+      dir_ + "/" + WalSegmentName(active_index_), &active_));
+  // Each loser's abort record releases the resume point a LogExtractor
+  // pins at its first record, before any new record is logged.
+  for (TxnId id : losers) {
+    LogRecord abort;
+    abort.type = LogRecordType::kAbort;
+    abort.txn_id = id;
+    AppendToTail(&abort);
+  }
+  return WriteTail(/*sync=*/false);
 }
 
 Status Wal::Close() {
   std::lock_guard<common::OrderedMutex> lock(mutex_);
-  if (active_ != nullptr) {
-    OPDELTA_RETURN_IF_ERROR(active_->Close());
-    active_.reset();
-  }
+  if (active_ == nullptr) return Status::OK();
+  Status st = Repair();
+  if (st.ok()) st = WriteTail(/*sync=*/false);
+  Status closed = active_->Close();
+  active_.reset();
+  return st.ok() ? closed : st;
+}
+
+size_t Wal::AppendToTail(LogRecord* record) {
+  record->lsn = next_lsn_.fetch_add(1);
+  const size_t start = tail_.size();
+  tail_.append(8, '\0');  // [len][crc], filled in once the payload is known
+  record->EncodeTo(&tail_);
+  const size_t len = tail_.size() - start - 8;
+  char* header = tail_.data() + start;
+  EncodeFixed32(header, static_cast<uint32_t>(len));
+  EncodeFixed32(header + 4, Crc32c(header + 8, len));
+  bytes_appended_.fetch_add(8 + len, std::memory_order_relaxed);
+  return start;
+}
+
+Status Wal::Repair() {
+  if (!needs_repair_) return Status::OK();
+  Env* env = Env::Default();
+  const std::string path = dir_ + "/" + WalSegmentName(active_index_);
+  OPDELTA_RETURN_IF_ERROR(env->Truncate(path, written_));
+  std::unique_ptr<WritableFile> reopened;
+  OPDELTA_RETURN_IF_ERROR(env->NewAppendableFile(path, &reopened));
+  (void)active_->Close();  // its file offset is past the cut
+  active_ = std::move(reopened);
+  needs_repair_ = false;
   return Status::OK();
 }
 
-Status Wal::RollSegment() {
-  OPDELTA_RETURN_IF_ERROR(active_->Close());
+Status Wal::WriteTail(bool sync) {
+  // The WAL mutex IS the log serialization: frames must reach the segment
+  // in LSN order, so the write happens inside the critical section.
+  if (tail_.empty()) {
+    return sync ? active_->Sync() : Status::OK();  // NOLINT(opdelta-R8: a commit's sync must hold the wal mutex across rotation)
+  }
+  Status st = active_->Append(Slice(tail_));  // NOLINT(opdelta-R8: frames must land in LSN order under the wal mutex)
+  if (st.ok() && sync) st = active_->Sync();  // NOLINT(opdelta-R8: a commit's sync must hold the wal mutex across rotation)
+  if (!st.ok()) {
+    // The segment may hold a torn prefix of the tail, or a copy that never
+    // became durable: the frames stay here, and the segment is cut back to
+    // its last whole frame before the next write.
+    needs_repair_ = true;
+    return st;
+  }
+  written_ += tail_.size();
+  tail_.clear();
+  return Status::OK();
+}
+
+Status Wal::MaybeRoll() {
+  if (written_ + tail_.size() < options_.segment_size) return Status::OK();
+  // Under sync_on_commit the closing segment is synced too: a later commit
+  // syncs only the active segment, yet its transaction may have records
+  // here.
+  OPDELTA_RETURN_IF_ERROR(WriteTail(options_.sync_on_commit));
+  // The successor is created only once this segment is complete: ReadFrom
+  // takes a segment with a successor to end at a whole frame.
+  std::unique_ptr<WritableFile> next;
+  OPDELTA_RETURN_IF_ERROR(Env::Default()->NewWritableFile(
+      dir_ + "/" + WalSegmentName(active_index_ + 1), &next));
+  Status closed = active_->Close();
+  active_ = std::move(next);
   active_index_++;
   segment_indexes_.push_back(active_index_);
-  return Env::Default()->NewWritableFile(
-      dir_ + "/" + WalSegmentName(active_index_), &active_);
+  written_ = 0;
+  return closed;
 }
 
 Status Wal::Append(LogRecord* record) {
   std::lock_guard<common::OrderedMutex> lock(mutex_);
   if (active_ == nullptr) return Status::Internal("wal not open");
-  record->lsn = next_lsn_.fetch_add(1);
-
-  std::string payload;
-  record->EncodeTo(&payload);
-  std::string frame;
-  frame.reserve(payload.size() + 8);
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&frame, Crc32c(payload.data(), payload.size()));
-  frame.append(payload);
-
-  // The WAL mutex IS the log serialization: frames must hit the segment in
-  // LSN order, so the append happens inside the critical section by design.
-  OPDELTA_RETURN_IF_ERROR(active_->Append(Slice(frame)));  // NOLINT(opdelta-R8: frames must land in LSN order under the wal mutex)
-  bytes_appended_.fetch_add(frame.size(), std::memory_order_relaxed);
-
-  if (active_->Size() >= options_.segment_size) {
-    OPDELTA_RETURN_IF_ERROR(RollSegment());
-  }
+  OPDELTA_RETURN_IF_ERROR(Repair());
+  AppendToTail(record);
+  OPDELTA_RETURN_IF_ERROR(MaybeRoll());
+  if (tail_.size() >= kTailCapacity) return WriteTail(/*sync=*/false);
   return Status::OK();
 }
 
-Status Wal::Sync() {
+Status Wal::AppendCommit(LogRecord* record) {
+  std::lock_guard<common::OrderedMutex> lock(mutex_);
+  if (active_ == nullptr) return Status::Internal("wal not open");
+  OPDELTA_RETURN_IF_ERROR(Repair());
+  const size_t frame_start = AppendToTail(record);
+  Status st = WriteTail(options_.sync_on_commit);
+  if (!st.ok()) {
+    // Nothing else appends while the mutex is held, so the commit frame is
+    // still the tail's last: take it back, and its LSN with it.
+    bytes_appended_.fetch_sub(tail_.size() - frame_start,
+                              std::memory_order_relaxed);
+    tail_.resize(frame_start);
+    next_lsn_.store(record->lsn);
+    record->lsn = kInvalidLsn;
+    return st;
+  }
+  // The commit is logged; a roll that fails here is retried by the next
+  // append.
+  (void)MaybeRoll();
+  return Status::OK();
+}
+
+Status Wal::Flush() { return WriteOut(/*sync=*/false); }
+
+Status Wal::Sync() { return WriteOut(options_.sync_on_commit); }
+
+Status Wal::WriteOut(bool sync) {
   std::lock_guard<common::OrderedMutex> lock(mutex_);
   if (active_ == nullptr) return Status::OK();
-  // Group commit: every committer syncs the same active segment, and the
-  // mutex keeps a concurrent rotation from swapping the file mid-sync.
-  if (options_.sync_on_commit) return active_->Sync();  // NOLINT(opdelta-R8: group-commit sync must hold the wal mutex across rotation)
-  return active_->Flush();  // NOLINT(opdelta-R8: group-commit flush must hold the wal mutex across rotation)
+  OPDELTA_RETURN_IF_ERROR(Repair());
+  return WriteTail(sync);
 }
 
 Status Wal::Checkpoint() {

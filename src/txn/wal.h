@@ -43,10 +43,26 @@ struct WalPosition {
 
 /// Segmented write-ahead redo log. Records are framed as
 /// [u32 len][u32 crc32c(payload)][payload]. Thread-safe appends.
+///
+/// Appended frames collect in an in-memory tail, and the tail reaches the
+/// active segment in one write at a flush point: AppendCommit, Flush, Sync
+/// and Close, a tail that has grown to its fixed capacity, and a segment
+/// roll. So a record is readable (ReadFrom) once the first flush point after
+/// its Append has returned; every committed transaction is readable once
+/// AppendCommit returns. The tail is written in LSN order, so the readable
+/// log is always a prefix of the appended one.
+///
+/// Failure contract: the log remembers where its last complete frame in the
+/// active segment ends. A failed write, or under sync_on_commit a failed
+/// fdatasync after a write, keeps the frames in the tail and marks the
+/// segment for repair: before anything else is written, it is truncated
+/// back to that end and reopened. While the repair fails (a dead disk),
+/// Append and every flush point return its error; the log resumes by itself
+/// once the disk heals. LSNs stay dense and the log always reopens.
 class Wal {
  public:
   Wal() = default;
-  ~Wal();
+  ~Wal();  // best-effort Close
 
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
@@ -54,21 +70,39 @@ class Wal {
   /// Opens (or creates) the log in `dir`. Existing segments are kept and
   /// appends continue in a fresh segment. A torn frame at the end of the
   /// newest segment is truncated away first, so that segment reads back
-  /// cleanly once it is no longer the newest.
+  /// cleanly once it is no longer the newest. A transaction with a kBegin
+  /// record but neither a commit nor an abort (one a crash cut off) gets an
+  /// abort record, written before Open returns.
   Status Open(const std::string& dir, const WalOptions& options);
+  /// Writes the tail and closes the active segment (no fdatasync).
   Status Close();
 
-  /// Appends the record, assigning record.lsn. Returns the assigned LSN.
+  /// Appends the record to the tail, assigning record.lsn, and writes the
+  /// tail when it is full or the segment must roll. On error the caller's
+  /// transaction must abort: either the segment awaits a repair that failed
+  /// again and the record is not logged, or that write failed and the
+  /// record stays in the tail for the next flush point.
   Status Append(LogRecord* record);
 
-  /// Makes appended records durable per options.sync_on_commit.
+  /// Appends a transaction's commit record, writes the tail and syncs per
+  /// options.sync_on_commit, under one hold of the log mutex. On error the
+  /// commit record is not logged: its frame leaves the tail and its LSN is
+  /// handed back, and the caller aborts. The frames before it stay in the
+  /// tail for the next flush point.
+  Status AppendCommit(LogRecord* record);
+
+  /// Writes the tail: every appended record becomes readable.
+  Status Flush();
+
+  /// Writes the tail and makes the log durable per options.sync_on_commit.
   Status Sync();
 
   /// Checkpoint: in archive mode only records the checkpoint LSN; otherwise
   /// deletes all closed segments.
   Status Checkpoint();
 
-  /// Total bytes appended since Open (delta-volume metric for benches).
+  /// Total bytes appended since Open, counted when a frame enters the tail
+  /// (delta-volume metric for benches).
   uint64_t bytes_appended() const { return bytes_appended_.load(); }
   Lsn last_lsn() const { return next_lsn_.load() - 1; }
   /// Largest transaction id seen in pre-existing segments at Open time.
@@ -105,7 +139,21 @@ class Wal {
                          const PositionedVisitor& visitor, WalPosition* end);
 
  private:
-  Status RollSegment();  // requires mutex_ held
+  /// Flush and Sync: repairs the segment if needed, then writes the tail.
+  Status WriteOut(bool sync);
+
+  // All below require mutex_ held.
+  /// Encodes `record` into the tail under a fresh LSN; returns where its
+  /// frame starts in the tail.
+  size_t AppendToTail(LogRecord* record);
+  /// Truncates the active segment back to written_ and reopens it, if a
+  /// failed write marked it for repair.
+  Status Repair();
+  /// Writes the tail to the active segment, then fdatasyncs when `sync`.
+  Status WriteTail(bool sync);
+  /// Rolls to a fresh segment once written plus buffered bytes reach the
+  /// segment size, writing the tail first.
+  Status MaybeRoll();
 
   std::string dir_;
   WalOptions options_;
@@ -113,6 +161,9 @@ class Wal {
       OPDELTA_LOCK_RANK(wal, common::lockrank::kWal)};
   std::unique_ptr<WritableFile> active_;
   uint64_t active_index_ = 0;
+  uint64_t written_ = 0;  // active segment bytes up to its last whole frame
+  std::string tail_;      // encoded frames not yet written, in LSN order
+  bool needs_repair_ = false;  // the segment may hold bytes past written_
   std::vector<uint64_t> segment_indexes_;  // includes active
   std::atomic<Lsn> next_lsn_{1};
   TxnId max_txn_id_at_open_ = 0;

@@ -3,11 +3,14 @@
 #include <atomic>
 #include <functional>
 #include <map>
+#include <set>
 #include <thread>
 
+#include "catalog/row_codec.h"
 #include "common/fault_env.h"
 #include "engine/database.h"
 #include "engine/snapshot.h"
+#include "txn/recovery.h"
 #include "workload/workload.h"
 #include "tests/test_util.h"
 
@@ -673,10 +676,17 @@ class WalFaultTest : public ::testing::Test {
   }
 
   // Runs `write` in a transaction whose next WAL append fails, expects the
-  // IOError, aborts, and checks that the table reads as before.
+  // IOError, aborts, and checks that the table reads as before. An append
+  // only fills the log's in-memory tail, so the disk dies under a commit
+  // first: its failed write leaves the segment awaiting a repair, which
+  // fails on the dead disk, and so the append under test fails too.
   void ExpectRolledBack(const std::function<Status(txn::Transaction*)>& write) {
     auto txn = db_->Begin();
     fenv_.FailAllOpsAfter(0);
+    Status commit = db_->WithTransaction([&](txn::Transaction* other) {
+      return db_->Insert(other, "parts", PartsRow(100, "never"));
+    });
+    EXPECT_TRUE(commit.IsIOError()) << commit.ToString();
     Status st = write(txn.get());
     fenv_.ClearFaults();
     EXPECT_TRUE(st.IsIOError()) << st.ToString();
@@ -713,6 +723,148 @@ TEST_F(WalFaultTest, UpsertByKeyRollsBackAfterFailedLogAppend) {
   ExpectRolledBack([&](txn::Transaction* txn) {
     return db_->UpsertByKey(txn, "parts", PartsRow(3, "CHANGED")).status();
   });
+}
+
+// The log after a fault: a commit whose write failed is not logged, the
+// segment is cut back to its last whole frame, and the database reopens
+// with dense LSNs and every acknowledged commit. Faults are scoped to the
+// log.
+class WalRepairTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    fenv_.SetScope("/wal/");
+    db_ = OpenDb(dir_, "db");
+    OPDELTA_ASSERT_OK(db_->CreateTable("parts", PartsSchema()));
+  }
+
+  Status InsertOne(int64_t id) {
+    return db_->WithTransaction([&](txn::Transaction* txn) {
+      return db_->Insert(txn, "parts", PartsRow(id, "active"));
+    });
+  }
+
+  // Closes and reopens the database, then reads the whole log: it must
+  // read back with dense LSNs, and replay exactly `acknowledged` inserts.
+  // Returns the log's records.
+  std::vector<txn::LogRecord> ReopenAndReadLog(
+      const std::set<int64_t>& acknowledged) {
+    std::vector<txn::LogRecord> records;
+    Status st = db_->Close();
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    db_.reset();
+    st = Database::Open(dir_.Sub("db"), DatabaseOptions(), &db_);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    if (!st.ok()) return records;
+    st = txn::Wal::ReadAll(db_->wal()->dir(), [&](const txn::LogRecord& r) {
+      records.push_back(r);
+      return true;
+    });
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    for (size_t i = 1; i < records.size(); ++i) {
+      EXPECT_EQ(records[i].lsn, records[i - 1].lsn + 1) << "record " << i;
+    }
+    const catalog::Schema schema = PartsSchema();
+    std::set<int64_t> replayed;
+    st = txn::ReplayCommitted(
+        db_->wal()->dir(),
+        [&](const txn::LogRecord& r) {
+          if (r.type != txn::LogRecordType::kInsert) return Status::OK();
+          Row row;
+          OPDELTA_RETURN_IF_ERROR(
+              catalog::RowCodec::Decode(schema, Slice(r.after), &row));
+          replayed.insert(row[0].AsInt64());
+          return Status::OK();
+        },
+        nullptr);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(replayed, acknowledged);
+    return records;
+  }
+
+  // ROADMAP item 1's repro: commit 10 rows, fail the next commit's write
+  // (cleanly or torn) and abort, commit 10 more, then reopen.
+  void FailOneCommitThenReopen(bool torn) {
+    std::set<int64_t> acknowledged;
+    for (int64_t id = 0; id < 10; ++id) {
+      OPDELTA_ASSERT_OK(InsertOne(id));
+      acknowledged.insert(id);
+    }
+    auto failed = db_->Begin();
+    OPDELTA_ASSERT_OK(db_->Insert(failed.get(), "parts", PartsRow(50, "x")));
+    fenv_.SetErrorProbability(FaultInjectionEnv::OpKind::kWrite, 1.0);
+    fenv_.SetShortWriteProbability(torn ? 1.0 : 0.0);
+    Status st = db_->Commit(failed.get());
+    fenv_.ClearFaults();
+    EXPECT_TRUE(st.IsIOError()) << st.ToString();
+    OPDELTA_ASSERT_OK(db_->Abort(failed.get()));
+    for (int64_t id = 10; id < 20; ++id) {
+      OPDELTA_ASSERT_OK(InsertOne(id));
+      acknowledged.insert(id);
+    }
+
+    bool aborted = false;
+    for (const txn::LogRecord& r : ReopenAndReadLog(acknowledged)) {
+      if (r.txn_id != failed->id()) continue;
+      EXPECT_NE(r.type, txn::LogRecordType::kCommit);
+      aborted = aborted || r.type == txn::LogRecordType::kAbort;
+    }
+    EXPECT_TRUE(aborted);  // its records were written under its abort
+  }
+
+  FaultInjectionEnv fenv_{Env::Default()};
+  opdelta::testing::ScopedEnvOverride env_override_{&fenv_};
+  TempDir dir_;
+  std::unique_ptr<Database> db_;
+};
+
+TEST_F(WalRepairTest, FailedCommitWriteLeavesTheLogReadable) {
+  FailOneCommitThenReopen(/*torn=*/false);
+}
+
+TEST_F(WalRepairTest, TornCommitWriteIsCutBack) {
+  FailOneCommitThenReopen(/*torn=*/true);
+}
+
+TEST_F(WalRepairTest, DeadDiskHealsWithoutReopen) {
+  std::set<int64_t> acknowledged;
+  for (int64_t id = 0; id < 5; ++id) {
+    OPDELTA_ASSERT_OK(InsertOne(id));
+    acknowledged.insert(id);
+  }
+  fenv_.FailAllOpsAfter(0);
+  Status st = InsertOne(100);
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  // The segment waits for its repair, which fails while the disk is dead.
+  auto txn = db_->Begin();
+  st = db_->Insert(txn.get(), "parts", PartsRow(101, "x"));
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  OPDELTA_ASSERT_OK(db_->Abort(txn.get()));
+
+  fenv_.ClearFaults();
+  for (int64_t id = 5; id < 10; ++id) {
+    OPDELTA_ASSERT_OK(InsertOne(id));
+    acknowledged.insert(id);
+  }
+  ReopenAndReadLog(acknowledged);
+}
+
+// Appends fill an in-memory tail, which reaches the segment at commit or
+// once it is full: a 500-row UPDATE transaction writes the log a few times,
+// not once per record (begin, 500 updates and commit: 502 writes).
+TEST_F(WalRepairTest, RangeUpdateTransactionWritesTheLogAFewTimes) {
+  workload::PartsWorkload wl;
+  OPDELTA_ASSERT_OK(wl.Populate(db_.get(), "parts", 500));
+  const uint64_t before = fenv_.mutations();
+  size_t updated = 0;
+  OPDELTA_ASSERT_OK(db_->WithTransaction([&](txn::Transaction* txn) {
+    Result<size_t> n = db_->UpdateWhere(
+        txn, "parts", Predicate::Where("id", CompareOp::kLt, Value::Int64(500)),
+        {Assignment{"status", Value::String("revised")}});
+    if (n.ok()) updated = n.value();
+    return n.status();
+  }));
+  ASSERT_EQ(updated, 500u);
+  EXPECT_LE(fenv_.mutations() - before, 3u);
 }
 
 }  // namespace

@@ -841,6 +841,61 @@ TEST_F(ExtractTest, LogExtractorAbortReleasesTheResumePin) {
                   .IsCorruption());
 }
 
+TEST_F(ExtractTest, ReopenReleasesTheResumePinOfATransactionLeftOpen) {
+  // A crash leaves a transaction open for good: no commit or abort record
+  // ever follows its records. The next open logs its abort, so even an
+  // extractor created after the reopen stops re-reading it. A byte flipped
+  // inside its record shows which calls re-read it.
+  OPDELTA_ASSERT_OK(wl_.Populate(db_.get(), "parts", 5));
+  std::unique_ptr<txn::Transaction> a = db_->Begin();
+  OPDELTA_ASSERT_OK(db_->Insert(a.get(), "parts", wl_.MakeRow(100)));
+  OPDELTA_ASSERT_OK(RunUpdate(0, 2, "b"));  // B commits after A's insert
+  const txn::TxnId loser = a->id();
+  OPDELTA_ASSERT_OK(db_->Close());  // with A open, as a crash leaves it
+  db_ = OpenDb(dir_, "src");
+  ASSERT_NE(db_, nullptr);
+  engine::Table* t = db_->GetTable("parts");
+
+  txn::WalPosition pinned;
+  OPDELTA_ASSERT_OK(txn::Wal::ReadFrom(
+      db_->wal()->dir(), txn::WalPosition{},
+      [&](const txn::LogRecord& r, const txn::WalPosition& at) {
+        if (r.txn_id != loser || r.table_id != t->id()) return true;
+        pinned = at;
+        return false;
+      },
+      nullptr));
+  ASSERT_NE(pinned.segment, 0u);
+  const std::string seg =
+      db_->wal()->dir() + "/" + txn::WalSegmentName(pinned.segment);
+  std::unique_ptr<RandomRWFile> file;
+  OPDELTA_ASSERT_OK(Env::Default()->NewRandomRWFile(seg, &file));
+  char byte = 0;
+  Slice got;
+  OPDELTA_ASSERT_OK(file->Read(pinned.offset + 8, 1, &got, &byte));
+  ASSERT_EQ(got.size(), 1u);
+
+  LogExtractor kept(db_->wal()->dir());
+  txn::Lsn watermark = 0;
+  Result<DeltaBatch> first =
+      kept.ExtractSince(watermark, t->id(), "parts", t->schema(), &watermark);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->records.size(), 5u + 4u);  // A never committed
+
+  byte = static_cast<char>(byte ^ 0x5a);
+  OPDELTA_ASSERT_OK(file->Write(pinned.offset + 8, Slice(&byte, 1)));
+  OPDELTA_ASSERT_OK(file->Close());
+  Result<DeltaBatch> second =
+      kept.ExtractSince(watermark, t->id(), "parts", t->schema(), nullptr);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_TRUE(second->records.empty());
+  LogExtractor fresh(db_->wal()->dir());
+  EXPECT_TRUE(
+      fresh.ExtractSince(watermark, t->id(), "parts", t->schema(), nullptr)
+          .status()
+          .IsCorruption());
+}
+
 TEST_F(ExtractTest, ReplayIntoRebuildsExactReplica) {
   // "These logs contain deltas and can be shipped to another similar
   // database and applied using tools based on the DBMS recovery managers."

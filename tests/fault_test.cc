@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "common/env.h"
+#include "hub/dead_letter.h"
 #include "hub/delta_hub.h"
 #include "pipeline/source_leg.h"
 #include "sql/executor.h"
@@ -541,6 +542,48 @@ TEST(HubDeadLetterTest, PoisonMessageIsDivertedAndEverythingElseApplies) {
   EXPECT_TRUE(
       Env::Default()->FileExists(work_dir + "/dead_letters/parts.log"));
   OPDELTA_EXPECT_OK((*hub)->Stop());
+}
+
+/// A torn dead-letter append is cut back, so the log stays readable and
+/// the next append lands on a whole entry. If the cut fails too, the torn
+/// entry stays at the end, where the reader takes it as the log's end.
+TEST(HubDeadLetterTest, TornAppendLeavesEveryOtherEntryReadable) {
+  TempDir dir;
+  FaultInjectionEnv fenv(Env::Default());
+  fenv.SetScope("dead_letters/");
+  ScopedEnvOverride guard(&fenv);
+  const std::string work_dir = dir.Sub("hubw");
+  const std::string path = hub::DeadLetterPath(work_dir, "parts");
+  const Status cause = Status::Corruption("poison");
+  auto messages = [&]() {
+    std::vector<hub::DeadLetterEntry> entries;
+    Status st = hub::ReadDeadLetters(work_dir, "parts", &entries);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    std::vector<std::string> out;
+    for (const hub::DeadLetterEntry& e : entries) out.push_back(e.message);
+    return out;
+  };
+  auto tear = [&](const std::string& message) {
+    fenv.SetErrorProbability(OpKind::kWrite, 1.0);
+    fenv.SetShortWriteProbability(1.0);
+    const uint64_t faults = fenv.faults_injected();
+    Status st = hub::AppendDeadLetter(work_dir, "parts", message, cause);
+    EXPECT_TRUE(st.IsIOError()) << st.ToString();
+    EXPECT_GT(fenv.faults_injected(), faults);
+  };
+
+  OPDELTA_ASSERT_OK(hub::AppendDeadLetter(work_dir, "parts", "first", cause));
+  tear(std::string(4096, 't'));
+  fenv.ClearFaults();
+  OPDELTA_ASSERT_OK(hub::AppendDeadLetter(work_dir, "parts", "second", cause));
+  EXPECT_EQ(messages(), (std::vector<std::string>{"first", "second"}));
+
+  const uint64_t whole = FileSize(path);
+  fenv.SetErrorProbability(OpKind::kTruncate, 1.0);
+  tear(std::string(4096, 't'));
+  fenv.ClearFaults();
+  ASSERT_GT(FileSize(path), whole);  // the torn prefix stayed behind
+  EXPECT_EQ(messages(), (std::vector<std::string>{"first", "second"}));
 }
 
 // ------------------------------------------------------ crash-point suite

@@ -158,6 +158,99 @@ TEST(StressTest, ConcurrentOpDeltaCaptureReplaysExactly) {
   EXPECT_TRUE(TablesEqual(src.get(), "parts", wh.get(), "parts"));
 }
 
+// Writers commit and abort while an extractor reads the same log. Each
+// commit or abort writes the log's tail in one piece, so a concurrent read
+// may stop before a half-written tail but never finds a corrupt frame, and
+// a kept extractor's incremental batches add up to the source's rows.
+TEST(StressTest, ConcurrentCommitsAndAbortsWhileExtracting) {
+  TempDir dir;
+  engine::DatabaseOptions options;
+  options.auto_timestamp = false;
+  auto src = OpenDb(dir, "src", options);
+  workload::PartsWorkload wl;
+  OPDELTA_ASSERT_OK(wl.CreateTable(src.get(), "parts"));
+  engine::Table* t = src->GetTable("parts");
+
+  constexpr int kThreads = 4;
+  std::atomic<int> failures{0};
+  std::atomic<int> writing{kThreads};
+  // Disjoint key ranges: every transaction that is not aborted on purpose
+  // must commit.
+  auto writer = [&](int tid) {
+    workload::PartsWorkload local(
+        workload::PartsWorkload::Options{100, 900u + tid});
+    const int64_t base = tid * 100000;
+    int64_t next = base;
+    Rng rng(900 + tid);
+    for (int i = 0; i < 60; ++i) {
+      std::unique_ptr<txn::Transaction> txn = src->Begin();
+      const int64_t n = 1 + static_cast<int64_t>(rng.Uniform(20));
+      Status st;
+      for (int64_t k = 0; k < n && st.ok(); ++k) {
+        st = src->Insert(txn.get(), "parts", local.MakeRow(next + k));
+      }
+      if (st.ok() && next > base) {
+        const int64_t lo = base + static_cast<int64_t>(rng.Uniform(
+                                      static_cast<uint64_t>(next - base)));
+        engine::Predicate range = engine::Predicate::Where(
+            "id", engine::CompareOp::kGe, catalog::Value::Int64(lo));
+        range.And("id", engine::CompareOp::kLt, catalog::Value::Int64(lo + 20));
+        st = src->UpdateWhere(txn.get(), "parts", range,
+                              {engine::Assignment{
+                                  "status", catalog::Value::String(
+                                                "w" + std::to_string(i))}})
+                 .status();
+      }
+      if (!st.ok()) {
+        failures++;
+        (void)src->Abort(txn.get());
+      } else if (i % 3 == 2) {
+        if (!src->Abort(txn.get()).ok()) failures++;
+      } else if (src->Commit(txn.get()).ok()) {
+        next += n;
+      } else {
+        failures++;
+      }
+    }
+    writing--;
+  };
+
+  extract::LogExtractor extractor(src->wal()->dir());
+  extract::NetChanges net;
+  Status read_status;
+  auto reader = [&]() {
+    txn::Lsn watermark = 0;
+    for (bool last = false; !last;) {
+      last = writing.load() == 0;  // one more read after the last commit
+      Result<extract::DeltaBatch> batch = extractor.ExtractSince(
+          watermark, t->id(), "parts", t->schema(), &watermark);
+      extract::NetChanges delta;
+      read_status = batch.ok() ? ComputeNetChanges(*batch, &delta)
+                               : batch.status();
+      if (!read_status.ok()) return;
+      for (auto& [key, state] : delta) net[key] = std::move(state);
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) threads.emplace_back(writer, w);
+  std::thread extracting(reader);
+  for (auto& th : threads) th.join();
+  extracting.join();
+  EXPECT_EQ(failures.load(), 0);
+  OPDELTA_ASSERT_OK(read_status);
+
+  const auto source_rows = opdelta::testing::TableContents(src.get(), "parts");
+  EXPECT_EQ(net.size(), source_rows.size());
+  for (const auto& [key, state] : net) {
+    ASSERT_TRUE(state.has_value()) << key.ToSqlLiteral();
+    auto it = source_rows.find(key);
+    ASSERT_NE(it, source_rows.end()) << key.ToSqlLiteral();
+    EXPECT_EQ(catalog::CompareRows(*state, it->second), 0)
+        << key.ToSqlLiteral();
+  }
+}
+
 TEST(StressTest, ReadersNeverBlockEachOther) {
   TempDir dir;
   auto db = OpenDb(dir, "db");

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/coding.h"
+#include "common/fault_env.h"
 #include "txn/lock_manager.h"
 #include "txn/log_record.h"
 #include "txn/recovery.h"
@@ -105,6 +106,7 @@ TEST(WalTest, SegmentsRollOver) {
     rec.after = std::string(100, 'x');
     OPDELTA_ASSERT_OK(wal.Append(&rec));
   }
+  OPDELTA_ASSERT_OK(wal.Sync());  // the newest records are still buffered
   std::vector<std::string> segments;
   OPDELTA_ASSERT_OK(wal.ListSegments(&segments));
   EXPECT_GT(segments.size(), 2u);
@@ -538,6 +540,7 @@ TEST(WalTest, ReadFromRecycledSegmentRestartsAtFirstRemaining) {
     rec.after = std::string(100, 'x');
     OPDELTA_ASSERT_OK(wal.Append(&rec));
   }
+  OPDELTA_ASSERT_OK(wal.Sync());  // the newest records are still buffered
   const PositionedRead before = ReadFromPosition(dir.Sub("wal"), WalPosition{});
   ASSERT_EQ(before.records.size(), 30u);
   const WalPosition in_first = before.at[2];
@@ -547,6 +550,7 @@ TEST(WalTest, ReadFromRecycledSegmentRestartsAtFirstRemaining) {
     rec.type = LogRecordType::kCommit;
     OPDELTA_ASSERT_OK(wal.Append(&rec));
   }
+  OPDELTA_ASSERT_OK(wal.Sync());
 
   std::vector<Lsn> remaining;
   OPDELTA_ASSERT_OK(Wal::ReadAll(dir.Sub("wal"), [&](const LogRecord& r) {
@@ -586,6 +590,180 @@ TEST(WalTest, MissingMiddleSegmentIsCorruption) {
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
   st = Wal::ReadFrom(dir.Sub("wal"), in_second, visit, nullptr);
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+}
+
+// Appends fill the in-memory tail; the readable log is what the last flush
+// point wrote.
+TEST(WalTest, RecordsBecomeReadableAtFlushPoints) {
+  TempDir dir;
+  Wal wal;
+  OPDELTA_ASSERT_OK(wal.Open(dir.Sub("wal"), WalOptions()));
+  auto readable = [&]() {
+    size_t n = 0;
+    Status st = Wal::ReadAll(dir.Sub("wal"), [&](const LogRecord&) {
+      ++n;
+      return true;
+    });
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    return n;
+  };
+  LogRecord rec;
+  rec.type = LogRecordType::kInsert;
+  rec.after = "row";
+  OPDELTA_ASSERT_OK(wal.Append(&rec));
+  OPDELTA_ASSERT_OK(wal.Append(&rec));
+  EXPECT_EQ(readable(), 0u);
+  OPDELTA_ASSERT_OK(wal.Flush());
+  EXPECT_EQ(readable(), 2u);
+  OPDELTA_ASSERT_OK(wal.Append(&rec));
+  LogRecord commit;
+  commit.type = LogRecordType::kCommit;
+  OPDELTA_ASSERT_OK(wal.AppendCommit(&commit));
+  EXPECT_EQ(commit.lsn, 4u);
+  EXPECT_EQ(readable(), 4u);
+
+  // A full tail is written without a flush point.
+  rec.after = std::string(1000, 'v');
+  for (int i = 0; i < 100; ++i) OPDELTA_ASSERT_OK(wal.Append(&rec));
+  const size_t written = readable();
+  EXPECT_GT(written, 4u);
+  EXPECT_LT(written, 104u);
+  OPDELTA_ASSERT_OK(wal.Close());
+  EXPECT_EQ(readable(), 104u);
+}
+
+// A commit whose write fails hands its LSN back, and the segment is cut
+// back to its last whole frame before the next write: the log reads back
+// dense, without the failed commit, and reopens.
+TEST(WalTest, FailedCommitWriteIsCutBackAndItsLsnReused) {
+  TempDir dir;
+  FaultInjectionEnv fenv(Env::Default());
+  opdelta::testing::ScopedEnvOverride guard(&fenv);
+  Wal wal;
+  OPDELTA_ASSERT_OK(wal.Open(dir.Sub("wal"), WalOptions()));
+  LogRecord rec;
+  rec.type = LogRecordType::kInsert;
+  rec.after = std::string(200, 'r');
+  LogRecord commit;
+  commit.type = LogRecordType::kCommit;
+  OPDELTA_ASSERT_OK(wal.Append(&rec));
+  OPDELTA_ASSERT_OK(wal.AppendCommit(&commit));
+  const std::string seg = dir.Sub("wal") + "/" + WalSegmentName(1);
+  uint64_t whole = 0;
+  OPDELTA_ASSERT_OK(Env::Default()->GetFileSize(seg, &whole));
+  const uint64_t bytes = wal.bytes_appended();
+
+  OPDELTA_ASSERT_OK(wal.Append(&rec));
+  fenv.SetErrorProbability(FaultInjectionEnv::OpKind::kWrite, 1.0);
+  fenv.SetShortWriteProbability(1.0);
+  Status st = wal.AppendCommit(&commit);
+  fenv.ClearFaults();
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  EXPECT_EQ(commit.lsn, kInvalidLsn);
+  EXPECT_EQ(wal.last_lsn(), 3u);  // the insert stays in the tail
+  EXPECT_GT(wal.bytes_appended(), bytes);
+  uint64_t torn = 0;
+  OPDELTA_ASSERT_OK(Env::Default()->GetFileSize(seg, &torn));
+  ASSERT_GT(torn, whole);  // a prefix of the tail reached the segment
+
+  LogRecord abort;
+  abort.type = LogRecordType::kAbort;
+  OPDELTA_ASSERT_OK(wal.Append(&abort));
+  EXPECT_EQ(abort.lsn, 4u);  // the failed commit's LSN
+  OPDELTA_ASSERT_OK(wal.Close());
+
+  std::vector<LogRecordType> types;
+  Lsn prev = 0;
+  OPDELTA_ASSERT_OK(Wal::ReadAll(dir.Sub("wal"), [&](const LogRecord& r) {
+    EXPECT_EQ(r.lsn, prev + 1);
+    prev = r.lsn;
+    types.push_back(r.type);
+    return true;
+  }));
+  EXPECT_EQ(types,
+            (std::vector<LogRecordType>{
+                LogRecordType::kInsert, LogRecordType::kCommit,
+                LogRecordType::kInsert, LogRecordType::kAbort}));
+  Wal again;
+  OPDELTA_ASSERT_OK(again.Open(dir.Sub("wal"), WalOptions()));
+  EXPECT_EQ(again.last_lsn(), 4u);
+  OPDELTA_ASSERT_OK(again.Close());
+}
+
+// Under sync_on_commit a committed transaction survives a power failure
+// even when its records span segment rolls: each roll syncs the segment it
+// closes, which a commit's sync of the active segment does not reach.
+TEST(WalTest, SyncOnCommitCoversSegmentsClosedByARoll) {
+  TempDir dir;
+  FaultInjectionEnv fenv(Env::Default());
+  opdelta::testing::ScopedEnvOverride guard(&fenv);
+  WalOptions options;
+  options.segment_size = 4096;
+  options.sync_on_commit = true;
+  {
+    Wal wal;
+    OPDELTA_ASSERT_OK(wal.Open(dir.Sub("wal"), options));
+    LogRecord rec;
+    rec.type = LogRecordType::kInsert;
+    rec.after = std::string(100, 'x');
+    for (int i = 0; i < 100; ++i) OPDELTA_ASSERT_OK(wal.Append(&rec));
+    LogRecord commit;
+    commit.type = LogRecordType::kCommit;
+    OPDELTA_ASSERT_OK(wal.AppendCommit(&commit));
+    std::vector<std::string> segments;
+    OPDELTA_ASSERT_OK(wal.ListSegments(&segments));
+    ASSERT_GT(segments.size(), 2u);
+    // Power fails: every byte no fdatasync covered is gone.
+    OPDELTA_ASSERT_OK(fenv.CrashAndDropUnsynced(/*torn_tails=*/false));
+  }
+  std::vector<Lsn> lsns;
+  OPDELTA_ASSERT_OK(Wal::ReadAll(dir.Sub("wal"), [&](const LogRecord& r) {
+    lsns.push_back(r.lsn);
+    return true;
+  }));
+  ASSERT_EQ(lsns.size(), 101u);
+  EXPECT_EQ(lsns.front(), 1u);
+  EXPECT_EQ(lsns.back(), 101u);
+}
+
+// A crash leaves a begun transaction with neither a commit nor an abort
+// record; the next Open logs its abort, once.
+TEST(WalTest, ReopenAbortsTransactionsLeftOpen) {
+  TempDir dir;
+  auto append = [](Wal* wal, LogRecordType type, TxnId txn) {
+    LogRecord rec;
+    rec.type = type;
+    rec.txn_id = txn;
+    return type == LogRecordType::kCommit ? wal->AppendCommit(&rec)
+                                          : wal->Append(&rec);
+  };
+  {
+    Wal wal;
+    OPDELTA_ASSERT_OK(wal.Open(dir.Sub("wal"), WalOptions()));
+    OPDELTA_ASSERT_OK(append(&wal, LogRecordType::kBegin, 7));
+    OPDELTA_ASSERT_OK(append(&wal, LogRecordType::kInsert, 7));
+    OPDELTA_ASSERT_OK(append(&wal, LogRecordType::kBegin, 8));
+    OPDELTA_ASSERT_OK(append(&wal, LogRecordType::kCommit, 8));
+    OPDELTA_ASSERT_OK(append(&wal, LogRecordType::kBegin, 9));
+    OPDELTA_ASSERT_OK(append(&wal, LogRecordType::kAbort, 9));
+    OPDELTA_ASSERT_OK(append(&wal, LogRecordType::kInsert, 10));  // no kBegin
+    OPDELTA_ASSERT_OK(wal.Close());
+  }
+  auto aborts = [&]() {
+    std::vector<TxnId> out;
+    EXPECT_TRUE(Wal::ReadAll(dir.Sub("wal"), [&](const LogRecord& r) {
+                  if (r.type == LogRecordType::kAbort) out.push_back(r.txn_id);
+                  return true;
+                }).ok());
+    return out;
+  };
+  for (int reopen = 0; reopen < 2; ++reopen) {
+    Wal wal;
+    OPDELTA_ASSERT_OK(wal.Open(dir.Sub("wal"), WalOptions()));
+    EXPECT_EQ(wal.last_lsn(), 8u);
+    EXPECT_EQ(aborts(), (std::vector<TxnId>{9, 7})) << "reopen " << reopen;
+    OPDELTA_ASSERT_OK(wal.Close());
+  }
 }
 
 TEST(WalTest, BytesAppendedTracksVolume) {
