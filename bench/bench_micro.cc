@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the substrate primitives every
-// experiment rests on: row codec, slotted pages, B+tree, WAL append, engine
-// DML, net-change apply, archive-log extraction rounds, statement
-// parse/render, and CRC. Useful for spotting regressions
+// experiment rests on: row codec, slotted pages, B+tree, WAL append, the
+// persistent queue, engine DML, net-change apply, archive-log extraction
+// rounds, statement parse/render, and CRC. Useful for spotting regressions
 // that would distort the paper-level benches.
 #include <benchmark/benchmark.h>
 
@@ -16,6 +16,7 @@
 #include "index/bplus_tree.h"
 #include "sql/parser.h"
 #include "storage/page.h"
+#include "transport/persistent_queue.h"
 #include "txn/wal.h"
 #include "warehouse/integrator.h"
 #include "workload/workload.h"
@@ -127,6 +128,24 @@ void BM_WalCommit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * records);
 }
 BENCHMARK(BM_WalCommit)->Arg(1)->Arg(8)->Arg(100)->Arg(500);
+
+// The hub's per-batch queue traffic: a durable Enqueue of an N-byte message
+// (one fdatasync), then Peek and Ack. Bytes are message bytes.
+void BM_QueueRoundTrip(benchmark::State& state) {
+  bench::ScratchDir dir("micro_queue");
+  transport::PersistentQueue queue;
+  BENCH_OK(queue.Open(dir.Sub("queue")));
+  const std::string message(static_cast<size_t>(state.range(0)), 'q');
+  std::string peeked;
+  for (auto _ : state) {
+    BENCH_OK(queue.Enqueue(Slice(message), /*durable=*/true));
+    BENCH_OK(queue.Peek(&peeked));
+    BENCH_OK(queue.Ack());
+    benchmark::DoNotOptimize(peeked.data());
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_QueueRoundTrip)->Arg(256)->Arg(65536);
 
 void BM_EngineInsert(benchmark::State& state) {
   bench::ScratchDir dir("micro_insert");

@@ -1,24 +1,21 @@
 #include "hub/dead_letter.h"
 
-#include <algorithm>
+#include <set>
 
 #include "common/coding.h"
 #include "common/env.h"
 #include "common/logging.h"
+#include "common/record_log.h"
 #include "pipeline/source_leg.h"
 
 namespace opdelta::hub {
 
 namespace {
 
-constexpr char kLogSuffix[] = ".log";
-
-void EncodeEntry(const std::string& message, const std::string& cause,
-                 std::string* frame) {
-  PutFixed32(frame, static_cast<uint32_t>(message.size()));
-  frame->append(message);
-  PutFixed32(frame, static_cast<uint32_t>(cause.size()));
-  frame->append(cause);
+std::string EncodeEntry(const std::string& message, const std::string& cause) {
+  std::string payload;
+  PutLengthPrefixed(&payload, Slice(message));
+  return payload + cause;
 }
 
 }  // namespace
@@ -27,90 +24,61 @@ std::string DeadLetterDir(const std::string& work_dir) {
   return work_dir + "/dead_letters";
 }
 
-std::string DeadLetterPath(const std::string& work_dir,
-                           const std::string& table) {
-  return DeadLetterDir(work_dir) + "/" + table + kLogSuffix;
-}
-
 Status ListDeadLetterTables(const std::string& work_dir,
                             std::vector<std::string>* tables) {
   tables->clear();
   Env* env = Env::Default();
   const std::string dir = DeadLetterDir(work_dir);
-  if (!env->FileExists(dir)) return Status::OK();
+  if (!env->DirExists(dir)) return Status::OK();
   std::vector<std::string> children;
   OPDELTA_RETURN_IF_ERROR(env->ListDir(dir, &children));
-  const size_t suffix_len = sizeof(kLogSuffix) - 1;
+  std::set<std::string> found;
   for (const std::string& child : children) {
-    if (child.size() <= suffix_len ||
-        child.compare(child.size() - suffix_len, suffix_len, kLogSuffix) !=
-            0) {
-      continue;
-    }
-    uint64_t size = 0;
-    if (env->GetFileSize(dir + "/" + child, &size).ok() && size > 0) {
-      tables->push_back(child.substr(0, child.size() - suffix_len));
+    std::string table;
+    uint64_t index = 0, size = 0;
+    if (common::RecordLog::ParseSegmentName(child, &table, &index) &&
+        env->GetFileSize(dir + "/" + child, &size).ok() && size > 0) {
+      found.insert(table);
     }
   }
-  std::sort(tables->begin(), tables->end());
+  tables->assign(found.begin(), found.end());
   return Status::OK();
 }
 
 Status AppendDeadLetter(const std::string& work_dir, const std::string& table,
                         const std::string& message, const Status& cause) {
-  Env* env = Env::Default();
-  OPDELTA_RETURN_IF_ERROR(env->CreateDir(DeadLetterDir(work_dir)));
-  const std::string path = DeadLetterPath(work_dir, table);
-  std::unique_ptr<WritableFile> file;
-  OPDELTA_RETURN_IF_ERROR(env->NewAppendableFile(path, &file));
-  const uint64_t start = file->Size();
-  std::string frame;
-  EncodeEntry(message, cause.ToString(), &frame);
-  Status st = file->Append(Slice(frame));
-  if (st.ok()) st = file->Sync();
-  if (!st.ok()) {
-    // Cut the torn or unsynced entry off, so the next append starts at a
-    // whole entry. Best effort: if the cut fails too, the incomplete entry
-    // stays at the end, where ReadDeadLetters reads it as the log's end.
-    (void)file->Close();
-    (void)env->Truncate(path, start);
-    return st;
-  }
-  return file->Close();
+  common::RecordLog log;
+  OPDELTA_RETURN_IF_ERROR(log.Open(DeadLetterDir(work_dir), table));
+  // A failed entry is not logged: Close cuts the segment back to its last
+  // whole entry, and if that cut fails too, the next Open does.
+  Status st = log.Write(Slice(EncodeEntry(message, cause.ToString())),
+                        /*sync=*/true);
+  Status closed = log.Close();
+  return st.ok() ? closed : st;
 }
 
 Status ReadDeadLetters(const std::string& work_dir, const std::string& table,
                        std::vector<DeadLetterEntry>* out) {
   out->clear();
-  Env* env = Env::Default();
-  const std::string path = DeadLetterPath(work_dir, table);
-  if (!env->FileExists(path)) return Status::OK();
-  std::string data;
-  OPDELTA_RETURN_IF_ERROR(env->ReadFileToString(path, &data));
-  Slice input(data);
-  auto take = [&input](std::string* field) {
-    uint32_t len = 0;
-    if (!GetFixed32(&input, &len) || input.size() < len) return false;
-    field->assign(input.data(), len);
-    input.remove_prefix(len);
-    return true;
-  };
-  while (!input.empty()) {
-    const size_t left = input.size();
-    DeadLetterEntry entry;
-    if (!take(&entry.message) || !take(&entry.cause)) {
-      // A crash mid-append, or a failed append whose cut failed too, leaves
-      // an incomplete final entry: the log ends before it.
-      OPDELTA_LOG(kWarn) << "dead-letter log " << path
-                         << " ends in an incomplete entry (" << left
-                         << " bytes); reading the entries before it";
-      break;
-    }
-    // Identity is best effort: a poison message may not decode at all.
-    (void)pipeline::DecodeBatchHeader(Slice(entry.message), &entry.id);
-    out->push_back(std::move(entry));
-  }
-  return Status::OK();
+  Status decoded;
+  OPDELTA_RETURN_IF_ERROR(common::RecordLog::Read(
+      DeadLetterDir(work_dir), table, common::RecordPosition{},
+      [&](Slice payload, const common::RecordPosition&) {
+        DeadLetterEntry entry;
+        Slice message;
+        if (!GetLengthPrefixed(&payload, &message)) {
+          decoded = Status::Corruption("dead-letter entry of table " + table);
+          return false;
+        }
+        entry.message = message.ToString();
+        entry.cause = payload.ToString();
+        // Identity is best effort: a poison message may not decode at all.
+        (void)pipeline::DecodeBatchHeader(Slice(entry.message), &entry.id);
+        out->push_back(std::move(entry));
+        return true;
+      },
+      nullptr));
+  return decoded;
 }
 
 namespace {
@@ -144,13 +112,13 @@ Status ReplayDeadLetters(engine::Database* warehouse,
   std::vector<DeadLetterEntry> entries;
   OPDELTA_RETURN_IF_ERROR(ReadDeadLetters(work_dir, table, &entries));
 
-  std::string kept;  // frames of entries that still fail
+  std::vector<std::string> kept;  // payloads of entries that still fail
   for (const DeadLetterEntry& entry : entries) {
     warehouse::IntegrationStats istats;
     Status st = ApplyEntry(warehouse, ledger, table, entry, &istats);
     if (!st.ok()) {
       ++local.failed;
-      EncodeEntry(entry.message, entry.cause, &kept);
+      kept.push_back(EncodeEntry(entry.message, entry.cause));
       OPDELTA_LOG(kWarn) << "dead-letter replay for table " << table
                          << " still failing (" << entry.id.ToString()
                          << "): " << st.ToString();
@@ -163,16 +131,18 @@ Status ReplayDeadLetters(engine::Database* warehouse,
     }
   }
 
-  // Rewrite the log to exactly the still-failing entries (atomically, so a
-  // crash never drops an unreplayed batch).
-  Env* env = Env::Default();
-  const std::string path = DeadLetterPath(work_dir, table);
-  if (env->FileExists(path)) {
-    if (kept.empty()) {
-      OPDELTA_RETURN_IF_ERROR(env->DeleteFile(path));
-    } else {
-      OPDELTA_RETURN_IF_ERROR(WriteFileAtomic(env, path, Slice(kept)));
-    }
+  // Rewrite the log to exactly the still-failing entries: they reach a
+  // fresh segment, synced, before the segments holding the old entries
+  // are deleted, so a crash never drops an unreplayed batch (one in
+  // between leaves the old entries too, for the next replay).
+  if (!entries.empty()) {
+    common::RecordLog log;
+    OPDELTA_RETURN_IF_ERROR(log.Open(DeadLetterDir(work_dir), table));
+    OPDELTA_RETURN_IF_ERROR(log.Roll(/*sync=*/false));
+    for (const std::string& payload : kept) log.Append(Slice(payload));
+    OPDELTA_RETURN_IF_ERROR(log.Flush(/*sync=*/true));
+    OPDELTA_RETURN_IF_ERROR(log.DeleteBefore(log.end().segment));
+    OPDELTA_RETURN_IF_ERROR(log.Close());
   }
   if (stats != nullptr) *stats = local;
   if (local.failed > 0) {

@@ -71,7 +71,8 @@ struct SourceSpec {
 
 struct HubOptions {
   /// Root directory for each source's queue log (its only hub-side state,
-  /// `<work_dir>/<name>/queue/queue.log`) and the dead-letter logs.
+  /// segments `<work_dir>/<name>/queue/queue-*.log`) and the dead-letter
+  /// logs (`<work_dir>/dead_letters/<table>-*.log`).
   std::string work_dir;
 
   /// Workers running round tasks: one task per warehouse table per round,

@@ -44,7 +44,7 @@ struct PipelineOptions {
   std::string op_log_table = "op_log";
 
   /// Directory for the leg's state: the shipping queue's log,
-  /// `<work_dir>/queue/queue.log`, whose frames also carry the extraction
+  /// `<work_dir>/queue/queue-*.log`, whose frames also carry the extraction
   /// position.
   std::string work_dir;
 };

@@ -34,7 +34,7 @@ struct LegStats {
 /// queue — a `hub::DeltaHub` round task, or a test or tool driving one leg
 /// by hand — via PeekShipped / Integrate / AckShipped.
 ///
-/// The queue log (`<work_dir>/queue/queue.log`) is the leg's only durable
+/// The queue log (`<work_dir>/queue/queue-*.log`) is the leg's only durable
 /// state. Every frame carries the extraction position that holds after it,
 /// in the same synced append as its batch: once a batch is in the queue it
 /// is never re-extracted, a crash before integration replays it from the

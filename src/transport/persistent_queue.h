@@ -2,12 +2,12 @@
 #define OPDELTA_TRANSPORT_PERSISTENT_QUEUE_H_
 
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <mutex>
 #include <optional>
 #include <string>
 
-#include "common/env.h"
+#include "common/record_log.h"
 #include "common/status.h"
 #include "common/sync.h"
 
@@ -18,26 +18,31 @@ namespace opdelta::transport {
 /// guarantees" transport of §1. Messages survive process restarts; a
 /// consumer Peek()s, processes, then Ack()s.
 ///
-/// On-disk layout: one append-only log (`queue.log`) of framed,
-/// CRC-protected records. A record with a payload is a message; an empty
-/// record is an ack, and acknowledges the oldest message no earlier ack
-/// record has. Open replays the acks to find the read cursor, so the log
-/// is the queue's only file.
+/// On-disk layout: a common::RecordLog of segments `queue-000001.log`, ...
+/// A record with a payload is a message; an empty record is an ack, and
+/// acknowledges the oldest message no earlier ack record has. Open replays
+/// the acks, so the log is the queue's only state. A write that fails
+/// leaves its record out of the queue.
 ///
-/// Crash tolerance mirrors txn::Wal: an incomplete frame at the tail of the
-/// log (a torn append) is truncated away on Open and the queue continues; a
-/// complete frame whose CRC mismatches is hard Corruption. A failed append
-/// is healed in place — the log is truncated back to the pre-append length
-/// so a retry cannot interleave a garbage prefix with the retried frame.
+/// Trimming: an Enqueue that finds the backlog empty once the active
+/// segment holds kSegmentBytes starts a new segment with its message,
+/// syncs it, then deletes every earlier segment: each message there is
+/// acknowledged, so no later ack points into them, and the newest message
+/// (PeekLast) is the one just synced. The queue keeps about one segment
+/// plus its backlog on disk.
 class PersistentQueue {
  public:
+  /// Active segment size from which an Enqueue that finds the backlog
+  /// empty starts a new segment.
+  static constexpr uint64_t kSegmentBytes = 256 << 10;
+
   PersistentQueue() = default;
-  ~PersistentQueue();
 
   PersistentQueue(const PersistentQueue&) = delete;
   PersistentQueue& operator=(const PersistentQueue&) = delete;
 
-  /// Opens (creating if needed) a queue rooted at `dir`.
+  /// Opens (creating if needed) a queue rooted at `dir`. A directory that
+  /// holds a `queue.log` from before segmented queues is NotSupported.
   Status Open(const std::string& dir);
   Status Close();
 
@@ -64,30 +69,17 @@ class PersistentQueue {
   Result<uint64_t> Backlog();
 
  private:
-  /// Scans the log from offset 0, truncating a torn tail frame (crash
-  /// artifact), rejecting complete frames with CRC mismatch, and replaying
-  /// the ack records into the cursor. Runs on Open before the log is
-  /// reopened for append.
-  Status RecoverLog();
-  /// Appends one record; on failure heals the log and returns the error.
-  /// Requires mutex_.
-  Status AppendRecord(Slice payload, bool durable);
-  /// After a failed append: truncates the log back to `frame_start` and
-  /// reopens it so a retry starts from a clean frame boundary.
-  void HealFailedAppend(uint64_t frame_start);
-  /// Flushes the log and opens a reader over it. Requires mutex_.
-  Status OpenReader(std::unique_ptr<RandomAccessFile>* reader);
+  struct Message {  // where a message's frame starts, and its length
+    common::RecordPosition at;
+    size_t size = 0;
+  };
 
-  std::string dir_;
-  std::unique_ptr<WritableFile> log_;
+  common::RecordLog log_;
   common::OrderedMutex mutex_{
       OPDELTA_LOCK_RANK(transport_queue, common::lockrank::kTransportQueue)};
-  // Byte offset of the oldest unacknowledged message, or of an ack record
-  // before it (Peek skips those).
-  uint64_t read_offset_ = 0;
-  uint64_t peeked_next_ = 0;   // offset after the last peeked message
+  std::deque<Message> unacked_;    // oldest first
+  std::optional<Message> newest_;  // acknowledged or not
   bool has_peeked_ = false;
-  std::optional<uint64_t> newest_;  // offset of the newest message
 };
 
 }  // namespace opdelta::transport

@@ -1,76 +1,23 @@
 #include "txn/wal.h"
 
-#include <algorithm>
+#include <optional>
 #include <set>
-
-#include "common/coding.h"
-#include "common/crc32.h"
 
 namespace opdelta::txn {
 
 namespace {
 
+/// The segment files' name: "wal-000001.log", ...
+constexpr char kLogName[] = "wal";
+
 /// The tail is written once it holds this many bytes, so a long transaction
 /// (a bulk load) keeps at most about this much of the log in memory.
 constexpr size_t kTailCapacity = 64 << 10;
 
-/// Accepts exactly the names WalSegmentName produces (any digit count, so
-/// indexes past 999999 still parse). Stricter than the old sscanf pattern:
-/// trailing junk like "wal-5.log.tmp" is rejected instead of matched.
-bool ParseWalSegmentName(const std::string& name, uint64_t* index) {
-  constexpr size_t kPrefixLen = 4;  // "wal-"
-  constexpr size_t kSuffixLen = 4;  // ".log"
-  if (name.size() <= kPrefixLen + kSuffixLen) return false;
-  if (name.compare(0, kPrefixLen, "wal-") != 0) return false;
-  if (name.compare(name.size() - kSuffixLen, kSuffixLen, ".log") != 0) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (size_t i = kPrefixLen; i < name.size() - kSuffixLen; ++i) {
-    if (name[i] < '0' || name[i] > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  *index = value;
-  return true;
-}
-
-/// Indexes of the segment files in `dir`, ascending.
-Status ListSegmentIndexes(Env* env, const std::string& dir,
-                          std::vector<uint64_t>* indexes) {
-  std::vector<std::string> children;
-  OPDELTA_RETURN_IF_ERROR(env->ListDir(dir, &children));
-  indexes->clear();
-  for (const std::string& name : children) {
-    uint64_t idx = 0;
-    if (ParseWalSegmentName(name, &idx)) indexes->push_back(idx);
-  }
-  std::sort(indexes->begin(), indexes->end());
-  return Status::OK();
-}
-
-/// Reads `path` from byte `offset` to its current end.
-Status ReadSegmentFrom(Env* env, const std::string& path, uint64_t offset,
-                       std::string* out) {
-  std::unique_ptr<RandomAccessFile> file;
-  OPDELTA_RETURN_IF_ERROR(env->NewRandomAccessFile(path, &file));
-  if (offset > file->Size()) {
-    return Status::Corruption("wal position past the end of " + path);
-  }
-  out->resize(file->Size() - offset);
-  Slice result;
-  OPDELTA_RETURN_IF_ERROR(file->Read(offset, out->size(), &result, out->data()));
-  if (result.size() != out->size()) {
-    return Status::IOError("short read " + path);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 std::string WalSegmentName(uint64_t index) {
-  std::string digits = std::to_string(index);
-  if (digits.size() < 6) digits.insert(0, 6 - digits.size(), '0');
-  return "wal-" + digits + ".log";
+  return common::RecordLog::SegmentName(kLogName, index);
 }
 
 Wal::~Wal() {
@@ -82,49 +29,31 @@ Wal::~Wal() {
 Status Wal::Open(const std::string& dir, const WalOptions& options) {
   dir_ = dir;
   options_ = options;
-  Env* env = Env::Default();
-  OPDELTA_RETURN_IF_ERROR(env->CreateDir(dir));
-
-  // Find existing segments so LSNs and indexes continue monotonically.
-  OPDELTA_RETURN_IF_ERROR(ListSegmentIndexes(env, dir, &segment_indexes_));
 
   // Continue the LSN and txn-id sequences from existing records, and find
   // the transactions a crash left without a commit or abort record.
   WalPosition end;
   std::set<TxnId> losers;
-  if (!segment_indexes_.empty()) {
-    OPDELTA_RETURN_IF_ERROR(ReadFrom(
-        dir, WalPosition{},
-        [&](const LogRecord& r, const WalPosition&) {
-          if (r.txn_id > max_txn_id_at_open_) max_txn_id_at_open_ = r.txn_id;
-          if (r.type == LogRecordType::kBegin) {
-            losers.insert(r.txn_id);
-          } else if (r.type == LogRecordType::kCommit ||
-                     r.type == LogRecordType::kAbort) {
-            losers.erase(r.txn_id);
-          }
-          return true;
-        },
-        &end));
-    // A torn frame ends the log only while its segment is the newest one.
-    // Appends are about to move to a fresh segment, so cut the partial
-    // frame off now, or every later read would call it corruption.
-    const std::string newest = dir + "/" + WalSegmentName(end.segment);
-    uint64_t size = 0;
-    OPDELTA_RETURN_IF_ERROR(env->GetFileSize(newest, &size));
-    if (size > end.offset) {
-      OPDELTA_RETURN_IF_ERROR(env->Truncate(newest, end.offset));
-    }
-  }
+  OPDELTA_RETURN_IF_ERROR(ReadFrom(
+      dir, WalPosition{},
+      [&](const LogRecord& r, const WalPosition&) {
+        if (r.txn_id > max_txn_id_at_open_) max_txn_id_at_open_ = r.txn_id;
+        if (r.type == LogRecordType::kBegin) {
+          losers.insert(r.txn_id);
+        } else if (r.type == LogRecordType::kCommit ||
+                   r.type == LogRecordType::kAbort) {
+          losers.erase(r.txn_id);
+        }
+        return true;
+      },
+      &end));
   next_lsn_ = end.prev_lsn + 1;
 
+  // Segment creation is serialized with rotation under the WAL mutex;
+  // existing segments are kept, and appends continue in a fresh one.
   std::lock_guard<common::OrderedMutex> lock(mutex_);
-  active_index_ =
-      segment_indexes_.empty() ? 1 : segment_indexes_.back() + 1;
-  segment_indexes_.push_back(active_index_);
-  // NOLINTNEXTLINE(opdelta-R8: segment creation must be serialized with rotation; runs once at Open)
-  OPDELTA_RETURN_IF_ERROR(env->NewWritableFile(
-      dir_ + "/" + WalSegmentName(active_index_), &active_));
+  OPDELTA_RETURN_IF_ERROR(log_.Open(dir, kLogName));
+  if (end.segment != 0) OPDELTA_RETURN_IF_ERROR(log_.Roll(/*sync=*/false));
   // Each loser's abort record releases the resume point a LogExtractor
   // pins at its first record, before any new record is logged.
   for (TxnId id : losers) {
@@ -133,106 +62,53 @@ Status Wal::Open(const std::string& dir, const WalOptions& options) {
     abort.txn_id = id;
     AppendToTail(&abort);
   }
-  return WriteTail(/*sync=*/false);
+  return log_.Flush(/*sync=*/false);  // NOLINT(opdelta-R8: frames must land in LSN order under the wal mutex)
 }
 
 Status Wal::Close() {
   std::lock_guard<common::OrderedMutex> lock(mutex_);
-  if (active_ == nullptr) return Status::OK();
-  Status st = Repair();
-  if (st.ok()) st = WriteTail(/*sync=*/false);
-  Status closed = active_->Close();
-  active_.reset();
-  return st.ok() ? closed : st;
+  return log_.Close();
 }
 
-size_t Wal::AppendToTail(LogRecord* record) {
+common::RecordPosition Wal::AppendToTail(LogRecord* record) {
   record->lsn = next_lsn_.fetch_add(1);
-  const size_t start = tail_.size();
-  tail_.append(8, '\0');  // [len][crc], filled in once the payload is known
-  record->EncodeTo(&tail_);
-  const size_t len = tail_.size() - start - 8;
-  char* header = tail_.data() + start;
-  EncodeFixed32(header, static_cast<uint32_t>(len));
-  EncodeFixed32(header + 4, Crc32c(header + 8, len));
-  bytes_appended_.fetch_add(8 + len, std::memory_order_relaxed);
-  return start;
-}
-
-Status Wal::Repair() {
-  if (!needs_repair_) return Status::OK();
-  Env* env = Env::Default();
-  const std::string path = dir_ + "/" + WalSegmentName(active_index_);
-  OPDELTA_RETURN_IF_ERROR(env->Truncate(path, written_));
-  std::unique_ptr<WritableFile> reopened;
-  OPDELTA_RETURN_IF_ERROR(env->NewAppendableFile(path, &reopened));
-  (void)active_->Close();  // its file offset is past the cut
-  active_ = std::move(reopened);
-  needs_repair_ = false;
-  return Status::OK();
-}
-
-Status Wal::WriteTail(bool sync) {
-  // The WAL mutex IS the log serialization: frames must reach the segment
-  // in LSN order, so the write happens inside the critical section.
-  if (tail_.empty()) {
-    return sync ? active_->Sync() : Status::OK();  // NOLINT(opdelta-R8: a commit's sync must hold the wal mutex across rotation)
-  }
-  Status st = active_->Append(Slice(tail_));  // NOLINT(opdelta-R8: frames must land in LSN order under the wal mutex)
-  if (st.ok() && sync) st = active_->Sync();  // NOLINT(opdelta-R8: a commit's sync must hold the wal mutex across rotation)
-  if (!st.ok()) {
-    // The segment may hold a torn prefix of the tail, or a copy that never
-    // became durable: the frames stay here, and the segment is cut back to
-    // its last whole frame before the next write.
-    needs_repair_ = true;
-    return st;
-  }
-  written_ += tail_.size();
-  tail_.clear();
-  return Status::OK();
+  const common::RecordPosition at =
+      log_.AppendWith([record](std::string* out) { record->EncodeTo(out); });
+  bytes_appended_.fetch_add(log_.end().offset - at.offset,
+                            std::memory_order_relaxed);
+  return at;
 }
 
 Status Wal::MaybeRoll() {
-  if (written_ + tail_.size() < options_.segment_size) return Status::OK();
+  if (log_.end().offset < options_.segment_size) return Status::OK();
   // Under sync_on_commit the closing segment is synced too: a later commit
   // syncs only the active segment, yet its transaction may have records
   // here.
-  OPDELTA_RETURN_IF_ERROR(WriteTail(options_.sync_on_commit));
-  // The successor is created only once this segment is complete: ReadFrom
-  // takes a segment with a successor to end at a whole frame.
-  std::unique_ptr<WritableFile> next;
-  OPDELTA_RETURN_IF_ERROR(Env::Default()->NewWritableFile(
-      dir_ + "/" + WalSegmentName(active_index_ + 1), &next));
-  Status closed = active_->Close();
-  active_ = std::move(next);
-  active_index_++;
-  segment_indexes_.push_back(active_index_);
-  written_ = 0;
-  return closed;
+  return log_.Roll(options_.sync_on_commit);
 }
 
 Status Wal::Append(LogRecord* record) {
   std::lock_guard<common::OrderedMutex> lock(mutex_);
-  if (active_ == nullptr) return Status::Internal("wal not open");
-  OPDELTA_RETURN_IF_ERROR(Repair());
+  if (!log_.is_open()) return Status::Internal("wal not open");
+  OPDELTA_RETURN_IF_ERROR(log_.Repair());
   AppendToTail(record);
   OPDELTA_RETURN_IF_ERROR(MaybeRoll());
-  if (tail_.size() >= kTailCapacity) return WriteTail(/*sync=*/false);
-  return Status::OK();
+  if (log_.buffered() < kTailCapacity) return Status::OK();
+  return log_.Flush(/*sync=*/false);  // NOLINT(opdelta-R8: frames must land in LSN order under the wal mutex)
 }
 
 Status Wal::AppendCommit(LogRecord* record) {
   std::lock_guard<common::OrderedMutex> lock(mutex_);
-  if (active_ == nullptr) return Status::Internal("wal not open");
-  OPDELTA_RETURN_IF_ERROR(Repair());
-  const size_t frame_start = AppendToTail(record);
-  Status st = WriteTail(options_.sync_on_commit);
+  if (!log_.is_open()) return Status::Internal("wal not open");
+  OPDELTA_RETURN_IF_ERROR(log_.Repair());
+  const common::RecordPosition at = AppendToTail(record);
+  Status st = log_.Flush(options_.sync_on_commit);  // NOLINT(opdelta-R8: a commit's sync must hold the wal mutex across rotation)
   if (!st.ok()) {
     // Nothing else appends while the mutex is held, so the commit frame is
     // still the tail's last: take it back, and its LSN with it.
-    bytes_appended_.fetch_sub(tail_.size() - frame_start,
+    bytes_appended_.fetch_sub(log_.end().offset - at.offset,
                               std::memory_order_relaxed);
-    tail_.resize(frame_start);
+    log_.Unappend(at);
     next_lsn_.store(record->lsn);
     record->lsn = kInvalidLsn;
     return st;
@@ -243,37 +119,29 @@ Status Wal::AppendCommit(LogRecord* record) {
   return Status::OK();
 }
 
-Status Wal::Flush() { return WriteOut(/*sync=*/false); }
-
-Status Wal::Sync() { return WriteOut(options_.sync_on_commit); }
-
-Status Wal::WriteOut(bool sync) {
+Status Wal::Flush() {
   std::lock_guard<common::OrderedMutex> lock(mutex_);
-  if (active_ == nullptr) return Status::OK();
-  OPDELTA_RETURN_IF_ERROR(Repair());
-  return WriteTail(sync);
+  return log_.is_open() ? log_.Flush(/*sync=*/false) : Status::OK();  // NOLINT(opdelta-R8: frames must land in LSN order under the wal mutex)
+}
+
+Status Wal::Sync() {
+  std::lock_guard<common::OrderedMutex> lock(mutex_);
+  return log_.is_open() ? log_.Flush(options_.sync_on_commit) : Status::OK();  // NOLINT(opdelta-R8: a commit's sync must hold the wal mutex across rotation)
 }
 
 Status Wal::Checkpoint() {
   std::lock_guard<common::OrderedMutex> lock(mutex_);
-  if (options_.archive_mode) {
-    // Archiving on: segments accumulate for the log extractor.
-    return Status::OK();
-  }
-  Env* env = Env::Default();
-  while (segment_indexes_.size() > 1) {
-    const std::string seg = dir_ + "/" + WalSegmentName(segment_indexes_.front());
-    OPDELTA_RETURN_IF_ERROR(env->DeleteFile(seg));  // NOLINT(opdelta-R8: deletion is serialized with rotation so a fresh segment is never unlinked)
-    segment_indexes_.erase(segment_indexes_.begin());
-  }
-  return Status::OK();
+  // Archiving keeps segments for the log extractor. Deletion is serialized
+  // with rotation, so a fresh segment is never unlinked.
+  if (options_.archive_mode) return Status::OK();
+  return log_.DeleteBefore(log_.end().segment);
 }
 
 Status Wal::ListSegments(std::vector<std::string>* paths) const {
   std::lock_guard<common::OrderedMutex> lock(mutex_);
   paths->clear();
-  for (uint64_t idx : segment_indexes_) {
-    paths->push_back(dir_ + "/" + WalSegmentName(idx));
+  for (uint64_t i = log_.first_segment(); i <= log_.end().segment; ++i) {
+    paths->push_back(dir_ + "/" + WalSegmentName(i));
   }
   return Status::OK();
 }
@@ -288,87 +156,34 @@ Status Wal::ReadAll(const std::string& dir,
 
 Status Wal::ReadFrom(const std::string& dir, const WalPosition& from,
                      const PositionedVisitor& visitor, WalPosition* end) {
-  Env* env = Env::Default();
-  auto segment_path = [&](uint64_t idx) {
-    return dir + "/" + WalSegmentName(idx);
-  };
-
-  // Resuming inside a segment that still exists needs no directory
-  // listing, so a resumed read costs the same however long the log is.
-  // Otherwise the read starts at the first remaining segment, with no LSN
-  // to continue from.
-  WalPosition pos = from;
-  if (from.segment == 0 || !env->FileExists(segment_path(from.segment))) {
-    std::vector<uint64_t> indexes;
-    OPDELTA_RETURN_IF_ERROR(ListSegmentIndexes(env, dir, &indexes));
-    for (size_t i = 1; i < indexes.size(); ++i) {
-      if (indexes[i] != indexes[i - 1] + 1) {
-        return Status::Corruption("wal segment " +
-                                  WalSegmentName(indexes[i - 1] + 1) +
-                                  " missing");
-      }
-    }
-    if (indexes.empty()) {
-      if (end != nullptr) *end = WalPosition{};
-      return Status::OK();
-    }
-    if (from.segment > indexes.front()) {
-      return Status::Corruption("wal segment " + WalSegmentName(from.segment) +
-                                " missing");
-    }
-    pos = WalPosition{indexes.front(), 0, 0};
-  }
-
-  // Segment indexes are consecutive (every roll opens index + 1), so the
-  // log continues past a segment exactly when its successor exists.
-  for (;;) {
-    // Probed before reading: a segment with a successor was closed before
-    // the successor was created, so only the newest can end mid-frame.
-    const bool last_segment = !env->FileExists(segment_path(pos.segment + 1));
-    std::string data;
-    OPDELTA_RETURN_IF_ERROR(
-        ReadSegmentFrom(env, segment_path(pos.segment), pos.offset, &data));
-    Slice input(data);
-    bool stopped = false;  // by the visitor
-    while (!input.empty() && !stopped) {
-      uint32_t len = 0, crc = 0;
-      Slice peek = input;
-      if (!GetFixed32(&peek, &len) || !GetFixed32(&peek, &crc) ||
-          peek.size() < len) {
-        // A partial frame at the very end of the newest segment is a torn
-        // append from a crash (or one still in flight): the log simply
-        // ends here. Anywhere else it is real corruption.
-        if (last_segment) break;
-        return Status::Corruption("wal frame truncated in " +
-                                  WalSegmentName(pos.segment));
-      }
-      input = peek;
-      Slice payload(input.data(), len);
-      input.remove_prefix(len);
-      if (Crc32c(payload.data(), payload.size()) != crc) {
-        return Status::Corruption("wal crc mismatch in " +
-                                  WalSegmentName(pos.segment));
-      }
-      LogRecord record;
-      OPDELTA_RETURN_IF_ERROR(LogRecord::DecodeFrom(&payload, &record));
-      // LSNs are assigned densely, so any gap means frames are missing —
-      // e.g. a truncation that happened to land on a frame boundary, or a
-      // frame lost after the position a read resumed from.
-      if (pos.prev_lsn != 0 && record.lsn != pos.prev_lsn + 1) {
-        return Status::Corruption("wal lsn gap: " +
-                                  std::to_string(pos.prev_lsn) + " -> " +
-                                  std::to_string(record.lsn) + " in " +
-                                  WalSegmentName(pos.segment));
-      }
-      const WalPosition at = pos;
-      pos.offset += 8 + static_cast<uint64_t>(len);
-      pos.prev_lsn = record.lsn;
-      stopped = !visitor(record, at);
-    }
-    if (stopped || last_segment) break;
-    pos = WalPosition{pos.segment + 1, 0, pos.prev_lsn};
-  }
-  if (end != nullptr) *end = pos;
+  // A read that restarts at the first remaining segment has no LSN to
+  // continue from; the record log says so before the first frame.
+  bool restarted = false;
+  std::optional<Lsn> prev;  // the last record's LSN, once one was read
+  auto base = [&]() { return prev.value_or(restarted ? 0 : from.prev_lsn); };
+  Status st;
+  common::RecordPosition stop;
+  OPDELTA_RETURN_IF_ERROR(common::RecordLog::Read(
+      dir, kLogName, common::RecordPosition{from.segment, from.offset},
+      [&](Slice payload, const common::RecordPosition& at) {
+        LogRecord record;
+        st = LogRecord::DecodeFrom(&payload, &record);
+        // LSNs are assigned densely, so any gap means frames are missing —
+        // e.g. a truncation that happened to land on a frame boundary, or a
+        // frame lost after the position a read resumed from.
+        if (st.ok() && base() != 0 && record.lsn != base() + 1) {
+          st = Status::Corruption("wal lsn gap: " + std::to_string(base()) +
+                                  " -> " + std::to_string(record.lsn) +
+                                  " in " + WalSegmentName(at.segment));
+        }
+        if (!st.ok()) return false;
+        const WalPosition position{at.segment, at.offset, base()};
+        prev = record.lsn;
+        return visitor(record, position);
+      },
+      &stop, &restarted));
+  OPDELTA_RETURN_IF_ERROR(st);
+  if (end != nullptr) *end = WalPosition{stop.segment, stop.offset, base()};
   return Status::OK();
 }
 

@@ -4,12 +4,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/env.h"
+#include "common/record_log.h"
 #include "common/status.h"
 #include "common/sync.h"
 #include "txn/log_record.h"
@@ -31,34 +30,30 @@ struct WalOptions {
   bool sync_on_commit = false;
 };
 
-/// A place in the log: byte `offset` of segment `segment`, with `prev_lsn`
-/// the LSN of the frame just before it (0 when none precedes it).
-/// Segment indexes start at 1, so the default position is the start of the
-/// log.
+/// A place in the log as a common::RecordPosition gives it, with
+/// `prev_lsn` the LSN of the frame just before it (0 when none precedes it).
 struct WalPosition {
   uint64_t segment = 0;
   uint64_t offset = 0;
   Lsn prev_lsn = 0;
 };
 
-/// Segmented write-ahead redo log. Records are framed as
-/// [u32 len][u32 crc32c(payload)][payload]. Thread-safe appends.
+/// Segmented write-ahead redo log: a common::RecordLog of segments
+/// `wal-000001.log`, ... holding encoded LogRecords. The record log frames,
+/// buffers, repairs and reads; the WAL adds dense LSNs, the record codec,
+/// abort records for transactions a crash left open, and the take-back of
+/// a failed commit. Thread-safe appends.
 ///
-/// Appended frames collect in an in-memory tail, and the tail reaches the
-/// active segment in one write at a flush point: AppendCommit, Flush, Sync
-/// and Close, a tail that has grown to its fixed capacity, and a segment
-/// roll. So a record is readable (ReadFrom) once the first flush point after
-/// its Append has returned; every committed transaction is readable once
-/// AppendCommit returns. The tail is written in LSN order, so the readable
-/// log is always a prefix of the appended one.
-///
-/// Failure contract: the log remembers where its last complete frame in the
-/// active segment ends. A failed write, or under sync_on_commit a failed
-/// fdatasync after a write, keeps the frames in the tail and marks the
-/// segment for repair: before anything else is written, it is truncated
-/// back to that end and reopened. While the repair fails (a dead disk),
-/// Append and every flush point return its error; the log resumes by itself
-/// once the disk heals. LSNs stay dense and the log always reopens.
+/// Appended records reach the active segment in one write at a flush
+/// point: AppendCommit, Flush, Sync and Close, a tail that has grown to its
+/// fixed capacity, and a segment roll. So a record is readable (ReadFrom)
+/// once the first flush point after its Append has returned, and the
+/// readable log is always a prefix of the appended one. A failed write, or
+/// under sync_on_commit a failed fdatasync, keeps the records in the tail
+/// and is cut back before the next write; while that cut fails (a dead
+/// disk), Append and every flush point return its error, and the log
+/// resumes by itself once the disk heals. LSNs stay dense and the log
+/// always reopens.
 class Wal {
  public:
   Wal() = default;
@@ -122,49 +117,32 @@ class Wal {
   using PositionedVisitor =
       std::function<bool(const LogRecord&, const WalPosition& at)>;
 
-  /// Reads the records from `from` to the end of the log in order, handing
-  /// each to the visitor with the position its frame starts at; the
-  /// visitor returns false to stop early. On OK, *end (if non-null) is the
-  /// position just past the last frame read, so passing it back as `from`
-  /// continues where this read stopped.
-  ///  - A position below the first remaining segment (the default position,
-  ///    or a segment recycled by Checkpoint) reads from the start of what
-  ///    remains. A segment missing anywhere else is Corruption.
-  ///  - A torn frame at the end of the newest segment ends the read before
-  ///    it; a later read returns it once it is complete.
-  ///  - LSNs stay dense across a resumed read: the first record must carry
-  ///    `from.prev_lsn + 1` (unless `from.prev_lsn` is 0), so a missing
-  ///    frame is Corruption there as anywhere else.
+  /// Reads the records from `from` to the end of the log in order, as
+  /// common::RecordLog::Read reads frames, handing each to the visitor with
+  /// the position its frame starts at; the visitor returns false to stop
+  /// early. On OK, *end (if non-null) is where a later read continues.
+  /// A position below the first remaining segment (the default position, or
+  /// a segment recycled by Checkpoint) reads from the start of what
+  /// remains. Otherwise the first record must carry `from.prev_lsn + 1`
+  /// (unless that is 0): LSNs stay dense, so a missing frame is Corruption
+  /// there as anywhere else.
   static Status ReadFrom(const std::string& dir, const WalPosition& from,
                          const PositionedVisitor& visitor, WalPosition* end);
 
  private:
-  /// Flush and Sync: repairs the segment if needed, then writes the tail.
-  Status WriteOut(bool sync);
-
   // All below require mutex_ held.
   /// Encodes `record` into the tail under a fresh LSN; returns where its
-  /// frame starts in the tail.
-  size_t AppendToTail(LogRecord* record);
-  /// Truncates the active segment back to written_ and reopens it, if a
-  /// failed write marked it for repair.
-  Status Repair();
-  /// Writes the tail to the active segment, then fdatasyncs when `sync`.
-  Status WriteTail(bool sync);
+  /// frame starts.
+  common::RecordPosition AppendToTail(LogRecord* record);
   /// Rolls to a fresh segment once written plus buffered bytes reach the
-  /// segment size, writing the tail first.
+  /// segment size.
   Status MaybeRoll();
 
   std::string dir_;
   WalOptions options_;
   mutable common::OrderedMutex mutex_{
       OPDELTA_LOCK_RANK(wal, common::lockrank::kWal)};
-  std::unique_ptr<WritableFile> active_;
-  uint64_t active_index_ = 0;
-  uint64_t written_ = 0;  // active segment bytes up to its last whole frame
-  std::string tail_;      // encoded frames not yet written, in LSN order
-  bool needs_repair_ = false;  // the segment may hold bytes past written_
-  std::vector<uint64_t> segment_indexes_;  // includes active
+  common::RecordLog log_;
   std::atomic<Lsn> next_lsn_{1};
   TxnId max_txn_id_at_open_ = 0;
   std::atomic<uint64_t> bytes_appended_{0};

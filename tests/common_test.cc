@@ -12,6 +12,7 @@
 #include "common/digest.h"
 #include "common/env.h"
 #include "common/random.h"
+#include "common/record_log.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -547,6 +548,70 @@ TEST(CountDownLatchTest, WaitReleasesAtZero) {
   latch.CountDown();
   waiter.join();
   EXPECT_TRUE(released.load());
+}
+
+// -------------------------------------------------------------- RecordLog
+
+TEST(RecordLogTest, SegmentNamesRoundTrip) {
+  std::string name;
+  uint64_t index = 0;
+  ASSERT_TRUE(common::RecordLog::ParseSegmentName(
+      common::RecordLog::SegmentName("my-table", 1234567), &name, &index));
+  EXPECT_EQ(name, "my-table");
+  EXPECT_EQ(index, 1234567u);
+  EXPECT_EQ(common::RecordLog::SegmentName("wal", 42), "wal-000042.log");
+  for (const char* other : {"queue.log", "wal-5.log.tmp", "wal-.log",
+                            "-000001.log", "wal-00x1.log", "wal-1.lo"}) {
+    EXPECT_FALSE(common::RecordLog::ParseSegmentName(other, &name, &index))
+        << other;
+  }
+}
+
+// A crash can tear the unsynced tail of any segment. In an older segment
+// the partial frame ends that segment and the read goes on in the next
+// one; in the newest it ends the read, and the next Open cuts it off.
+TEST(RecordLogTest, PartialFrameEndsItsSegment) {
+  TempDir dir;
+  const std::string log_dir = dir.Sub("log");
+  {
+    common::RecordLog log;
+    OPDELTA_ASSERT_OK(log.Open(log_dir, "t"));
+    OPDELTA_ASSERT_OK(log.Write(Slice("a"), /*sync=*/false));
+    OPDELTA_ASSERT_OK(log.Roll(/*sync=*/false));
+    OPDELTA_ASSERT_OK(log.Write(Slice("b"), /*sync=*/false));
+    OPDELTA_ASSERT_OK(log.Close());
+  }
+  const std::string torn("\x05\x00\x00\x00\x01\x02", 6);  // header only
+  uint64_t whole = 0;
+  for (const char* segment : {"/t-000001.log", "/t-000002.log"}) {
+    std::unique_ptr<WritableFile> file;
+    OPDELTA_ASSERT_OK(
+        Env::Default()->NewAppendableFile(log_dir + segment, &file));
+    whole = file->Size();
+    OPDELTA_ASSERT_OK(file->Append(Slice(torn)));
+    OPDELTA_ASSERT_OK(file->Close());
+  }
+  auto read = [&](common::RecordPosition* end) {
+    std::vector<std::string> payloads;
+    Status st = common::RecordLog::Read(
+        log_dir, "t", common::RecordPosition{},
+        [&](Slice payload, const common::RecordPosition&) {
+          payloads.push_back(payload.ToString());
+          return true;
+        },
+        end);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    return payloads;
+  };
+  common::RecordPosition end;
+  EXPECT_EQ(read(&end), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(end.segment, 2u);
+  EXPECT_EQ(end.offset, whole);
+
+  common::RecordLog log;
+  OPDELTA_ASSERT_OK(log.Open(log_dir, "t"));
+  OPDELTA_ASSERT_OK(log.Write(Slice("c"), /*sync=*/false));
+  EXPECT_EQ(read(&end), (std::vector<std::string>{"a", "b", "c"}));
 }
 
 }  // namespace

@@ -297,7 +297,7 @@ TEST(FaultInjectionEnvTest, TruncateFaultSurfacesDuringTornTailRepair) {
   {  // Tear the tail, as a crash mid-append would.
     std::unique_ptr<WritableFile> log;
     OPDELTA_ASSERT_OK(
-        Env::Default()->NewAppendableFile(dir.Sub("q") + "/queue.log", &log));
+        Env::Default()->NewAppendableFile(dir.Sub("q") + "/queue-000001.log", &log));
     const std::string torn("\x40\x00\x00\x00torn", 8);  // len=64, no payload
     OPDELTA_ASSERT_OK(log->Append(Slice(torn)));
     OPDELTA_ASSERT_OK(log->Close());
@@ -540,7 +540,7 @@ TEST(HubDeadLetterTest, PoisonMessageIsDivertedAndEverythingElseApplies) {
       << stats.sources[0].last_error;
   // The diverted batch is preserved for inspection.
   EXPECT_TRUE(
-      Env::Default()->FileExists(work_dir + "/dead_letters/parts.log"));
+      Env::Default()->FileExists(work_dir + "/dead_letters/parts-000001.log"));
   OPDELTA_EXPECT_OK((*hub)->Stop());
 }
 
@@ -553,7 +553,7 @@ TEST(HubDeadLetterTest, TornAppendLeavesEveryOtherEntryReadable) {
   fenv.SetScope("dead_letters/");
   ScopedEnvOverride guard(&fenv);
   const std::string work_dir = dir.Sub("hubw");
-  const std::string path = hub::DeadLetterPath(work_dir, "parts");
+  const std::string path = hub::DeadLetterDir(work_dir) + "/parts-000001.log";
   const Status cause = Status::Corruption("poison");
   auto messages = [&]() {
     std::vector<hub::DeadLetterEntry> entries;
@@ -584,6 +584,74 @@ TEST(HubDeadLetterTest, TornAppendLeavesEveryOtherEntryReadable) {
   fenv.ClearFaults();
   ASSERT_GT(FileSize(path), whole);  // the torn prefix stayed behind
   EXPECT_EQ(messages(), (std::vector<std::string>{"first", "second"}));
+}
+
+/// Appends an entry, then tears the next append while its cut fails too,
+/// so the torn prefix stays at the end of `table`'s dead-letter log.
+void AppendThenTearWithAFailedCut(FaultInjectionEnv* fenv,
+                                  const std::string& work_dir,
+                                  const std::string& table) {
+  const Status cause = Status::Corruption("poison");
+  OPDELTA_ASSERT_OK(hub::AppendDeadLetter(work_dir, table, "first", cause));
+  fenv->SetErrorProbability(OpKind::kWrite, 1.0);
+  fenv->SetShortWriteProbability(1.0);
+  fenv->SetErrorProbability(OpKind::kTruncate, 1.0);
+  Status st = hub::AppendDeadLetter(work_dir, table, std::string(4096, 't'),
+                                    cause);
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  fenv->ClearFaults();
+}
+
+std::vector<std::string> DeadLetterMessages(const std::string& work_dir,
+                                            const std::string& table) {
+  std::vector<hub::DeadLetterEntry> entries;
+  Status st = hub::ReadDeadLetters(work_dir, table, &entries);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  std::vector<std::string> out;
+  for (const hub::DeadLetterEntry& e : entries) out.push_back(e.message);
+  return out;
+}
+
+/// A torn entry whose cut failed is cut by the next append, so an entry
+/// appended after it reads back.
+TEST(HubDeadLetterTest, NextAppendCutsATornEntryWhoseCutFailed) {
+  TempDir dir;
+  FaultInjectionEnv fenv(Env::Default());
+  fenv.SetScope("dead_letters/");
+  ScopedEnvOverride guard(&fenv);
+  const std::string work_dir = dir.Sub("hubw");
+  AppendThenTearWithAFailedCut(&fenv, work_dir, "parts");
+  OPDELTA_ASSERT_OK(hub::AppendDeadLetter(work_dir, "parts", "third",
+                                          Status::Corruption("poison")));
+  EXPECT_EQ(DeadLetterMessages(work_dir, "parts"),
+            (std::vector<std::string>{"first", "third"}));
+}
+
+/// Replay keeps every entry that still fails, including one appended after
+/// a torn entry whose cut failed.
+TEST(HubDeadLetterTest, ReplayKeepsEveryStillFailingEntry) {
+  TempDir dir;
+  auto wh = OpenDb(dir, "wh", NoTimestampOptions());
+  FaultInjectionEnv fenv(Env::Default());
+  fenv.SetScope("dead_letters/");
+  ScopedEnvOverride guard(&fenv);
+  const std::string work_dir = dir.Sub("hubw");
+  AppendThenTearWithAFailedCut(&fenv, work_dir, "parts");
+  OPDELTA_ASSERT_OK(hub::AppendDeadLetter(work_dir, "parts", "third",
+                                          Status::Corruption("poison")));
+
+  // Neither message decodes, so both still fail and both must stay.
+  hub::ReplayStats stats;
+  Status st = hub::ReplayDeadLetters(wh.get(), /*ledger=*/nullptr, work_dir,
+                                     "parts", &stats);
+  EXPECT_TRUE(st.IsAborted()) << st.ToString();
+  EXPECT_EQ(stats.failed, 2u);
+  EXPECT_EQ(stats.replayed, 0u);
+  EXPECT_EQ(DeadLetterMessages(work_dir, "parts"),
+            (std::vector<std::string>{"first", "third"}));
+  std::vector<std::string> tables;
+  OPDELTA_ASSERT_OK(hub::ListDeadLetterTables(work_dir, &tables));
+  EXPECT_EQ(tables, std::vector<std::string>{"parts"});
 }
 
 // ------------------------------------------------------ crash-point suite
@@ -820,7 +888,7 @@ TEST(WarehouseApplyCrashTest, AckFailureAfterCommitDegradesToDroppedRedelivery) 
 
     // The queue log's disk dies after two writes: the enqueue's append and
     // sync land, the apply commits, and the ack's append fails.
-    fenv.SetScope("queue.log");
+    fenv.SetScope("/queue/");
     fenv.FailAllOpsAfter(2);
     Status round = (*hub)->RunRound();
     EXPECT_FALSE(round.ok()) << "ack failure must surface";

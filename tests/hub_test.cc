@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/fault_env.h"
+#include "common/record_log.h"
 #include "pipeline/source_leg.h"
 #include "sql/executor.h"
 #include "workload/workload.h"
@@ -621,8 +622,105 @@ TEST(HubDurableStateTest, QueueLogIsTheOnlyStateAndIdleRoundsWriteNothing) {
     files.clear();
     OPDELTA_ASSERT_OK(Env::Default()->ListDir(source_dir + "/queue", &files));
     std::sort(files.begin(), files.end());
-    EXPECT_EQ(files, std::vector<std::string>{"queue.log"});
+    EXPECT_EQ(files, std::vector<std::string>{"queue-000001.log"});
   }
+}
+
+/// The queue's segment indexes in `dir`, ascending.
+std::vector<uint64_t> QueueSegments(const std::string& dir) {
+  std::vector<std::string> files;
+  EXPECT_TRUE(Env::Default()->ListDir(dir, &files).ok());
+  std::vector<uint64_t> out;
+  for (const std::string& file : files) {
+    std::string name;
+    uint64_t index = 0;
+    EXPECT_TRUE(common::RecordLog::ParseSegmentName(file, &name, &index) &&
+                name == "queue")
+        << file;
+    out.push_back(index);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(HubDurableStateTest, QueueStaysBoundedAcrossSegmentsAndRestart) {
+  // An op-delta source ships ten queue segments' worth of statements; the
+  // fully acknowledged segments are deleted as it goes.
+  TempDir dir;
+  auto src = OpenDb(dir, "src", NoTimestampOptions());
+  auto wh = OpenDb(dir, "wh", NoTimestampOptions());
+  workload::PartsWorkload wl;
+  OPDELTA_ASSERT_OK(wl.CreateTable(src.get(), "parts"));
+  OPDELTA_ASSERT_OK(wl.CreateTable(wh.get(), "parts"));
+
+  const std::string work_dir = dir.Sub("hubw");
+  const std::string queue_dir = work_dir + "/s1/queue";
+  FaultInjectionEnv fenv(Env::Default());
+  fenv.SetScope(work_dir);
+  ScopedEnvOverride guard(&fenv);
+  HubOptions options;
+  options.work_dir = work_dir;
+  SourceSpec spec;
+  spec.name = "s1";
+  spec.source = src.get();
+  spec.method = pipeline::Method::kOpDelta;
+  spec.source_table = "parts";
+  spec.warehouse_table = "parts";
+  auto make_hub = [&]() -> Result<std::unique_ptr<DeltaHub>> {
+    OPDELTA_ASSIGN_OR_RETURN(std::unique_ptr<DeltaHub> hub,
+                             DeltaHub::Create(wh.get(), options));
+    OPDELTA_RETURN_IF_ERROR(hub->AddSource(spec));
+    OPDELTA_RETURN_IF_ERROR(hub->Setup());
+    return hub;
+  };
+  constexpr int kRows = 16;
+  // Each round updates every row to a fresh 3000-byte status, one
+  // statement per transaction.
+  auto change_every_row = [&](DeltaHub* hub, int round) -> Status {
+    const std::string status(3000, static_cast<char>('a' + round % 26));
+    for (int64_t id = 0; id < kRows; ++id) {
+      OPDELTA_RETURN_IF_ERROR(
+          hub->capture("s1")
+              ->RunTransaction({wl.MakeUpdate("parts", id, id + 1, status)})
+              .status());
+    }
+    return hub->RunRound();
+  };
+
+  {
+    Result<std::unique_ptr<DeltaHub>> hub = make_hub();
+    ASSERT_TRUE(hub.ok()) << hub.status().ToString();
+    OPDELTA_ASSERT_OK(
+        (*hub)->capture("s1")
+            ->RunTransaction({wl.MakeInsert("parts", 0, kRows)})
+            .status());
+    OPDELTA_ASSERT_OK((*hub)->RunRound());
+    size_t most = 0;
+    // Segment 11 exists once ten full segments have gone by.
+    for (int round = 0; QueueSegments(queue_dir).back() < 11; ++round) {
+      ASSERT_LT(round, 1000);
+      OPDELTA_ASSERT_OK(change_every_row((*hub).get(), round));
+      most = std::max(most, QueueSegments(queue_dir).size());
+    }
+    EXPECT_LE(most, 2u);
+    EXPECT_TRUE(TablesEqual(src.get(), "parts", wh.get(), "parts"));
+    OPDELTA_ASSERT_OK((*hub)->Stop());
+  }
+
+  // A restarted hub continues from the queue's newest frame.
+  Result<std::unique_ptr<DeltaHub>> hub = make_hub();
+  ASSERT_TRUE(hub.ok()) << hub.status().ToString();
+  OPDELTA_ASSERT_OK(change_every_row((*hub).get(), 1000));
+  EXPECT_TRUE(TablesEqual(src.get(), "parts", wh.get(), "parts"));
+  EXPECT_EQ((*hub)->Stats().sources[0].duplicates_dropped, 0u);
+  EXPECT_LE(QueueSegments(queue_dir).size(), 2u);
+
+  // An idle round still writes nothing.
+  fenv.FailAllOpsAfter(0);
+  OPDELTA_EXPECT_OK((*hub)->RunRound());
+  EXPECT_EQ(fenv.faults_injected(), 0u);
+  fenv.ClearFaults();
+  OPDELTA_EXPECT_OK((*hub)->Stop());
 }
 
 TEST(HubFanInTest, TwoSourcesFeedOneWarehouseTableInOrder) {

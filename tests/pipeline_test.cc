@@ -352,7 +352,7 @@ TEST(BackpressureTest, FullQueueRetainsBatchUntilDrained) {
 
   // Only the leg's queue log fails; installed before Setup opens it.
   FaultInjectionEnv fenv(Env::Default());
-  fenv.SetScope("queue.log");
+  fenv.SetScope("/queue/");
   ScopedEnvOverride guard(&fenv);
 
   PipelineOptions popts;

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
+#include <set>
 #include <thread>
 
+#include "common/fault_env.h"
+#include "common/record_log.h"
 #include "transport/file_transport.h"
 #include "transport/network_simulator.h"
 #include "transport/persistent_queue.h"
@@ -278,7 +282,7 @@ TEST(PersistentQueueTest, CorruptMessageDetected) {
 
   // Corrupt the log body: a complete frame with a bad CRC is real damage,
   // so recovery refuses the queue outright at Open.
-  const std::string log = dir.Sub("q") + "/queue.log";
+  const std::string log = dir.Sub("q") + "/queue-000001.log";
   std::string data;
   OPDELTA_ASSERT_OK(Env::Default()->ReadFileToString(log, &data));
   data[10] ^= 0xFF;
@@ -302,7 +306,7 @@ TEST(PersistentQueueTest, TornTailTruncatedAndQueueContinues) {
 
   // A crash mid-append leaves a torn frame at the tail: a header claiming
   // more body bytes than exist. Recovery truncates it and continues.
-  const std::string log = dir.Sub("q") + "/queue.log";
+  const std::string log = dir.Sub("q") + "/queue-000001.log";
   std::string data;
   OPDELTA_ASSERT_OK(Env::Default()->ReadFileToString(log, &data));
   const uint64_t intact_size = data.size();
@@ -374,7 +378,7 @@ TEST(PersistentQueueTest, AcksAreReplayedAtOpen) {
   // The log is the queue's only file: no cursor file holds the position.
   std::vector<std::string> files;
   OPDELTA_ASSERT_OK(Env::Default()->ListDir(dir.Sub("q"), &files));
-  EXPECT_EQ(files, std::vector<std::string>{"queue.log"});
+  EXPECT_EQ(files, std::vector<std::string>{"queue-000001.log"});
 
   PersistentQueue q;
   OPDELTA_ASSERT_OK(q.Open(dir.Sub("q")));
@@ -388,7 +392,7 @@ TEST(PersistentQueueTest, AcksAreReplayedAtOpen) {
 
 TEST(PersistentQueueTest, TornAckRecordIsTruncatedAndItsMessageRedelivered) {
   TempDir dir;
-  const std::string log = dir.Sub("q") + "/queue.log";
+  const std::string log = dir.Sub("q") + "/queue-000001.log";
   uint64_t before_ack = 0;
   {
     PersistentQueue q;
@@ -427,6 +431,147 @@ TEST(PersistentQueueTest, EnqueueRejectsAnEmptyMessage) {
   std::string msg;
   EXPECT_TRUE(q.Peek(&msg).IsNotFound());
   EXPECT_TRUE(q.PeekLast(&msg).IsNotFound());
+}
+
+TEST(PersistentQueueTest, OpenRefusesAQueueLogOfAnOlderBuild) {
+  TempDir dir;
+  OPDELTA_ASSERT_OK(Env::Default()->CreateDir(dir.Sub("q")));
+  OPDELTA_ASSERT_OK(
+      Env::Default()->WriteStringToFile(dir.Sub("q") + "/queue.log", "x"));
+  PersistentQueue q;
+  Status st = q.Open(dir.Sub("q"));
+  EXPECT_EQ(st.code(), StatusCode::kNotSupported) << st.ToString();
+  EXPECT_NE(st.message().find("Upgrading from a build that wrote queue.log"),
+            std::string::npos)
+      << st.ToString();
+}
+
+/// The queue's segment indexes in `dir`, ascending; any other file there
+/// fails the test.
+std::vector<uint64_t> Segments(const std::string& dir) {
+  std::vector<std::string> files;
+  EXPECT_TRUE(Env::Default()->ListDir(dir, &files).ok());
+  std::vector<uint64_t> out;
+  for (const std::string& file : files) {
+    std::string name;
+    uint64_t index = 0;
+    if (common::RecordLog::ParseSegmentName(file, &name, &index) &&
+        name == "queue") {
+      out.push_back(index);
+    } else {
+      ADD_FAILURE() << "unexpected file " << file;
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(PersistentQueueTest, AcknowledgedSegmentsAreDeleted) {
+  TempDir dir;
+  const std::string qdir = dir.Sub("q");
+  PersistentQueue q;
+  OPDELTA_ASSERT_OK(q.Open(qdir));
+  const std::string body(PersistentQueue::kSegmentBytes / 4, 'm');
+  size_t most = 0;
+  int sent = 0;
+  // Segment 11 exists once ten full segments have gone by.
+  while (Segments(qdir).back() < 11) {
+    ASSERT_LT(sent, 1000);
+    const std::string message = std::to_string(sent++) + body;
+    OPDELTA_ASSERT_OK(q.Enqueue(Slice(message)));
+    std::string got;
+    OPDELTA_ASSERT_OK(q.Peek(&got));
+    EXPECT_EQ(got, message);
+    OPDELTA_ASSERT_OK(q.Ack());
+    most = std::max(most, Segments(qdir).size());
+  }
+  EXPECT_LE(most, 2u);
+
+  // A backlog of two, and a reopen that answers as the queue did.
+  for (const char* m : {"x", "y", "z"}) {
+    OPDELTA_ASSERT_OK(q.Enqueue(Slice(m), /*durable=*/true));
+  }
+  std::string msg;
+  OPDELTA_ASSERT_OK(q.Peek(&msg));
+  EXPECT_EQ(msg, "x");
+  OPDELTA_ASSERT_OK(q.Ack());
+  auto answers = [](PersistentQueue* queue) {
+    Result<uint64_t> backlog = queue->Backlog();
+    std::string head;
+    std::string last;
+    EXPECT_TRUE(queue->Peek(&head).ok());
+    EXPECT_TRUE(queue->PeekLast(&last).ok());
+    return std::to_string(backlog.ok() ? *backlog : 99) + " " + head + " " +
+           last;
+  };
+  EXPECT_EQ(answers(&q), "2 y z");
+  OPDELTA_ASSERT_OK(q.Close());
+  PersistentQueue reopened;
+  OPDELTA_ASSERT_OK(reopened.Open(qdir));
+  EXPECT_EQ(answers(&reopened), "2 y z");
+  EXPECT_LE(Segments(qdir).size(), 2u);
+}
+
+// A power failure right after a roll loses no unacknowledged message: the
+// message that starts the new segment is synced before the earlier
+// segments are deleted. When that delete fails, the old segment loses its
+// unsynced tail, and with it acks: that only redelivers messages that were
+// acknowledged.
+TEST(PersistentQueueTest, CrashRightAfterARollLosesNoUnacknowledgedMessage) {
+  for (bool delete_fails : {false, true}) {
+    SCOPED_TRACE(delete_fails ? "the delete failed" : "the delete succeeded");
+    TempDir dir;
+    const std::string qdir = dir.Sub("q");
+    FaultInjectionEnv fenv(Env::Default(), /*seed=*/7);
+    opdelta::testing::ScopedEnvOverride guard(&fenv);
+    std::set<std::string> acked;
+    {
+      PersistentQueue q;
+      OPDELTA_ASSERT_OK(q.Open(qdir));
+      const std::string body(PersistentQueue::kSegmentBytes / 8, 'a');
+      const std::string first = qdir + "/queue-000001.log";
+      uint64_t size = 0;
+      // Fill segment 1 with acknowledged messages, none of them synced.
+      for (int i = 0; size < PersistentQueue::kSegmentBytes; ++i) {
+        const std::string message = std::to_string(i) + body;
+        OPDELTA_ASSERT_OK(q.Enqueue(Slice(message), /*durable=*/false));
+        std::string got;
+        OPDELTA_ASSERT_OK(q.Peek(&got));
+        OPDELTA_ASSERT_OK(q.Ack());
+        acked.insert(message);
+        OPDELTA_ASSERT_OK(Env::Default()->GetFileSize(first, &size));
+      }
+      fenv.SetErrorProbability(FaultInjectionEnv::OpKind::kDelete,
+                               delete_fails ? 1.0 : 0.0);
+      OPDELTA_ASSERT_OK(q.Enqueue(Slice("pending"), /*durable=*/false));
+      fenv.ClearFaults();
+      const std::vector<uint64_t> expected =
+          delete_fails ? std::vector<uint64_t>{1, 2}
+                       : std::vector<uint64_t>{2};
+      EXPECT_EQ(Segments(qdir), expected);
+      OPDELTA_ASSERT_OK(fenv.CrashAndDropUnsynced(/*torn_tails=*/true));
+    }
+
+    PersistentQueue q;
+    OPDELTA_ASSERT_OK(q.Open(qdir));
+    std::string msg;
+    OPDELTA_ASSERT_OK(q.PeekLast(&msg));
+    EXPECT_EQ(msg, "pending");
+    std::vector<std::string> delivered;
+    while (q.Peek(&msg).ok()) {
+      delivered.push_back(msg);
+      OPDELTA_ASSERT_OK(q.Ack());
+    }
+    ASSERT_FALSE(delivered.empty());
+    EXPECT_EQ(delivered.back(), "pending");
+    delivered.pop_back();
+    for (const std::string& redelivered : delivered) {
+      EXPECT_EQ(acked.count(redelivered), 1u);
+    }
+    if (!delete_fails) {
+      EXPECT_TRUE(delivered.empty());
+    }
+  }
 }
 
 // ----------------------------------------------------------- link faults
