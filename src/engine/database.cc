@@ -428,15 +428,14 @@ Status Database::UndoOne(const UndoEntry& entry) {
       Row cur_row;
       OPDELTA_RETURN_IF_ERROR(
           RowCodec::Decode(table->schema(), Slice(current), &cur_row));
-      table->IndexErase(cur_row, entry.rid);
+      Row before_row;
+      OPDELTA_RETURN_IF_ERROR(
+          RowCodec::Decode(table->schema(), Slice(entry.before), &before_row));
       Rid new_rid;
       OPDELTA_RETURN_IF_ERROR(
           table->heap()->Update(entry.rid, Slice(entry.before), &new_rid,
                                 FreedSlotFilter(entry.table_id)));
-      Row before_row;
-      OPDELTA_RETURN_IF_ERROR(
-          RowCodec::Decode(table->schema(), Slice(entry.before), &before_row));
-      table->IndexInsert(before_row, new_rid);
+      table->IndexReplace(cur_row, entry.rid, before_row, new_rid);
       return Status::OK();
     }
     case LogRecordType::kDelete: {
@@ -626,26 +625,27 @@ Result<size_t> Database::UpdateWhere(
 
   // Phase 1: collect matches via the chosen access path (two-phase also
   // avoids the Halloween problem of re-visiting rows the update relocates).
-  std::vector<std::pair<Rid, Row>> matches;
+  std::vector<Match> matches;
   OPDELTA_RETURN_IF_ERROR(CollectMatches(table, bound, &matches));
 
-  // Phase 2: lock and apply.
+  // Phase 2: lock and apply. The heap bytes collected with each row are
+  // its before image.
   struct Fired {
     Row before;
     Row after;
   };
   std::vector<Fired> fired;
   fired.reserve(matches.size());
-  for (auto& [rid, before] : matches) {
+  for (Match& m : matches) {
     OPDELTA_RETURN_IF_ERROR(
-        locks_.LockRow(txn->id(), table->id(), rid, /*exclusive=*/true));
-    Row after = before;
+        locks_.LockRow(txn->id(), table->id(), m.rid, /*exclusive=*/true));
+    Row after = m.row;
     for (const auto& [idx, value] : sets) after[idx] = value;
     StampTimestamp(schema, &after, explicit_ts_col);
-    OPDELTA_RETURN_IF_ERROR(ReplaceRow(txn, table, rid, before,
-                                       RowCodec::Encode(schema, before), after,
+    OPDELTA_RETURN_IF_ERROR(ReplaceRow(txn, table, m.rid, m.row,
+                                       std::move(m.encoded), after,
                                        RowCodec::Encode(schema, after)));
-    fired.push_back(Fired{std::move(before), std::move(after)});
+    fired.push_back(Fired{std::move(m.row), std::move(after)});
   }
 
   for (const Fired& f : fired) {
@@ -668,35 +668,34 @@ Result<size_t> Database::DeleteWhere(Transaction* txn,
       locks_.LockTable(txn->id(), table->id(), LockMode::kIX));
   OPDELTA_RETURN_IF_ERROR(CheckSchemaUnchanged(table, schema));
 
-  std::vector<std::pair<Rid, Row>> matches;
+  std::vector<Match> matches;
   OPDELTA_RETURN_IF_ERROR(CollectMatches(table, bound, &matches));
 
-  for (auto& [rid, before] : matches) {
+  for (Match& m : matches) {
     OPDELTA_RETURN_IF_ERROR(
-        locks_.LockRow(txn->id(), table->id(), rid, /*exclusive=*/true));
-    std::string before_enc = RowCodec::Encode(schema, before);
+        locks_.LockRow(txn->id(), table->id(), m.rid, /*exclusive=*/true));
     {
       std::unique_lock<common::OrderedSharedMutex> latch(table->latch);
-      table->IndexErase(before, rid);
-      OPDELTA_RETURN_IF_ERROR(table->heap()->Delete(rid));
-      QuarantineFreedSlot(txn->id(), table->id(), rid);
+      table->IndexErase(m.row, m.rid);
+      OPDELTA_RETURN_IF_ERROR(table->heap()->Delete(m.rid));
+      QuarantineFreedSlot(txn->id(), table->id(), m.rid);
     }
 
     // Undo before WAL: a failed append must still be rollback-able.
     txn->undo_log().push_back(UndoEntry{LogRecordType::kDelete, table->id(),
-                                        rid, before_enc});
+                                        m.rid, m.encoded});
 
     LogRecord rec;
     rec.type = LogRecordType::kDelete;
     rec.txn_id = txn->id();
     rec.table_id = table->id();
-    rec.rid = rid;
-    rec.before = std::move(before_enc);
+    rec.rid = m.rid;
+    rec.before = std::move(m.encoded);
     OPDELTA_RETURN_IF_ERROR(wal_.Append(&rec));
   }
 
-  for (const auto& [rid, before] : matches) {
-    OPDELTA_RETURN_IF_ERROR(FireTriggers(table, txn, kOnDelete, before, Row{}));
+  for (const Match& m : matches) {
+    OPDELTA_RETURN_IF_ERROR(FireTriggers(table, txn, kOnDelete, m.row, Row{}));
   }
   return matches.size();
 }
@@ -751,9 +750,8 @@ bool Database::PickIndexPath(Table* table, const Predicate& pred,
   return true;
 }
 
-Status Database::CollectMatches(
-    Table* table, const Predicate& bound,
-    std::vector<std::pair<Rid, Row>>* out) {
+Status Database::CollectMatches(Table* table, const Predicate& bound,
+                                std::vector<Match>* out) {
   std::shared_lock<common::OrderedSharedMutex> latch(table->latch);
   const catalog::Schema& schema = table->schema();
 
@@ -769,7 +767,9 @@ Status Database::CollectMatches(
       Row row;
       inner = RowCodec::Decode(schema, Slice(record), &row);
       if (!inner.ok()) return false;
-      if (bound.Matches(row)) out->emplace_back(rid, std::move(row));
+      if (bound.Matches(row)) {
+        out->push_back(Match{rid, std::move(row), std::move(record)});
+      }
       return true;
     });
     return inner;
@@ -781,10 +781,33 @@ Status Database::CollectMatches(
         Row row;
         decode_status = RowCodec::Decode(schema, record, &row);
         if (!decode_status.ok()) return false;
-        if (bound.Matches(row)) out->emplace_back(rid, std::move(row));
+        if (bound.Matches(row)) {
+          out->push_back(Match{rid, std::move(row), record.ToString()});
+        }
         return true;
       }));
   return decode_status;
+}
+
+Status Database::ProbeKey(Table* table, const Predicate& by_key,
+                          bool read_rows, std::optional<Rid>* rid) {
+  rid->reset();
+  if (!read_rows) {
+    std::shared_lock<common::OrderedSharedMutex> latch(table->latch);
+    std::string column;
+    int64_t lo, hi;
+    if (PickIndexPath(table, by_key, &column, &lo, &hi)) {
+      table->GetIndex(column)->ScanRange(lo, hi, [&](int64_t, const Rid& r) {
+        *rid = r;
+        return false;
+      });
+      return Status::OK();
+    }
+  }
+  std::vector<Match> matches;
+  OPDELTA_RETURN_IF_ERROR(CollectMatches(table, by_key, &matches));
+  if (!matches.empty()) *rid = matches.front().rid;
+  return Status::OK();
 }
 
 Result<bool> Database::UpsertByKey(Transaction* txn,
@@ -803,21 +826,27 @@ Result<bool> Database::UpsertByKey(Transaction* txn,
       locks_.LockTable(txn->id(), table->id(), LockMode::kIX));
   OPDELTA_RETURN_IF_ERROR(CheckSchemaUnchanged(table, schema));
 
+  // After a miss the probe reads each candidate's row, as UpdateWhere's
+  // match pass does, so a stale index entry cannot hand back the same
+  // candidate forever.
+  bool read_rows = false;
   for (;;) {
-    std::vector<std::pair<Rid, Row>> matches;
-    OPDELTA_RETURN_IF_ERROR(CollectMatches(table, by_key, &matches));
-    if (matches.empty()) break;
-    const Rid rid = matches.front().first;
+    std::optional<Rid> rid;
+    OPDELTA_RETURN_IF_ERROR(ProbeKey(table, by_key, read_rows, &rid));
+    if (!rid.has_value()) break;
     OPDELTA_RETURN_IF_ERROR(
-        locks_.LockRow(txn->id(), table->id(), rid, /*exclusive=*/true));
-    // Lock, then read again: the unlocked image may have been deleted or
-    // rewritten by the writer the lock waited for.
+        locks_.LockRow(txn->id(), table->id(), *rid, /*exclusive=*/true));
+    // Lock, then read: the row may have been deleted or re-keyed by the
+    // writer the lock waited for.
     std::string before_enc;
     Row before;
-    Status read = ReadRow(table, rid, &before_enc, &before);
-    if (read.IsNotFound() || (read.ok() && !by_key.Matches(before))) continue;
+    Status read = ReadRow(table, *rid, &before_enc, &before);
+    if (read.IsNotFound() || (read.ok() && !by_key.Matches(before))) {
+      read_rows = true;
+      continue;
+    }
     OPDELTA_RETURN_IF_ERROR(read);
-    OPDELTA_RETURN_IF_ERROR(ReplaceRow(txn, table, rid, before,
+    OPDELTA_RETURN_IF_ERROR(ReplaceRow(txn, table, *rid, before,
                                        std::move(before_enc), row,
                                        RowCodec::Encode(schema, row)));
     OPDELTA_RETURN_IF_ERROR(FireTriggers(table, txn, kOnUpdate, before, row));
@@ -842,10 +871,9 @@ Status Database::ReplaceRow(Transaction* txn, Table* table, const Rid& rid,
   Rid new_rid;
   {
     std::unique_lock<common::OrderedSharedMutex> latch(table->latch);
-    table->IndexErase(before, rid);
     OPDELTA_RETURN_IF_ERROR(table->heap()->Update(
         rid, Slice(after_enc), &new_rid, FreedSlotFilter(table->id())));
-    table->IndexInsert(after, new_rid);
+    table->IndexReplace(before, rid, after, new_rid);
     if (!(new_rid == rid)) {
       // Relocation freed the old slot; keep it ours until we resolve.
       QuarantineFreedSlot(txn->id(), table->id(), rid);

@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -137,11 +138,14 @@ class Database {
   /// Returns true when a row was replaced, false when `row` was inserted.
   ///   - Stamps the timestamp column and validates exactly as Insert does:
   ///     with auto_timestamp off the image's own stamp is kept.
-  ///   - Finds the row by the access path UpdateWhere would pick for
-  ///     `key = value`: the key column's B+tree when it has one, else a
-  ///     heap scan. Takes table IX, X-locks the row found, then reads it
-  ///     again and uses that image as the before image; if the row is gone
-  ///     or its key changed meanwhile, it looks the key up again.
+  ///   - Probes, locks, then reads once. With an index on the key column
+  ///     the candidate rid comes from one B+tree probe that touches no
+  ///     heap page; without one, from a heap scan. Takes table IX, X-locks
+  ///     the candidate, then reads and decodes it, and that image is the
+  ///     before image: the WAL record carries the heap's bytes. If the row
+  ///     is gone or carries another key (a concurrent writer, or a stale
+  ///     index entry), the next probe reads each candidate's row, as
+  ///     UpdateWhere's match pass does.
   ///   - Replaces in place (one kUpdate WAL record; the rid changes only
   ///     when the new image no longer fits its page) and fires update
   ///     triggers, as UpdateWhere does; an insert fires insert triggers.
@@ -294,11 +298,12 @@ class Database {
                  catalog::Row* row);
 
   /// The row-replace sequence of every update path. `txn` holds `rid`'s X
-  /// lock and `before`/`before_enc` is its current image. Under the table
-  /// latch: erases `before`'s index entries, updates the heap (a
-  /// relocation skips quarantined slots and quarantines the slot it
-  /// frees) and indexes `after` at the new rid. Then pushes the undo entry
-  /// and appends the kUpdate WAL record, in that order.
+  /// lock and `before`/`before_enc` is its current image, `before_enc` the
+  /// heap's bytes. Under the table latch: updates the heap (a relocation
+  /// skips quarantined slots and quarantines the slot it frees) and moves
+  /// each index entry whose key or rid changed (Table::IndexReplace). Then
+  /// pushes the undo entry and appends the kUpdate WAL record, in that
+  /// order.
   Status ReplaceRow(txn::Transaction* txn, Table* table,
                     const storage::Rid& rid, const catalog::Row& before,
                     std::string before_enc, const catalog::Row& after,
@@ -310,11 +315,24 @@ class Database {
   static bool PickIndexPath(Table* table, const Predicate& pred,
                             std::string* column, int64_t* lo, int64_t* hi);
 
-  /// Collects rids+rows matching `bound` (which must be bound), via the
+  /// A row CollectMatches found: its rid, decoded image and heap bytes.
+  struct Match {
+    storage::Rid rid;
+    catalog::Row row;
+    std::string encoded;
+  };
+
+  /// Collects the rows matching `bound` (which must be bound), via the
   /// chosen access path, under the table's shared latch.
-  Status CollectMatches(
-      Table* table, const Predicate& bound,
-      std::vector<std::pair<storage::Rid, catalog::Row>>* out);
+  Status CollectMatches(Table* table, const Predicate& bound,
+                        std::vector<Match>* out);
+
+  /// UpsertByKey's candidate for `by_key` (a bound `key = value`): with
+  /// `read_rows` false and the key column indexed, the first index entry's
+  /// rid, read from the B+tree alone; otherwise the first row
+  /// CollectMatches finds. Empty when there is none.
+  Status ProbeKey(Table* table, const Predicate& by_key, bool read_rows,
+                  std::optional<storage::Rid>* rid);
 
   std::string dir_;
   DatabaseOptions options_;

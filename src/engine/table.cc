@@ -118,4 +118,19 @@ void Table::IndexErase(const catalog::Row& row, const storage::Rid& rid) {
   }
 }
 
+void Table::IndexReplace(const catalog::Row& before, const storage::Rid& rid,
+                         const catalog::Row& after,
+                         const storage::Rid& new_rid) {
+  for (auto& [col, entry] : indexes_) {
+    const catalog::Value& b = before[entry.first];
+    const catalog::Value& a = after[entry.first];
+    if (rid == new_rid && b.is_null() == a.is_null() &&
+        (b.is_null() || IndexKeyOf(b) == IndexKeyOf(a))) {
+      continue;
+    }
+    if (!b.is_null()) entry.second->Erase(IndexKeyOf(b), rid);
+    if (!a.is_null()) entry.second->Insert(IndexKeyOf(a), new_rid);
+  }
+}
+
 }  // namespace opdelta::engine

@@ -78,6 +78,11 @@ class Table {
   /// Index maintenance hooks; no-ops for non-indexed columns.
   void IndexInsert(const catalog::Row& row, const storage::Rid& rid);
   void IndexErase(const catalog::Row& row, const storage::Rid& rid);
+  /// Re-points the entries of a row replaced at `rid` (now at `new_rid`
+  /// with image `after`): an index entry moves only when its column's key
+  /// or the rid changed.
+  void IndexReplace(const catalog::Row& before, const storage::Rid& rid,
+                    const catalog::Row& after, const storage::Rid& new_rid);
 
   /// Registered row-level triggers.
   std::vector<TriggerDef>& triggers() { return triggers_; }

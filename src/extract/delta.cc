@@ -41,11 +41,13 @@ void DeltaBatch::EncodeTo(std::string* dst) const {
   PutLengthPrefixed(dst, Slice(table));
   schema.EncodeTo(dst);
   PutVarint64(dst, records.size());
+  std::string enc;
   for (const DeltaRecord& r : records) {
     dst->push_back(static_cast<char>(r.op));
     PutVarint64(dst, r.source_txn);
     PutVarint64(dst, r.seq);
-    std::string enc = catalog::RowCodec::Encode(schema, r.image);
+    enc.clear();
+    catalog::RowCodec::Encode(schema, r.image, &enc);
     PutLengthPrefixed(dst, Slice(enc));
   }
 }

@@ -69,11 +69,11 @@ Result<DeltaBatch> LogExtractor::ExtractSince(txn::Lsn watermark,
   txn::WalPosition end;
   OPDELTA_RETURN_IF_ERROR(txn::Wal::ReadFrom(
       wal_dir_, from,
-      [&](const LogRecord& r, const txn::WalPosition& at) {
+      [&](LogRecord& r, const txn::WalPosition& at) {
         if (r.table_id == table_id) {
           auto [it, fresh] = open.try_emplace(r.txn_id);
           if (fresh) it->second.first = at;
-          it->second.records.push_back(r);
+          it->second.records.push_back(std::move(r));
           return true;
         }
         if (r.type != LogRecordType::kCommit &&
@@ -96,9 +96,10 @@ Result<DeltaBatch> LogExtractor::ExtractSince(txn::Lsn watermark,
 
   // Commit order is not log order when transactions interleave; ship in
   // log order, as a read of the whole log would.
-  std::stable_sort(
-      selected.begin(), selected.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
+  auto by_lsn = [](const auto& a, const auto& b) { return a.first < b.first; };
+  if (!std::is_sorted(selected.begin(), selected.end(), by_lsn)) {
+    std::stable_sort(selected.begin(), selected.end(), by_lsn);
+  }
   DeltaBatch batch;
   batch.table = table_name;
   batch.schema = schema;

@@ -39,7 +39,7 @@ Status FileManager::AllocatePage(PageId* id) {
   const PageId new_id = num_pages_.load();
   static const char kZeros[kPageSize] = {};
   OPDELTA_RETURN_IF_ERROR(
-      file_->Write(static_cast<uint64_t>(new_id) * kPageSize,
+      file_->Write(static_cast<uint64_t>(new_id) * kPageSize,  // NOLINT(opdelta-R8: the page is zero-filled before its id is published; the mutex keeps page ids dense and in file order)
                    Slice(kZeros, kPageSize)));
   stats_.page_writes.fetch_add(1, std::memory_order_relaxed);
   num_pages_.fetch_add(1);

@@ -43,13 +43,19 @@ class LockManager {
                    Duration timeout);
 
   /// Acquires a row lock (shared or exclusive). The caller must already
-  /// hold a suitable intention lock on the table.
+  /// hold a suitable intention lock on the table. A request the
+  /// transaction's table lock already covers (table X covers every row
+  /// request, table S covers shared ones: the multigranularity rule)
+  /// returns OK at once and records nothing, so a table-X transaction such
+  /// as a value-delta apply leaves the row map empty. Row entries taken
+  /// before a table upgrade stay until ReleaseAll.
   Status LockRow(TxnId txn, catalog::TableId table, const storage::Rid& rid,
                  bool exclusive);
   Status LockRow(TxnId txn, catalog::TableId table, const storage::Rid& rid,
                  bool exclusive, Duration timeout);
 
-  /// Releases every lock held by the transaction (commit/abort).
+  /// Releases every lock held by the transaction (commit/abort). Walks each
+  /// table's recorded row entries only; covered requests left none.
   void ReleaseAll(TxnId txn);
 
   /// Diagnostics: number of transactions currently holding any lock on the

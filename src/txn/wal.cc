@@ -53,7 +53,7 @@ Status Wal::Open(const std::string& dir, const WalOptions& options) {
   // existing segments are kept, and appends continue in a fresh one.
   std::lock_guard<common::OrderedMutex> lock(mutex_);
   OPDELTA_RETURN_IF_ERROR(log_.Open(dir, kLogName));
-  if (end.segment != 0) OPDELTA_RETURN_IF_ERROR(log_.Roll(/*sync=*/false));
+  if (end.segment != 0) OPDELTA_RETURN_IF_ERROR(log_.Roll(/*sync=*/false));  // NOLINT(opdelta-R8: the fresh segment must exist before the loser aborts, the first frames after open, land under the wal mutex)
   // Each loser's abort record releases the resume point a LogExtractor
   // pins at its first record, before any new record is logged.
   for (TxnId id : losers) {
@@ -90,7 +90,7 @@ Status Wal::MaybeRoll() {
 Status Wal::Append(LogRecord* record) {
   std::lock_guard<common::OrderedMutex> lock(mutex_);
   if (!log_.is_open()) return Status::Internal("wal not open");
-  OPDELTA_RETURN_IF_ERROR(log_.Repair());
+  OPDELTA_RETURN_IF_ERROR(log_.Repair());  // NOLINT(opdelta-R8: a failed write is cut back before the next frame; frames land in LSN order under the wal mutex)
   AppendToTail(record);
   OPDELTA_RETURN_IF_ERROR(MaybeRoll());
   if (log_.buffered() < kTailCapacity) return Status::OK();
@@ -100,7 +100,7 @@ Status Wal::Append(LogRecord* record) {
 Status Wal::AppendCommit(LogRecord* record) {
   std::lock_guard<common::OrderedMutex> lock(mutex_);
   if (!log_.is_open()) return Status::Internal("wal not open");
-  OPDELTA_RETURN_IF_ERROR(log_.Repair());
+  OPDELTA_RETURN_IF_ERROR(log_.Repair());  // NOLINT(opdelta-R8: a failed write is cut back before the next frame; frames land in LSN order under the wal mutex)
   const common::RecordPosition at = AppendToTail(record);
   Status st = log_.Flush(options_.sync_on_commit);  // NOLINT(opdelta-R8: a commit's sync must hold the wal mutex across rotation)
   if (!st.ok()) {
@@ -134,7 +134,7 @@ Status Wal::Checkpoint() {
   // Archiving keeps segments for the log extractor. Deletion is serialized
   // with rotation, so a fresh segment is never unlinked.
   if (options_.archive_mode) return Status::OK();
-  return log_.DeleteBefore(log_.end().segment);
+  return log_.DeleteBefore(log_.end().segment);  // NOLINT(opdelta-R8: recycling is serialized with rotation under the wal mutex, so a fresh segment is never unlinked)
 }
 
 Status Wal::ListSegments(std::vector<std::string>* paths) const {

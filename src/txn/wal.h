@@ -115,12 +115,13 @@ class Wal {
                         const std::function<bool(const LogRecord&)>& visitor);
 
   using PositionedVisitor =
-      std::function<bool(const LogRecord&, const WalPosition& at)>;
+      std::function<bool(LogRecord&, const WalPosition& at)>;
 
   /// Reads the records from `from` to the end of the log in order, as
   /// common::RecordLog::Read reads frames, handing each to the visitor with
   /// the position its frame starts at; the visitor returns false to stop
-  /// early. On OK, *end (if non-null) is where a later read continues.
+  /// early, and may move from the record. On OK, *end (if non-null) is
+  /// where a later read continues.
   /// A position below the first remaining segment (the default position, or
   /// a segment recycled by Checkpoint) reads from the start of what
   /// remains. Otherwise the first record must carry `from.prev_lsn + 1`

@@ -453,6 +453,213 @@ TEST_F(DatabaseTest, IndexBackfillsExistingRows) {
   EXPECT_EQ(count, 50);
 }
 
+// Replacing a row moves an index entry only when its column's key or the
+// row's rid changed; an abort puts every entry back.
+class IndexUpkeepTest : public DatabaseTest {
+ protected:
+  using Entries = std::vector<index::BPlusTree::Entry>;
+
+  void SetUp() override {
+    DatabaseTest::SetUp();
+    OPDELTA_ASSERT_OK(db_->CreateIndex("parts", "id"));
+  }
+
+  Status InsertAt(const Row& row, storage::Rid* rid) {
+    return db_->WithTransaction([&](txn::Transaction* txn) {
+      return db_->Insert(txn, "parts", row, rid);
+    });
+  }
+
+  Entries EntriesOf(const std::string& column) {
+    Entries out;
+    db_->GetTable("parts")->GetIndex(column)->ScanAll(
+        [&](int64_t key, const storage::Rid& rid) {
+          out.emplace_back(key, rid);
+          return true;
+        });
+    return out;
+  }
+
+  /// Every id entry leads to a row carrying that id, with `status`.
+  void ExpectLookup(int64_t id, const std::string& status) {
+    int found = 0;
+    OPDELTA_ASSERT_OK(db_->IndexScan(
+        nullptr, "parts", "id", id, id,
+        [&](const storage::Rid&, const Row& row) {
+          EXPECT_EQ(row[0].AsInt64(), id);
+          EXPECT_EQ(row[1].AsString(), status);
+          ++found;
+          return true;
+        }));
+    EXPECT_EQ(found, 1) << "id " << id;
+  }
+
+  void ExpectTreesValid() {
+    for (const std::string& col : db_->GetTable("parts")->IndexedColumns()) {
+      OPDELTA_EXPECT_OK(
+          db_->GetTable("parts")->GetIndex(col)->CheckInvariants());
+    }
+  }
+};
+
+TEST_F(IndexUpkeepTest, SameSizeReplaceKeepsTheKeysEntry) {
+  for (int64_t id = 1; id <= 3; ++id) {
+    storage::Rid rid;
+    OPDELTA_ASSERT_OK(InsertAt(PartsRow(id, "aaaa"), &rid));
+  }
+  const Entries before = EntriesOf("id");
+  const size_t size = db_->GetTable("parts")->GetIndex("id")->size();
+
+  auto txn = db_->Begin();
+  Result<bool> replaced =
+      db_->UpsertByKey(txn.get(), "parts", PartsRow(2, "bbbb"));
+  OPDELTA_ASSERT_OK(replaced.status());
+  EXPECT_TRUE(replaced.value());
+  OPDELTA_ASSERT_OK(
+      db_->UpdateWhere(txn.get(), "parts",
+                       Predicate::Where("id", CompareOp::kEq, Value::Int64(3)),
+                       {Assignment{"status", Value::String("cccc")}})
+          .status());
+  EXPECT_EQ(EntriesOf("id"), before);
+  EXPECT_EQ(db_->GetTable("parts")->GetIndex("id")->size(), size);
+  ExpectLookup(2, "bbbb");
+  ExpectLookup(3, "cccc");
+  ExpectTreesValid();
+
+  OPDELTA_ASSERT_OK(db_->Abort(txn.get()));
+  EXPECT_EQ(EntriesOf("id"), before);
+  for (int64_t id = 1; id <= 3; ++id) ExpectLookup(id, "aaaa");
+  ExpectTreesValid();
+}
+
+TEST_F(IndexUpkeepTest, RelocatingReplaceRePointsTheKey) {
+  // Three 2 KB rows share a page, so one grown to 6 KB has to move.
+  auto row_of = [](int64_t id, const std::string& status, size_t payload) {
+    return Row{Value::Int64(id), Value::String(status),
+               Value::String(std::string(payload, 'p')), Value::Null()};
+  };
+  storage::Rid rid;
+  for (int64_t id = 1; id <= 3; ++id) {
+    OPDELTA_ASSERT_OK(InsertAt(row_of(id, "aaaa", 2000), &rid));
+  }
+  const Entries before = EntriesOf("id");
+  const size_t size = db_->GetTable("parts")->GetIndex("id")->size();
+  storage::Rid old_rid;
+  for (const auto& [key, r] : before) {
+    if (key == 2) old_rid = r;
+  }
+
+  auto txn = db_->Begin();
+  Result<bool> replaced =
+      db_->UpsertByKey(txn.get(), "parts", row_of(2, "grown", 6000));
+  OPDELTA_ASSERT_OK(replaced.status());
+  EXPECT_TRUE(replaced.value());
+  storage::Rid new_rid;
+  int entries_for_2 = 0;
+  for (const auto& [key, r] : EntriesOf("id")) {
+    if (key != 2) continue;
+    new_rid = r;
+    ++entries_for_2;
+  }
+  EXPECT_EQ(entries_for_2, 1);
+  EXPECT_FALSE(new_rid == old_rid);
+  EXPECT_EQ(db_->GetTable("parts")->GetIndex("id")->size(), size);
+  ExpectLookup(2, "grown");
+  ExpectTreesValid();
+
+  OPDELTA_ASSERT_OK(db_->Abort(txn.get()));
+  for (int64_t id = 1; id <= 3; ++id) ExpectLookup(id, "aaaa");
+  EXPECT_EQ(db_->GetTable("parts")->GetIndex("id")->size(), size);
+  ExpectTreesValid();
+}
+
+TEST_F(IndexUpkeepTest, UpdateOfAnIndexedNonKeyColumnMovesItsEntry) {
+  OPDELTA_ASSERT_OK(db_->CreateIndex("parts", "last_modified"));
+  storage::Rid rid;
+  OPDELTA_ASSERT_OK(InsertAt(PartsRow(1, "aaaa"), &rid));
+  const Entries ids = EntriesOf("id");
+  const Entries stamps = EntriesOf("last_modified");
+  ASSERT_EQ(stamps.size(), 1u);
+
+  auto txn = db_->Begin();
+  constexpr int64_t kStamp = 12345;
+  OPDELTA_ASSERT_OK(
+      db_->UpdateWhere(txn.get(), "parts",
+                       Predicate::Where("id", CompareOp::kEq, Value::Int64(1)),
+                       {Assignment{"last_modified", Value::Timestamp(kStamp)}})
+          .status());
+  EXPECT_EQ(EntriesOf("id"), ids);
+  EXPECT_EQ(EntriesOf("last_modified"), (Entries{{kStamp, rid}}));
+  ExpectTreesValid();
+
+  OPDELTA_ASSERT_OK(db_->Abort(txn.get()));
+  EXPECT_EQ(EntriesOf("id"), ids);
+  EXPECT_EQ(EntriesOf("last_modified"), stamps);
+  ExpectLookup(1, "aaaa");
+  ExpectTreesValid();
+}
+
+TEST_F(IndexUpkeepTest, UpsertByKeyPastAStaleIndexEntryInserts) {
+  storage::Rid rid1, rid2;
+  OPDELTA_ASSERT_OK(InsertAt(PartsRow(1, "one"), &rid1));
+  OPDELTA_ASSERT_OK(InsertAt(PartsRow(2, "two"), &rid2));
+  // Plant a stale entry: key 1 now leads to row 2.
+  index::BPlusTree* tree = db_->GetTable("parts")->GetIndex("id");
+  ASSERT_TRUE(tree->Erase(1, rid1));
+  tree->Insert(1, rid2);
+
+  Result<bool> replaced(false);
+  OPDELTA_ASSERT_OK(db_->WithTransaction([&](txn::Transaction* txn) {
+    replaced = db_->UpsertByKey(txn, "parts", PartsRow(1, "new"));
+    return replaced.status();
+  }));
+  // No row the index leads to carries key 1, so the row is inserted.
+  EXPECT_FALSE(replaced.value());
+  Row row2;
+  OPDELTA_ASSERT_OK(db_->ReadAt(nullptr, "parts", rid2, &row2));
+  EXPECT_EQ(row2[0].AsInt64(), 2);
+  EXPECT_EQ(row2[1].AsString(), "two");
+  EXPECT_EQ(CountRows(db_.get(), "parts"), 3u);
+}
+
+TEST_F(IndexUpkeepTest, LoggedBeforeImagesAreTheHeapBytes) {
+  std::map<int64_t, storage::Rid> rids;
+  for (int64_t id = 1; id <= 3; ++id) {
+    OPDELTA_ASSERT_OK(InsertAt(PartsRow(id, "aaaa"), &rids[id]));
+  }
+  std::map<storage::Rid, std::string> heap_bytes;
+  for (const auto& [id, rid] : rids) {
+    OPDELTA_ASSERT_OK(
+        db_->GetTable("parts")->heap()->Read(rid, &heap_bytes[rid]));
+  }
+
+  auto txn = db_->Begin();
+  const txn::TxnId id = txn->id();
+  OPDELTA_ASSERT_OK(
+      db_->UpdateWhere(txn.get(), "parts",
+                       Predicate::Where("id", CompareOp::kEq, Value::Int64(1)),
+                       {Assignment{"status", Value::String("bbbb")}})
+          .status());
+  OPDELTA_ASSERT_OK(
+      db_->DeleteWhere(txn.get(), "parts",
+                       Predicate::Where("id", CompareOp::kEq, Value::Int64(2)))
+          .status());
+  OPDELTA_ASSERT_OK(
+      db_->UpsertByKey(txn.get(), "parts", PartsRow(3, "cccc")).status());
+  OPDELTA_ASSERT_OK(db_->Commit(txn.get()));
+
+  std::map<storage::Rid, std::string> logged;
+  OPDELTA_ASSERT_OK(txn::Wal::ReadAll(
+      db_->wal()->dir(), [&](const txn::LogRecord& r) {
+        if (r.txn_id == id && (r.type == txn::LogRecordType::kUpdate ||
+                               r.type == txn::LogRecordType::kDelete)) {
+          logged[r.rid] = r.before;
+        }
+        return true;
+      }));
+  EXPECT_EQ(logged, heap_bytes);
+}
+
 TEST(DoubleColumnTest, FullDmlLifecycle) {
   // Double columns through insert / predicate / update / persistence.
   TempDir dir;

@@ -694,6 +694,61 @@ class Leg {
       << report.findings[0].message;
 }
 
+// common::RecordLog's segment I/O, as the WAL and the queues call it.
+constexpr char kR8RecordLogIo[] = R"(
+class Queue {
+ public:
+  Status Ack() {
+    std::lock_guard<common::OrderedMutex> g(mu_);
+    OPDELTA_RETURN_IF_ERROR(log_.Repair());
+    OPDELTA_RETURN_IF_ERROR(log_.Write(Slice(), false));
+    OPDELTA_RETURN_IF_ERROR(log_.ReadFrame(at_, size_, &out_));
+    OPDELTA_RETURN_IF_ERROR(log_.Roll(false));
+    return log_.DeleteBefore(at_.segment);
+  }
+ private:
+  common::RecordLog log_;
+  common::RecordPosition at_;
+  size_t size_ = 0;
+  std::string out_;
+  common::OrderedMutex mu_{OPDELTA_LOCK_RANK(queue_mu, 10)};
+};
+)";
+
+TEST(LintR8Test, FlagsRecordLogIoUnderLock) {
+  LintReport report = LintOne("src/a.cc", kR8RecordLogIo);
+  std::vector<std::string> flagged;
+  for (const Finding& f : report.findings) {
+    EXPECT_EQ(f.rule, RuleId::kR8BlockingUnderLock) << f.message;
+    for (const char* method :
+         {"Repair", "Write", "ReadFrame", "Roll", "DeleteBefore"}) {
+      if (f.message.find(std::string("log_.") + method + "()") !=
+          std::string::npos) {
+        flagged.push_back(method);
+      }
+    }
+  }
+  EXPECT_EQ(flagged, (std::vector<std::string>{"Repair", "Write", "ReadFrame",
+                                               "Roll", "DeleteBefore"}));
+}
+
+TEST(LintR8Test, RecordLogIoUnderLockIsSilentWithNolint) {
+  LintReport report = LintOne("src/a.cc", R"(
+class Queue {
+ public:
+  Status Ack() {
+    std::lock_guard<common::OrderedMutex> g(mu_);
+    return log_.Write(Slice(), false);  // NOLINT(opdelta-R8: acks follow their message in log order)
+  }
+ private:
+  common::RecordLog log_;
+  common::OrderedMutex mu_{OPDELTA_LOCK_RANK(queue_mu, 10)};
+};
+)");
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(report.suppressed.size(), 1u);
+}
+
 TEST(LintR8Test, NegativeWhenIoIsOutsideTheCriticalSection) {
   EXPECT_TRUE(LintOne("src/a.cc", R"(
 class Store {

@@ -878,6 +878,44 @@ TEST(LockManagerTest, ReleaseAllClearsEverything) {
   OPDELTA_ASSERT_OK(lm.LockTable(2, 1, LockMode::kX));
 }
 
+TEST(LockManagerTest, TableXCoversRowLocksWithoutRecordingThem) {
+  LockManager lm(std::chrono::milliseconds(100));
+  const storage::Rid r1{1, 1}, r2{1, 2};
+  OPDELTA_ASSERT_OK(lm.LockTable(1, 4, LockMode::kX));
+  OPDELTA_ASSERT_OK(lm.LockRow(1, 4, r1, /*exclusive=*/true));
+  OPDELTA_ASSERT_OK(lm.LockRow(1, 4, r2, /*exclusive=*/false));
+  // Covered requests leave no row entry, so a second transaction's direct
+  // row request (one that skips the table lock) meets no holder.
+  OPDELTA_EXPECT_OK(lm.LockRow(2, 4, r1, true, std::chrono::milliseconds(30)));
+  OPDELTA_EXPECT_OK(lm.LockRow(3, 4, r2, true, std::chrono::milliseconds(30)));
+}
+
+TEST(LockManagerTest, TableSCoversSharedRowRequestsOnly) {
+  LockManager lm(std::chrono::milliseconds(100));
+  const storage::Rid shared{2, 1}, exclusive{2, 2};
+  OPDELTA_ASSERT_OK(lm.LockTable(1, 6, LockMode::kS));
+  OPDELTA_ASSERT_OK(lm.LockRow(1, 6, shared, /*exclusive=*/false));
+  OPDELTA_EXPECT_OK(
+      lm.LockRow(2, 6, shared, true, std::chrono::milliseconds(30)));
+  // An exclusive request is not covered by table S: it is recorded.
+  OPDELTA_ASSERT_OK(lm.LockRow(1, 6, exclusive, /*exclusive=*/true));
+  EXPECT_TRUE(lm.LockRow(3, 6, exclusive, false, std::chrono::milliseconds(30))
+                  .IsConflict());
+}
+
+TEST(LockManagerTest, RowEntryTakenBeforeATableUpgradeStaysUntilReleaseAll) {
+  LockManager lm(std::chrono::milliseconds(100));
+  const storage::Rid r{3, 1};
+  OPDELTA_ASSERT_OK(lm.LockTable(1, 8, LockMode::kIX));
+  OPDELTA_ASSERT_OK(lm.LockRow(1, 8, r, /*exclusive=*/true));
+  OPDELTA_ASSERT_OK(lm.LockTable(1, 8, LockMode::kX));
+  OPDELTA_ASSERT_OK(lm.LockRow(1, 8, r, /*exclusive=*/true));  // covered
+  EXPECT_TRUE(lm.LockRow(2, 8, r, false, std::chrono::milliseconds(30))
+                  .IsConflict());
+  lm.ReleaseAll(1);
+  OPDELTA_EXPECT_OK(lm.LockRow(2, 8, r, false, std::chrono::milliseconds(30)));
+}
+
 // --------------------------------------------------------------- Recovery
 
 TEST(RecoveryTest, ReplaysOnlyCommittedInLsnOrder) {

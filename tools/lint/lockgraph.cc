@@ -293,6 +293,9 @@ bool IsBlockingMethod(const std::string& s) {
       "ReadFileToString", "WriteFileAtomic", "RenameFile", "DeleteFile",
       "CreateDir", "ListDir", "ReadPage", "WritePage", "AllocatePage",
       "Append", "Sync", "Flush",
+      // common::RecordLog file I/O (segment create, cut, write, read,
+      // unlink).
+      "Roll", "Repair", "Write", "ReadFrame", "DeleteBefore",
       // transport::PersistentQueue append/drain (each reads or appends the
       // log under the queue mutex) + shipping.
       "Enqueue", "Peek", "Ack", "PeekLast", "Backlog", "Ship",
