@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the substrate primitives every
 // experiment rests on: row codec, slotted pages, B+tree, WAL append, the
-// persistent queue, engine DML, net-change apply, archive-log extraction
-// rounds, statement parse/render, and CRC. Useful for spotting regressions
-// that would distort the paper-level benches.
+// persistent queue, engine DML (the window's range UPDATE and DELETE among
+// them), net-change apply, archive-log extraction rounds, statement
+// parse/render, and CRC. Useful for spotting regressions that would
+// distort the paper-level benches.
 #include <benchmark/benchmark.h>
 
 #include <mutex>
@@ -185,6 +186,77 @@ void BM_EngineScan100k(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100000);
 }
 BENCHMARK(BM_EngineScan100k);
+
+// `lo <= id < hi`, the window workload's range predicate.
+engine::Predicate KeyRange(int64_t lo, int64_t hi) {
+  return engine::Predicate::Where("id", engine::CompareOp::kGe,
+                                  catalog::Value::Int64(lo))
+      .And("id", engine::CompareOp::kLt, catalog::Value::Int64(hi));
+}
+
+// The batch window's source UPDATE (cdcbench's log_batch_window): one
+// committed 500-row range UPDATE per iteration on a 20k-row table, found
+// by a heap scan (Arg 0) or through a B+tree range on id (Arg 1). The range
+// slides by 500 each iteration. Items are rows updated.
+void BM_EngineUpdateRange(benchmark::State& state) {
+  bench::ScratchDir dir("micro_update_range");
+  workload::PartsWorkload wl;
+  std::unique_ptr<engine::Database> db;
+  BENCH_OK(engine::Database::Open(dir.Sub("db"), engine::DatabaseOptions(),
+                                  &db));
+  BENCH_OK(wl.CreateTable(db.get(), "parts"));
+  constexpr int64_t kRows = 20000, kUpdate = 500;
+  BENCH_OK(wl.Populate(db.get(), "parts", kRows));
+  if (state.range(0) != 0) BENCH_OK(db->CreateIndex("parts", "id"));
+  int64_t lo = 0;
+  for (auto _ : state) {
+    BENCH_OK(db->WithTransaction([&](txn::Transaction* txn) {
+      return db
+          ->UpdateWhere(txn, "parts", KeyRange(lo, lo + kUpdate),
+                        {engine::Assignment{
+                            "status", catalog::Value::String(
+                                          lo % 1000 == 0 ? "revise" : "active")}})
+          .status();
+    }));
+    lo = (lo + kUpdate) % kRows;
+  }
+  state.SetItemsProcessed(state.iterations() * kUpdate);
+}
+BENCHMARK(BM_EngineUpdateRange)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// The batch window's source DELETE: one committed 100-row range DELETE
+// through the B+tree range on id per iteration, on a 20k-row table. The
+// deleted keys are inserted again untimed, so the table keeps 20k rows.
+// Items are rows deleted.
+void BM_EngineDeleteRange(benchmark::State& state) {
+  bench::ScratchDir dir("micro_delete_range");
+  workload::PartsWorkload wl;
+  std::unique_ptr<engine::Database> db;
+  BENCH_OK(engine::Database::Open(dir.Sub("db"), engine::DatabaseOptions(),
+                                  &db));
+  BENCH_OK(wl.CreateTable(db.get(), "parts"));
+  constexpr int64_t kRows = 20000, kDelete = 100;
+  BENCH_OK(wl.Populate(db.get(), "parts", kRows));
+  BENCH_OK(db->CreateIndex("parts", "id"));
+  int64_t lo = 0;
+  for (auto _ : state) {
+    BENCH_OK(db->WithTransaction([&](txn::Transaction* txn) {
+      return db->DeleteWhere(txn, "parts", KeyRange(lo, lo + kDelete))
+          .status();
+    }));
+    state.PauseTiming();
+    BENCH_OK(db->WithTransaction([&](txn::Transaction* txn) -> Status {
+      for (int64_t id = lo; id < lo + kDelete; ++id) {
+        OPDELTA_RETURN_IF_ERROR(db->Insert(txn, "parts", wl.MakeRow(id)));
+      }
+      return Status::OK();
+    }));
+    lo = (lo + kDelete) % kRows;
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * kDelete);
+}
+BENCHMARK(BM_EngineDeleteRange)->Unit(benchmark::kMicrosecond);
 
 // Net-change apply of one window-shaped batch per iteration, as a log
 // source ships it after a batch-window cycle: 500 upserts of present keys,

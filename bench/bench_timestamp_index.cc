@@ -76,10 +76,9 @@ void Run() {
                       }));
     const Micros t_scan = sw_scan.ElapsedMicros();
 
-    extract::TimestampExtractor::Options opt;
-    opt.use_index = true;
+    // The extractor's `last_modified > watermark` takes the index range.
     extract::TimestampExtractor index_extractor(db.get(), "parts",
-                                                "last_modified", opt);
+                                                "last_modified");
     Stopwatch sw_index;
     Result<extract::DeltaBatch> batch =
         index_extractor.ExtractSince(watermark);

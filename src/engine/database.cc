@@ -1,6 +1,7 @@
 #include "engine/database.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/env.h"
 #include "common/logging.h"
@@ -512,6 +513,19 @@ Status CheckSchemaUnchanged(const Table* table,
                           "statement waited; retry");
 }
 
+/// Maps the row path's read to a write path's result. An empty slot means
+/// the lock's previous holder deleted the row or moved it to another rid
+/// after the statement picked it, so the statement may have missed the
+/// row: a retryable Conflict, like a lock timeout.
+Status RowStillThere(const Table* table, const Rid& rid, const Status& read) {
+  if (!read.IsNotFound()) return read;
+  return Status::Conflict("table " + table->info().name + ": row (" +
+                          std::to_string(rid.page_id) + "," +
+                          std::to_string(rid.slot) +
+                          ") was deleted or moved while the statement "
+                          "waited for its lock; retry");
+}
+
 }  // namespace
 
 void Database::StampTimestamp(const catalog::Schema& schema, Row* row,
@@ -619,40 +633,29 @@ Result<size_t> Database::UpdateWhere(
     sets.emplace_back(idx, a.value);
   }
 
-  OPDELTA_RETURN_IF_ERROR(
-      locks_.LockTable(txn->id(), table->id(), LockMode::kIX));
-  OPDELTA_RETURN_IF_ERROR(CheckSchemaUnchanged(table, schema));
-
-  // Phase 1: collect matches via the chosen access path (two-phase also
-  // avoids the Halloween problem of re-visiting rows the update relocates).
-  std::vector<Match> matches;
-  OPDELTA_RETURN_IF_ERROR(CollectMatches(table, bound, &matches));
-
-  // Phase 2: lock and apply. The heap bytes collected with each row are
-  // its before image.
   struct Fired {
     Row before;
     Row after;
   };
   std::vector<Fired> fired;
-  fired.reserve(matches.size());
-  for (Match& m : matches) {
-    OPDELTA_RETURN_IF_ERROR(
-        locks_.LockRow(txn->id(), table->id(), m.rid, /*exclusive=*/true));
-    Row after = m.row;
-    for (const auto& [idx, value] : sets) after[idx] = value;
-    StampTimestamp(schema, &after, explicit_ts_col);
-    OPDELTA_RETURN_IF_ERROR(ReplaceRow(txn, table, m.rid, m.row,
-                                       std::move(m.encoded), after,
-                                       RowCodec::Encode(schema, after)));
-    fired.push_back(Fired{std::move(m.row), std::move(after)});
-  }
+  OPDELTA_RETURN_IF_ERROR(ForEachLockedMatch(
+      txn, table, schema, bound,
+      [&](const Rid& rid, Row before, LogRecord* rec) -> Status {
+        Row after = before;
+        for (const auto& [idx, value] : sets) after[idx] = value;
+        StampTimestamp(schema, &after, explicit_ts_col);
+        std::string after_enc = RowCodec::Encode(schema, after);
+        OPDELTA_RETURN_IF_ERROR(ReplaceRow(txn, table, rid, before, after,
+                                           std::move(after_enc), rec));
+        fired.push_back(Fired{std::move(before), std::move(after)});
+        return Status::OK();
+      }));
 
   for (const Fired& f : fired) {
     OPDELTA_RETURN_IF_ERROR(
         FireTriggers(table, txn, kOnUpdate, f.before, f.after));
   }
-  return matches.size();
+  return fired.size();
 }
 
 Result<size_t> Database::DeleteWhere(Transaction* txn,
@@ -664,40 +667,40 @@ Result<size_t> Database::DeleteWhere(Transaction* txn,
 
   Predicate bound = pred;
   OPDELTA_RETURN_IF_ERROR(bound.Bind(schema));
+  std::vector<Row> removed;
+  OPDELTA_RETURN_IF_ERROR(ForEachLockedMatch(
+      txn, table, schema, bound,
+      [&](const Rid& rid, Row before, LogRecord* rec) -> Status {
+        OPDELTA_RETURN_IF_ERROR(RemoveRow(txn, table, rid, before, rec));
+        removed.push_back(std::move(before));
+        return Status::OK();
+      }));
+
+  for (const Row& before : removed) {
+    OPDELTA_RETURN_IF_ERROR(FireTriggers(table, txn, kOnDelete, before, Row{}));
+  }
+  return removed.size();
+}
+
+Status Database::ForEachLockedMatch(Transaction* txn, Table* table,
+                                    const catalog::Schema& schema,
+                                    const Predicate& bound,
+                                    const RowChange& change) {
   OPDELTA_RETURN_IF_ERROR(
       locks_.LockTable(txn->id(), table->id(), LockMode::kIX));
-  OPDELTA_RETURN_IF_ERROR(CheckSchemaUnchanged(table, schema));
-
-  std::vector<Match> matches;
-  OPDELTA_RETURN_IF_ERROR(CollectMatches(table, bound, &matches));
-
-  for (Match& m : matches) {
-    OPDELTA_RETURN_IF_ERROR(
-        locks_.LockRow(txn->id(), table->id(), m.rid, /*exclusive=*/true));
-    {
-      std::unique_lock<common::OrderedSharedMutex> latch(table->latch);
-      table->IndexErase(m.row, m.rid);
-      OPDELTA_RETURN_IF_ERROR(table->heap()->Delete(m.rid));
-      QuarantineFreedSlot(txn->id(), table->id(), m.rid);
-    }
-
-    // Undo before WAL: a failed append must still be rollback-able.
-    txn->undo_log().push_back(UndoEntry{LogRecordType::kDelete, table->id(),
-                                        m.rid, m.encoded});
-
-    LogRecord rec;
-    rec.type = LogRecordType::kDelete;
-    rec.txn_id = txn->id();
-    rec.table_id = table->id();
-    rec.rid = m.rid;
-    rec.before = std::move(m.encoded);
-    OPDELTA_RETURN_IF_ERROR(wal_.Append(&rec));
+  // Collect first, then write: a two-phase statement never revisits a row
+  // it relocated (the Halloween problem).
+  std::vector<Rid> candidates;
+  OPDELTA_RETURN_IF_ERROR(VisitRows(table, schema, bound, /*rids_only=*/true,
+                                    [&](const Rid& rid, const Row*) {
+                                      candidates.push_back(rid);
+                                      return true;
+                                    }));
+  for (const Rid& rid : candidates) {
+    OPDELTA_RETURN_IF_ERROR(RowStillThere(
+        table, rid, ChangeRow(txn, table, rid, &bound, change).status()));
   }
-
-  for (const Match& m : matches) {
-    OPDELTA_RETURN_IF_ERROR(FireTriggers(table, txn, kOnDelete, m.row, Row{}));
-  }
-  return matches.size();
+  return Status::OK();
 }
 
 bool Database::PickIndexPath(Table* table, const Predicate& pred,
@@ -750,64 +753,34 @@ bool Database::PickIndexPath(Table* table, const Predicate& pred,
   return true;
 }
 
-Status Database::CollectMatches(Table* table, const Predicate& bound,
-                                std::vector<Match>* out) {
+Status Database::VisitRows(Table* table, const catalog::Schema& schema,
+                           const Predicate& bound, bool rids_only,
+                           const RowVisitor& fn) {
   std::shared_lock<common::OrderedSharedMutex> latch(table->latch);
-  const catalog::Schema& schema = table->schema();
-
-  std::string index_column;
+  OPDELTA_RETURN_IF_ERROR(CheckSchemaUnchanged(table, schema));
+  // Documented contract: visitors run under the table read latch and must
+  // not re-enter mutating APIs (see Scan in database.h).
+  Status st;
+  auto visit = [&](const Rid& rid, Slice record) {
+    if (rids_only && bound.is_true()) return fn(rid, nullptr);  // NOLINT(opdelta-R3: visitor contract)
+    Row row;
+    st = RowCodec::Decode(schema, record, &row);
+    if (!st.ok()) return false;
+    return !bound.Matches(row) || fn(rid, &row);  // NOLINT(opdelta-R3: visitor contract)
+  };
+  std::string column;
   int64_t lo, hi;
-  if (PickIndexPath(table, bound, &index_column, &lo, &hi)) {
-    index::BPlusTree* tree = table->GetIndex(index_column);
-    Status inner;
-    tree->ScanRange(lo, hi, [&](int64_t, const Rid& rid) {
-      std::string record;
-      inner = table->heap()->Read(rid, &record);
-      if (!inner.ok()) return false;
-      Row row;
-      inner = RowCodec::Decode(schema, Slice(record), &row);
-      if (!inner.ok()) return false;
-      if (bound.Matches(row)) {
-        out->push_back(Match{rid, std::move(row), std::move(record)});
-      }
-      return true;
+  if (PickIndexPath(table, bound, &column, &lo, &hi)) {
+    std::string record;
+    table->GetIndex(column)->ScanRange(lo, hi, [&](int64_t, const Rid& rid) {
+      if (rids_only) return fn(rid, nullptr);  // NOLINT(opdelta-R3: visitor contract)
+      st = table->heap()->Read(rid, &record);
+      return st.ok() && visit(rid, Slice(record));
     });
-    return inner;
+    return st;
   }
-
-  Status decode_status;
-  OPDELTA_RETURN_IF_ERROR(
-      table->heap()->ForEach([&](const Rid& rid, Slice record) {
-        Row row;
-        decode_status = RowCodec::Decode(schema, record, &row);
-        if (!decode_status.ok()) return false;
-        if (bound.Matches(row)) {
-          out->push_back(Match{rid, std::move(row), record.ToString()});
-        }
-        return true;
-      }));
-  return decode_status;
-}
-
-Status Database::ProbeKey(Table* table, const Predicate& by_key,
-                          bool read_rows, std::optional<Rid>* rid) {
-  rid->reset();
-  if (!read_rows) {
-    std::shared_lock<common::OrderedSharedMutex> latch(table->latch);
-    std::string column;
-    int64_t lo, hi;
-    if (PickIndexPath(table, by_key, &column, &lo, &hi)) {
-      table->GetIndex(column)->ScanRange(lo, hi, [&](int64_t, const Rid& r) {
-        *rid = r;
-        return false;
-      });
-      return Status::OK();
-    }
-  }
-  std::vector<Match> matches;
-  OPDELTA_RETURN_IF_ERROR(CollectMatches(table, by_key, &matches));
-  if (!matches.empty()) *rid = matches.front().rid;
-  return Status::OK();
+  OPDELTA_RETURN_IF_ERROR(table->heap()->ForEach(visit));
+  return st;
 }
 
 Result<bool> Database::UpsertByKey(Transaction* txn,
@@ -824,31 +797,31 @@ Result<bool> Database::UpsertByKey(Transaction* txn,
   OPDELTA_RETURN_IF_ERROR(by_key.Bind(schema));
   OPDELTA_RETURN_IF_ERROR(
       locks_.LockTable(txn->id(), table->id(), LockMode::kIX));
-  OPDELTA_RETURN_IF_ERROR(CheckSchemaUnchanged(table, schema));
 
-  // After a miss the probe reads each candidate's row, as UpdateWhere's
-  // match pass does, so a stale index entry cannot hand back the same
-  // candidate forever.
-  bool read_rows = false;
+  const std::string encoded = RowCodec::Encode(schema, row);
+  // After a miss the probe reads each candidate's row before picking it,
+  // so a stale index entry cannot hand back the same candidate forever.
+  bool rids_only = true;
   for (;;) {
     std::optional<Rid> rid;
-    OPDELTA_RETURN_IF_ERROR(ProbeKey(table, by_key, read_rows, &rid));
+    OPDELTA_RETURN_IF_ERROR(VisitRows(table, schema, by_key, rids_only,
+                                      [&](const Rid& r, const Row*) {
+                                        rid = r;
+                                        return false;
+                                      }));
     if (!rid.has_value()) break;
-    OPDELTA_RETURN_IF_ERROR(
-        locks_.LockRow(txn->id(), table->id(), *rid, /*exclusive=*/true));
-    // Lock, then read: the row may have been deleted or re-keyed by the
-    // writer the lock waited for.
-    std::string before_enc;
     Row before;
-    Status read = ReadRow(table, *rid, &before_enc, &before);
-    if (read.IsNotFound() || (read.ok() && !by_key.Matches(before))) {
-      read_rows = true;
+    Result<bool> match = ChangeRow(
+        txn, table, *rid, &by_key,
+        [&](const Rid& r, Row current, LogRecord* rec) {
+          before = std::move(current);
+          return ReplaceRow(txn, table, r, before, row, encoded, rec);
+        });
+    if (!match.ok() && !match.status().IsNotFound()) return match.status();
+    if (!match.ok() || !match.value()) {
+      rids_only = false;  // gone, or re-keyed by the writer the lock waited for
       continue;
     }
-    OPDELTA_RETURN_IF_ERROR(read);
-    OPDELTA_RETURN_IF_ERROR(ReplaceRow(txn, table, *rid, before,
-                                       std::move(before_enc), row,
-                                       RowCodec::Encode(schema, row)));
     OPDELTA_RETURN_IF_ERROR(FireTriggers(table, txn, kOnUpdate, before, row));
     return true;
   }
@@ -857,43 +830,59 @@ Result<bool> Database::UpsertByKey(Transaction* txn,
   return false;
 }
 
-Status Database::ReadRow(Table* table, const Rid& rid, std::string* encoded,
-                         Row* row) {
-  std::shared_lock<common::OrderedSharedMutex> latch(table->latch);
-  OPDELTA_RETURN_IF_ERROR(table->heap()->Read(rid, encoded));
-  return RowCodec::Decode(table->schema(), Slice(*encoded), row);
+Result<bool> Database::ChangeRow(Transaction* txn, Table* table,
+                                 const Rid& rid, const Predicate* bound,
+                                 const RowChange& change) {
+  OPDELTA_RETURN_IF_ERROR(
+      locks_.LockRow(txn->id(), table->id(), rid, /*exclusive=*/true));
+  LogRecord rec;
+  {
+    std::unique_lock<common::OrderedSharedMutex> latch(table->latch);
+    OPDELTA_RETURN_IF_ERROR(table->heap()->Read(rid, &rec.before));
+    Row before;
+    OPDELTA_RETURN_IF_ERROR(
+        RowCodec::Decode(table->schema(), Slice(rec.before), &before));
+    if (bound != nullptr && !bound->Matches(before)) return false;
+    // RowChange's contract (database.h): it runs under the latch and
+    // calls no Database API but ReplaceRow or RemoveRow.
+    OPDELTA_RETURN_IF_ERROR(change(rid, std::move(before), &rec));  // NOLINT(opdelta-R3: row-change contract)
+  }
+
+  // Undo before WAL: a failed append must still be rollback-able. An
+  // update's undo entry names the rid the row now lives at.
+  txn->undo_log().push_back(
+      UndoEntry{rec.type, table->id(),
+                rec.type == LogRecordType::kUpdate ? rec.rid2 : rec.rid,
+                rec.before});
+  rec.txn_id = txn->id();
+  rec.table_id = table->id();
+  OPDELTA_RETURN_IF_ERROR(wal_.Append(&rec));
+  return true;
 }
 
 Status Database::ReplaceRow(Transaction* txn, Table* table, const Rid& rid,
-                            const Row& before, std::string before_enc,
-                            const Row& after, std::string after_enc,
-                            Rid* new_rid_out) {
-  Rid new_rid;
-  {
-    std::unique_lock<common::OrderedSharedMutex> latch(table->latch);
-    OPDELTA_RETURN_IF_ERROR(table->heap()->Update(
-        rid, Slice(after_enc), &new_rid, FreedSlotFilter(table->id())));
-    table->IndexReplace(before, rid, after, new_rid);
-    if (!(new_rid == rid)) {
-      // Relocation freed the old slot; keep it ours until we resolve.
-      QuarantineFreedSlot(txn->id(), table->id(), rid);
-    }
+                            const Row& before, const Row& after,
+                            std::string after_enc, LogRecord* rec) {
+  OPDELTA_RETURN_IF_ERROR(table->heap()->Update(
+      rid, Slice(after_enc), &rec->rid2, FreedSlotFilter(table->id())));
+  table->IndexReplace(before, rid, after, rec->rid2);
+  if (!(rec->rid2 == rid)) {
+    // Relocation freed the old slot; keep it ours until we resolve.
+    QuarantineFreedSlot(txn->id(), table->id(), rid);
   }
+  rec->type = LogRecordType::kUpdate;
+  rec->rid = rid;
+  rec->after = std::move(after_enc);
+  return Status::OK();
+}
 
-  // Undo before WAL: a failed append must still be rollback-able.
-  txn->undo_log().push_back(UndoEntry{LogRecordType::kUpdate, table->id(),
-                                      new_rid, before_enc});
-
-  LogRecord rec;
-  rec.type = LogRecordType::kUpdate;
-  rec.txn_id = txn->id();
-  rec.table_id = table->id();
-  rec.rid = rid;
-  rec.rid2 = new_rid;
-  rec.before = std::move(before_enc);
-  rec.after = std::move(after_enc);
-  OPDELTA_RETURN_IF_ERROR(wal_.Append(&rec));
-  if (new_rid_out != nullptr) *new_rid_out = new_rid;
+Status Database::RemoveRow(Transaction* txn, Table* table, const Rid& rid,
+                           const Row& before, LogRecord* rec) {
+  table->IndexErase(before, rid);
+  OPDELTA_RETURN_IF_ERROR(table->heap()->Delete(rid));
+  QuarantineFreedSlot(txn->id(), table->id(), rid);
+  rec->type = LogRecordType::kDelete;
+  rec->rid = rid;
   return Status::OK();
 }
 
@@ -907,8 +896,10 @@ Status Database::ReadAt(Transaction* txn, const std::string& table_name,
     OPDELTA_RETURN_IF_ERROR(
         locks_.LockRow(txn->id(), table->id(), rid, /*exclusive=*/false));
   }
+  std::shared_lock<common::OrderedSharedMutex> latch(table->latch);
   std::string record;
-  return ReadRow(table, rid, &record, out);
+  OPDELTA_RETURN_IF_ERROR(table->heap()->Read(rid, &record));
+  return RowCodec::Decode(table->schema(), Slice(record), out);
 }
 
 Status Database::UpdateAt(Transaction* txn, const std::string& table_name,
@@ -921,14 +912,17 @@ Status Database::UpdateAt(Transaction* txn, const std::string& table_name,
   OPDELTA_RETURN_IF_ERROR(
       locks_.LockTable(txn->id(), table->id(), LockMode::kIX));
   OPDELTA_RETURN_IF_ERROR(CheckSchemaUnchanged(table, schema));
-  OPDELTA_RETURN_IF_ERROR(
-      locks_.LockRow(txn->id(), table->id(), rid, /*exclusive=*/true));
-
-  std::string before_enc;
-  Row before;
-  OPDELTA_RETURN_IF_ERROR(ReadRow(table, rid, &before_enc, &before));
-  return ReplaceRow(txn, table, rid, before, std::move(before_enc), row,
-                    RowCodec::Encode(schema, row), new_rid_out);
+  std::string encoded = RowCodec::Encode(schema, row);
+  return RowStillThere(
+      table, rid,
+      ChangeRow(txn, table, rid, nullptr,
+                [&](const Rid&, Row before, LogRecord* rec) {
+                  OPDELTA_RETURN_IF_ERROR(ReplaceRow(
+                      txn, table, rid, before, row, std::move(encoded), rec));
+                  if (new_rid_out != nullptr) *new_rid_out = rec->rid2;
+                  return Status::OK();
+                })
+          .status());
 }
 
 Status Database::DeleteAt(Transaction* txn, const std::string& table_name,
@@ -937,32 +931,13 @@ Status Database::DeleteAt(Transaction* txn, const std::string& table_name,
   if (table == nullptr) return Status::NotFound("table " + table_name);
   OPDELTA_RETURN_IF_ERROR(
       locks_.LockTable(txn->id(), table->id(), LockMode::kIX));
-  OPDELTA_RETURN_IF_ERROR(
-      locks_.LockRow(txn->id(), table->id(), rid, /*exclusive=*/true));
-
-  std::string before_enc;
-  {
-    std::unique_lock<common::OrderedSharedMutex> latch(table->latch);
-    OPDELTA_RETURN_IF_ERROR(table->heap()->Read(rid, &before_enc));
-    Row before_row;
-    OPDELTA_RETURN_IF_ERROR(
-        RowCodec::Decode(table->schema(), Slice(before_enc), &before_row));
-    table->IndexErase(before_row, rid);
-    OPDELTA_RETURN_IF_ERROR(table->heap()->Delete(rid));
-    QuarantineFreedSlot(txn->id(), table->id(), rid);
-  }
-
-  // Undo before WAL: a failed append must still be rollback-able.
-  txn->undo_log().push_back(
-      UndoEntry{LogRecordType::kDelete, table->id(), rid, before_enc});
-
-  LogRecord rec;
-  rec.type = LogRecordType::kDelete;
-  rec.txn_id = txn->id();
-  rec.table_id = table->id();
-  rec.rid = rid;
-  rec.before = std::move(before_enc);
-  return wal_.Append(&rec);
+  return RowStillThere(
+      table, rid,
+      ChangeRow(txn, table, rid, nullptr,
+                [&](const Rid&, Row before, LogRecord* rec) {
+                  return RemoveRow(txn, table, rid, before, rec);
+                })
+          .status());
 }
 
 Status Database::Scan(
@@ -979,43 +954,9 @@ Status Database::Scan(
         locks_.LockTable(txn->id(), table->id(), LockMode::kIS));
   }
 
-  std::shared_lock<common::OrderedSharedMutex> latch(table->latch);
-  OPDELTA_RETURN_IF_ERROR(CheckSchemaUnchanged(table, schema));
-
-  // Access-path selection: stream through an index range when one covers a
-  // conjunct, else full heap scan.
-  std::string index_column;
-  int64_t lo, hi;
-  if (PickIndexPath(table, bound, &index_column, &lo, &hi)) {
-    index::BPlusTree* tree = table->GetIndex(index_column);
-    Status inner;
-    tree->ScanRange(lo, hi, [&](int64_t, const Rid& rid) {
-      std::string record;
-      inner = table->heap()->Read(rid, &record);
-      if (!inner.ok()) return false;
-      Row row;
-      inner = RowCodec::Decode(schema, Slice(record), &row);
-      if (!inner.ok()) return false;
-      if (!bound.Matches(row)) return true;
-      // Documented contract: scan callbacks run under the table read latch
-      // and must not re-enter mutating APIs (see database.h).
-      return fn(rid, row);  // NOLINT(opdelta-R3: scan callback contract)
-    });
-    return inner;
-  }
-
-  Status decode_status;
-  OPDELTA_RETURN_IF_ERROR(table->heap()->ForEach(
-      [&](const Rid& rid, Slice record) {
-        Row row;
-        decode_status = RowCodec::Decode(schema, record, &row);
-        if (!decode_status.ok()) return false;
-        if (!bound.Matches(row)) return true;
-        // Documented contract: scan callbacks run under the table read latch
-        // and must not re-enter mutating APIs (see database.h).
-        return fn(rid, row);  // NOLINT(opdelta-R3: scan callback contract)
-      }));
-  return decode_status;
+  return VisitRows(
+      table, schema, bound, /*rids_only=*/false,
+      [&](const Rid& rid, const Row* row) { return fn(rid, *row); });
 }
 
 Status Database::ScanCommitted(
@@ -1057,37 +998,6 @@ Status Database::ScanCommitted(
   if (st.ok()) st = Commit(txn.get());
   if (!st.ok() && txn->active()) (void)Abort(txn.get());
   return st;
-}
-
-Status Database::IndexScan(
-    Transaction* txn, const std::string& table_name, const std::string& column,
-    int64_t lo, int64_t hi,
-    const std::function<bool(const Rid&, const Row&)>& fn) {
-  Table* table = GetTable(table_name);
-  if (table == nullptr) return Status::NotFound("table " + table_name);
-  if (txn != nullptr) {
-    OPDELTA_RETURN_IF_ERROR(
-        locks_.LockTable(txn->id(), table->id(), LockMode::kIS));
-  }
-
-  std::shared_lock<common::OrderedSharedMutex> latch(table->latch);
-  index::BPlusTree* tree = table->GetIndex(column);
-  if (tree == nullptr) {
-    return Status::NotFound("no index on " + table_name + "." + column);
-  }
-  Status inner;
-  tree->ScanRange(lo, hi, [&](int64_t, const Rid& rid) {
-    std::string record;
-    inner = table->heap()->Read(rid, &record);
-    if (!inner.ok()) return false;
-    Row row;
-    inner = RowCodec::Decode(table->schema(), Slice(record), &row);
-    if (!inner.ok()) return false;
-    // Documented contract: scan callbacks run under the table read latch
-    // and must not re-enter mutating APIs (see database.h).
-    return fn(rid, row);  // NOLINT(opdelta-R3: scan callback contract)
-  });
-  return inner;
 }
 
 Result<uint64_t> Database::CountRows(const std::string& table_name) {

@@ -6,7 +6,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -54,9 +53,20 @@ struct Assignment {
 /// timestamp columns, and secondary indexes.
 ///
 /// DML statements deliberately execute the way the paper's §3 assumes:
-/// UPDATE/DELETE perform a table scan to find affected rows, and row-level
-/// triggers fire one sink write per captured image inside the user's
-/// transaction.
+/// UPDATE/DELETE find their rows with a predicate scan (a B+tree range when
+/// an index covers a conjunct), and row-level triggers fire one sink write
+/// per captured image inside the user's transaction.
+///
+/// Every write to an existing row (UpdateWhere, DeleteWhere, UpsertByKey,
+/// UpdateAt, DeleteAt) takes one row path: X-lock the row; then, in one
+/// hold of the table's exclusive latch, read and decode the committed
+/// image, recheck the predicate against it and change the heap and
+/// indexes. The undo entry and the WAL record carry those heap bytes, so
+/// an image an aborted writer left before the lock was granted never comes
+/// back. A row that no longer matches is skipped. A slot empty after the
+/// lock (its previous holder deleted the row or moved it to another rid)
+/// returns a retryable Conflict: the statement may have missed the row's
+/// new place.
 class Database {
  public:
   ~Database();
@@ -125,11 +135,17 @@ class Database {
                    catalog::Row row, storage::Rid* rid_out = nullptr);
 
   /// UPDATE <table> SET <assignments> WHERE <pred>. Returns rows affected.
+  /// Collects candidates, then takes each through the row path (class
+  /// comment) and writes committed image + SET. An index range's
+  /// candidates are its rids, so every row in the range is X-locked before
+  /// its recheck; a heap scan's are the rows whose current image matches.
+  /// Rows inserted after the candidate pass are missed (ROADMAP item 2(a)).
   Result<size_t> UpdateWhere(txn::Transaction* txn, const std::string& table,
                              const Predicate& pred,
                              const std::vector<Assignment>& assignments);
 
-  /// DELETE FROM <table> WHERE <pred>. Returns rows affected.
+  /// DELETE FROM <table> WHERE <pred>. Returns rows affected. Finds,
+  /// locks and rechecks its rows as UpdateWhere does.
   Result<size_t> DeleteWhere(txn::Transaction* txn, const std::string& table,
                              const Predicate& pred);
 
@@ -138,14 +154,12 @@ class Database {
   /// Returns true when a row was replaced, false when `row` was inserted.
   ///   - Stamps the timestamp column and validates exactly as Insert does:
   ///     with auto_timestamp off the image's own stamp is kept.
-  ///   - Probes, locks, then reads once. With an index on the key column
-  ///     the candidate rid comes from one B+tree probe that touches no
-  ///     heap page; without one, from a heap scan. Takes table IX, X-locks
-  ///     the candidate, then reads and decodes it, and that image is the
-  ///     before image: the WAL record carries the heap's bytes. If the row
-  ///     is gone or carries another key (a concurrent writer, or a stale
-  ///     index entry), the next probe reads each candidate's row, as
-  ///     UpdateWhere's match pass does.
+  ///   - Probes, then takes the candidate through the row path (class
+  ///     comment) with `key = value` as the recheck. With an index on the
+  ///     key column the candidate rid comes from one B+tree probe that
+  ///     touches no heap page; without one, from a heap scan. If the slot
+  ///     is empty or the row carries another key (a concurrent writer, or
+  ///     a stale index entry), the next probe reads each candidate's row.
   ///   - Replaces in place (one kUpdate WAL record; the rid changes only
   ///     when the new image no longer fits its page) and fires update
   ///     triggers, as UpdateWhere does; an insert fires insert triggers.
@@ -159,12 +173,13 @@ class Database {
 
   // Point operations by rid — used by log replay
   // (extract::LogExtractor::ReplayInto), the snapshot-differential apply
-  // and the aggregate-view maintainer. They take the same locks, push the
+  // and the aggregate-view maintainer. UpdateAt and DeleteAt take the row
+  // path with no recheck, so an empty slot returns Conflict. They push the
   // same undo entries (before the WAL append, so Abort rolls back even a
   // write whose log append failed) and write the same WAL records as the
-  // scan forms but skip predicate evaluation. UpdateAt reports the
-  // (possibly relocated) rid. Triggers do NOT fire for point ops: they
-  // model a recovery-manager-style apply path below the trigger layer.
+  // predicate forms. UpdateAt reports the (possibly relocated) rid.
+  // Triggers do NOT fire for point ops: they model a recovery-manager-style
+  // apply path below the trigger layer.
   Status ReadAt(txn::Transaction* txn, const std::string& table,
                 const storage::Rid& rid, catalog::Row* out);
   Status UpdateAt(txn::Transaction* txn, const std::string& table,
@@ -174,9 +189,11 @@ class Database {
                   const storage::Rid& rid);
 
   // -- Queries ----------------------------------------------------------
-  /// Full scan under a table IS lock. Not read committed: rows are read in
-  /// place without row locks, so the scan can see another transaction's
-  /// uncommitted writes (ROADMAP item 1(c)); use ScanCommitted for
+  /// Predicate scan under a table IS lock: a B+tree range when a conjunct
+  /// compares an indexed int64/timestamp column with a literal (rows in
+  /// key order), else the heap. Not read committed: rows are read in place
+  /// without row locks, so the scan can see another transaction's
+  /// uncommitted writes (ROADMAP item 2(c)); use ScanCommitted for
   /// committed images. `txn` may be nullptr for internal utility reads (no
   /// transactional locking, latch only).
   /// The callback runs while the table read latch is held: it must not
@@ -185,13 +202,6 @@ class Database {
               const Predicate& pred,
               const std::function<bool(const storage::Rid&,
                                        const catalog::Row&)>& fn);
-
-  /// Range scan over a B+tree-indexed column, lo <= key <= hi. The callback
-  /// contract matches Scan: no re-entry into mutating APIs.
-  Status IndexScan(txn::Transaction* txn, const std::string& table,
-                   const std::string& column, int64_t lo, int64_t hi,
-                   const std::function<bool(const storage::Rid&,
-                                            const catalog::Row&)>& fn);
 
   /// Committed-read scan: a latch-only candidate pass collects rids, then
   /// one internal transaction re-reads each candidate under a row S lock
@@ -293,21 +303,43 @@ class Database {
                     catalog::Row row, storage::Rid* rid_out, bool stamp,
                     bool fire_triggers);
 
-  /// Reads and decodes the row at `rid` under the table's shared latch.
-  Status ReadRow(Table* table, const storage::Rid& rid, std::string* encoded,
-                 catalog::Row* row);
+  /// A row's heap and index change, made under the table's exclusive
+  /// latch: gets the row's rid and committed image and fills in the
+  /// change's log record. Holding the latch, it calls no Database API but
+  /// ReplaceRow or RemoveRow, which do both.
+  using RowChange = std::function<Status(
+      const storage::Rid&, catalog::Row before, txn::LogRecord* rec)>;
 
-  /// The row-replace sequence of every update path. `txn` holds `rid`'s X
-  /// lock and `before`/`before_enc` is its current image, `before_enc` the
-  /// heap's bytes. Under the table latch: updates the heap (a relocation
-  /// skips quarantined slots and quarantines the slot it frees) and moves
-  /// each index entry whose key or rid changed (Table::IndexReplace). Then
-  /// pushes the undo entry and appends the kUpdate WAL record, in that
-  /// order.
+  /// The row path. X-locks `rid`; then, under the table's exclusive latch,
+  /// reads and decodes the row, rechecks `bound` (none: always matches)
+  /// and hands a match to `change`. Then pushes the undo entry and appends
+  /// the record, in that order, so a failed append still rolls back; both
+  /// carry the heap's bytes as the before image. Returns whether the row
+  /// matched, or the heap's NotFound when the slot is empty.
+  Result<bool> ChangeRow(txn::Transaction* txn, Table* table,
+                         const storage::Rid& rid, const Predicate* bound,
+                         const RowChange& change);
+
+  /// UpdateWhere's and DeleteWhere's loop: takes table IX, collects the
+  /// candidates (VisitRows with `rids_only`), then takes each through
+  /// ChangeRow. An empty slot returns Conflict.
+  Status ForEachLockedMatch(txn::Transaction* txn, Table* table,
+                            const catalog::Schema& schema,
+                            const Predicate& bound, const RowChange& change);
+
+  /// ChangeRow's two changes, run under the exclusive latch. ReplaceRow
+  /// writes `after_enc` over the row (a relocation skips quarantined slots
+  /// and quarantines the slot it frees) and moves each index entry whose
+  /// key or rid changed (Table::IndexReplace). RemoveRow erases the row's
+  /// index entries, frees its slot and quarantines it. Each fills in the
+  /// record's type and rids, and a replace its after image.
   Status ReplaceRow(txn::Transaction* txn, Table* table,
                     const storage::Rid& rid, const catalog::Row& before,
-                    std::string before_enc, const catalog::Row& after,
-                    std::string after_enc, storage::Rid* new_rid = nullptr);
+                    const catalog::Row& after, std::string after_enc,
+                    txn::LogRecord* rec);
+  Status RemoveRow(txn::Transaction* txn, Table* table,
+                   const storage::Rid& rid, const catalog::Row& before,
+                   txn::LogRecord* rec);
 
   /// Access-path selection: when a conjunct compares an indexed
   /// int64/timestamp column against a literal, derive the B+tree key range
@@ -315,24 +347,17 @@ class Database {
   static bool PickIndexPath(Table* table, const Predicate& pred,
                             std::string* column, int64_t* lo, int64_t* hi);
 
-  /// A row CollectMatches found: its rid, decoded image and heap bytes.
-  struct Match {
-    storage::Rid rid;
-    catalog::Row row;
-    std::string encoded;
-  };
-
-  /// Collects the rows matching `bound` (which must be bound), via the
-  /// chosen access path, under the table's shared latch.
-  Status CollectMatches(Table* table, const Predicate& bound,
-                        std::vector<Match>* out);
-
-  /// UpsertByKey's candidate for `by_key` (a bound `key = value`): with
-  /// `read_rows` false and the key column indexed, the first index entry's
-  /// rid, read from the B+tree alone; otherwise the first row
-  /// CollectMatches finds. Empty when there is none.
-  Status ProbeKey(Table* table, const Predicate& by_key, bool read_rows,
-                  std::optional<storage::Rid>* rid);
+  /// The one access-path loop. Under the table's shared latch, after
+  /// checking that `bound`'s `schema` is still the table's, walks the
+  /// B+tree range PickIndexPath derives, else the heap, and hands `fn`
+  /// each row `bound` matches until `fn` returns false. With `rids_only`
+  /// a candidate the scan need not decode to test (every rid of an index
+  /// range, every row for an empty predicate) comes with a null row.
+  using RowVisitor =
+      std::function<bool(const storage::Rid&, const catalog::Row*)>;
+  Status VisitRows(Table* table, const catalog::Schema& schema,
+                   const Predicate& bound, bool rids_only,
+                   const RowVisitor& fn);
 
   std::string dir_;
   DatabaseOptions options_;

@@ -1,7 +1,10 @@
 #include "extract/delta.h"
 
+#include <algorithm>
+
 #include "common/coding.h"
 #include "catalog/row_codec.h"
+#include "engine/database.h"
 
 namespace opdelta::extract {
 
@@ -103,6 +106,24 @@ Status ComputeNetChanges(const DeltaBatch& batch, NetChanges* out) {
     }
   }
   return Status::OK();
+}
+
+Result<uint64_t> CaptureSeq::Next(engine::Database* db,
+                                   const std::string& table, int column) {
+  uint64_t next = next_.load(std::memory_order_acquire);
+  if (next == 0) {
+    uint64_t largest = 0;
+    OPDELTA_RETURN_IF_ERROR(db->Scan(
+        nullptr, table, engine::Predicate::True(),
+        [&](const storage::Rid&, const catalog::Row& row) {
+          largest = std::max(largest,
+                             static_cast<uint64_t>(row[column].AsInt64()));
+          return true;
+        }));
+    // Concurrent first calls read the same table; the first store wins.
+    next_.compare_exchange_strong(next, largest + 1);
+  }
+  return next_.fetch_add(1);
 }
 
 }  // namespace opdelta::extract

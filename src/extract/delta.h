@@ -1,6 +1,7 @@
 #ifndef OPDELTA_EXTRACT_DELTA_H_
 #define OPDELTA_EXTRACT_DELTA_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -11,6 +12,10 @@
 #include "catalog/schema.h"
 #include "catalog/value.h"
 #include "txn/log_record.h"
+
+namespace opdelta::engine {
+class Database;
+}  // namespace opdelta::engine
 
 namespace opdelta::extract {
 
@@ -100,6 +105,21 @@ using NetChanges = std::map<catalog::Value, std::optional<catalog::Row>>;
 
 /// Computes net changes. `key_col` defaults to the schema key column.
 Status ComputeNetChanges(const DeltaBatch& batch, NetChanges* out);
+
+/// Seq counter of a capture sink that writes into a table (the Op-Delta
+/// DB log, a trigger delta table). Drains order the table by seq, so on
+/// first use it starts one past the largest seq the table already holds
+/// (1 if empty): a sink made after a restart never sorts below rows an
+/// earlier one left.
+class CaptureSeq {
+ public:
+  /// The next seq; `column` is the table's int64 seq column. Thread-safe.
+  Result<uint64_t> Next(engine::Database* db, const std::string& table,
+                        int column);
+
+ private:
+  std::atomic<uint64_t> next_{0};  // 0 until the table has been read
+};
 
 }  // namespace opdelta::extract
 

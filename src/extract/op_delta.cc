@@ -31,8 +31,8 @@ catalog::Schema OpDeltaLogTableSchema() {
 // ---------------------------------------------------------------- DB sink
 
 Status OpDeltaDbSink::Append(engine::Database* db, txn::Transaction* txn,
-                             const char* kind, uint64_t seq,
-                             const std::string& payload) {
+                             const char* kind, const std::string& payload) {
+  OPDELTA_ASSIGN_OR_RETURN(uint64_t seq, seq_.Next(db, log_table_, 0));
   Row row;
   row.push_back(Value::Int64(static_cast<int64_t>(seq)));
   row.push_back(Value::Int64(static_cast<int64_t>(txn->id())));
@@ -42,7 +42,7 @@ Status OpDeltaDbSink::Append(engine::Database* db, txn::Transaction* txn,
 }
 
 Status OpDeltaDbSink::OnBegin(engine::Database* db, txn::Transaction* txn) {
-  return Append(db, txn, "B", next_seq_.fetch_add(1), "");
+  return Append(db, txn, "B", "");
 }
 
 namespace {
@@ -61,18 +61,17 @@ Status OpDeltaDbSink::OnStatement(engine::Database* db,
   const std::string& sql = record.sql;
   const std::string first = sql.substr(0, kMaxDbSinkPayload);
   OPDELTA_RETURN_IF_ERROR(
-      Append(db, txn, record.captured_before_images ? "T" : "S",
-             next_seq_.fetch_add(1), first));
+      Append(db, txn, record.captured_before_images ? "T" : "S", first));
   for (size_t offset = kMaxDbSinkPayload; offset < sql.size();
        offset += kMaxDbSinkPayload) {
-    OPDELTA_RETURN_IF_ERROR(Append(db, txn, "+", next_seq_.fetch_add(1),
-                                   sql.substr(offset, kMaxDbSinkPayload)));
+    OPDELTA_RETURN_IF_ERROR(
+        Append(db, txn, "+", sql.substr(offset, kMaxDbSinkPayload)));
   }
   for (const Row& img : record.before_images) {
     std::string csv;
     catalog::CsvCodec::EncodeLine(img, &csv);
     if (!csv.empty() && csv.back() == '\n') csv.pop_back();
-    OPDELTA_RETURN_IF_ERROR(Append(db, txn, "V", next_seq_.fetch_add(1), csv));
+    OPDELTA_RETURN_IF_ERROR(Append(db, txn, "V", csv));
   }
   (void)schema;
   return Status::OK();
@@ -87,11 +86,11 @@ Status OpDeltaDbSink::OnSchemaEvent(engine::Database* db,
   if (hex.size() > kMaxDbSinkPayload) {
     return Status::Internal("schema event too large for the db sink");
   }
-  return Append(db, txn, "D", next_seq_.fetch_add(1), hex);
+  return Append(db, txn, "D", hex);
 }
 
 Status OpDeltaDbSink::OnCommit(engine::Database* db, txn::Transaction* txn) {
-  return Append(db, txn, "C", next_seq_.fetch_add(1), "");
+  return Append(db, txn, "C", "");
 }
 
 Status OpDeltaDbSink::OnAbort(engine::Database* /*db*/,

@@ -10,6 +10,7 @@
 #include "common/env.h"
 #include "common/status.h"
 #include "catalog/schema.h"
+#include "extract/delta.h"
 #include "extract/schema_event.h"
 #include "sql/executor.h"
 #include "sql/statement.h"
@@ -96,9 +97,9 @@ class OpDeltaDbSink : public OpDeltaSink {
 
  private:
   Status Append(engine::Database* db, txn::Transaction* txn,
-                const char* kind, uint64_t seq, const std::string& payload);
+                const char* kind, const std::string& payload);
   std::string log_table_;
-  std::atomic<uint64_t> next_seq_{1};
+  CaptureSeq seq_;  // the log table's `seq` column
 };
 
 /// Sink appending to an operating-system file log (§4.2, second

@@ -1,19 +1,9 @@
 #include "extract/timestamp_extractor.h"
 
-#include <limits>
-
 #include "common/env.h"
 #include "catalog/row_codec.h"
 
 namespace opdelta::extract {
-
-TimestampExtractor::TimestampExtractor(engine::Database* db,
-                                       std::string table, std::string column,
-                                       Options options)
-    : db_(db),
-      table_(std::move(table)),
-      column_(std::move(column)),
-      options_(options) {}
 
 Status TimestampExtractor::ForEachMatch(
     Micros watermark, const std::function<bool(const catalog::Row&)>& fn) {
@@ -24,14 +14,6 @@ Status TimestampExtractor::ForEachMatch(
       t->schema().column(col).type != catalog::ValueType::kTimestamp) {
     return Status::InvalidArgument(column_ + " is not a timestamp column");
   }
-
-  if (options_.use_index && t->HasIndex(column_)) {
-    return db_->IndexScan(
-        nullptr, table_, column_, watermark + 1,
-        std::numeric_limits<int64_t>::max(),
-        [&](const storage::Rid&, const catalog::Row& row) { return fn(row); });
-  }
-
   engine::Predicate pred = engine::Predicate::Where(
       column_, engine::CompareOp::kGt, catalog::Value::Timestamp(watermark));
   return db_->Scan(nullptr, table_, pred,

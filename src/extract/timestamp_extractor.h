@@ -13,28 +13,19 @@ namespace opdelta::extract {
 /// `SELECT * FROM parts WHERE last_modified_date > <watermark>`.
 ///
 /// Characteristics this implementation reproduces:
-///  - requires a table scan unless an index exists on the timestamp column
-///    (and the caller opts into using it);
+///  - requires a table scan unless an index exists on the timestamp column:
+///    the predicate `column > watermark` then takes the B+tree range (the
+///    engine's access-path choice, Database::Scan);
 ///  - captures only the *final* state of a row before extraction — it
 ///    "cannot capture state changes" and never observes deletes;
 ///  - output goes to an OS file (CSV) or to a local delta table, the two
 ///    variants of Table 2.
 class TimestampExtractor {
  public:
-  struct Options {
-    /// Use a B+tree index on the timestamp column when one exists. The
-    /// paper notes the optimizer skips the index when deltas form a large
-    /// fraction of the table; callers/benches control this explicitly.
-    bool use_index = false;
-  };
-
   /// `column` must be a kTimestamp column of `table`.
   TimestampExtractor(engine::Database* db, std::string table,
-                     std::string column, Options options);
-  TimestampExtractor(engine::Database* db, std::string table,
                      std::string column)
-      : TimestampExtractor(db, std::move(table), std::move(column),
-                           Options()) {}
+      : db_(db), table_(std::move(table)), column_(std::move(column)) {}
 
   /// Extracts rows modified strictly after `watermark` into memory.
   /// Records carry op kUpsert (the method cannot distinguish insert from
@@ -59,7 +50,6 @@ class TimestampExtractor {
   engine::Database* db_;
   std::string table_;
   std::string column_;
-  Options options_;
 };
 
 }  // namespace opdelta::extract

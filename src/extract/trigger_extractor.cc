@@ -25,6 +25,9 @@ catalog::Schema DeltaTableSchemaFor(const catalog::Schema& source) {
 
 namespace {
 
+/// Position of `delta_seq` in DeltaTableSchemaFor's columns.
+constexpr int kDeltaSeqColumn = 2;
+
 Row MakeDeltaRow(DeltaOp op, txn::TxnId txn_id, uint64_t seq,
                  const Row& image) {
   Row row;
@@ -41,30 +44,25 @@ Row MakeDeltaRow(DeltaOp op, txn::TxnId txn_id, uint64_t seq,
 Status DeltaTableSink::Write(engine::Database* db, txn::Transaction* txn,
                              engine::TriggerEvents event, const Row& before,
                              const Row& after) {
+  auto insert = [&](DeltaOp op, const Row& image) -> Status {
+    OPDELTA_ASSIGN_OR_RETURN(uint64_t seq,
+                             seq_.Next(db, delta_table_, kDeltaSeqColumn));
+    return db->InsertRaw(txn, delta_table_,
+                         MakeDeltaRow(op, txn->id(), seq, image));
+  };
   switch (event) {
     case engine::kOnInsert:
       // "for insertions into the source tables, the new values being
       // inserted are captured" — one triggered insertion.
-      return db->InsertRaw(
-          txn, delta_table_,
-          MakeDeltaRow(DeltaOp::kInsert, txn->id(), seq_.fetch_add(1), after));
+      return insert(DeltaOp::kInsert, after);
     case engine::kOnUpdate:
       // "for updates, the old and new values are captured" — two triggered
       // insertions (before and after image).
-      OPDELTA_RETURN_IF_ERROR(db->InsertRaw(
-          txn, delta_table_,
-          MakeDeltaRow(DeltaOp::kUpdateBefore, txn->id(), seq_.fetch_add(1),
-                       before)));
-      return db->InsertRaw(
-          txn, delta_table_,
-          MakeDeltaRow(DeltaOp::kUpdateAfter, txn->id(), seq_.fetch_add(1),
-                       after));
+      OPDELTA_RETURN_IF_ERROR(insert(DeltaOp::kUpdateBefore, before));
+      return insert(DeltaOp::kUpdateAfter, after);
     case engine::kOnDelete:
       // "for deletions, the old values are captured."
-      return db->InsertRaw(
-          txn, delta_table_,
-          MakeDeltaRow(DeltaOp::kDelete, txn->id(), seq_.fetch_add(1),
-                       before));
+      return insert(DeltaOp::kDelete, before);
     default:
       return Status::Internal("unexpected trigger event");
   }
@@ -161,7 +159,7 @@ Result<DeltaBatch> TriggerExtractor::Drain(engine::Database* db,
           DeltaRecord r;
           r.op = static_cast<DeltaOp>(row[0].AsInt64());
           r.source_txn = static_cast<txn::TxnId>(row[1].AsInt64());
-          r.seq = static_cast<uint64_t>(row[2].AsInt64());
+          r.seq = static_cast<uint64_t>(row[kDeltaSeqColumn].AsInt64());
           r.image.assign(row.begin() + 3, row.begin() + 3 + n_src);
           batch.records.push_back(std::move(r));
           return true;

@@ -32,7 +32,7 @@ class DeltaTableSink : public engine::TriggerSink {
 
  private:
   std::string delta_table_;
-  std::atomic<uint64_t> seq_{0};
+  CaptureSeq seq_;  // the delta table's `delta_seq` column
 };
 
 /// Trigger sink writing images into a delta table in a *different*

@@ -84,8 +84,11 @@ Status LockManager::LockTable(TxnId txn, catalog::TableId table,
   }
 
   const auto deadline = std::chrono::steady_clock::now() + timeout;
-  if (!cv_.wait_until(lock, deadline,
-                      [&] { return TableGrantable(entry, txn, mode); })) {
+  ++entry.waiters;
+  const bool granted = cv_.wait_until(
+      lock, deadline, [&] { return TableGrantable(entry, txn, mode); });
+  --entry.waiters;
+  if (!granted) {
     return Status::Conflict("table lock timeout (" +
                             std::string(LockModeName(mode)) + " on table " +
                             std::to_string(table) + ")");
@@ -135,11 +138,13 @@ Status LockManager::LockRow(TxnId txn, catalog::TableId table,
     // The predicate re-resolves the row on every wakeup for the same reason
     // the loop does; when it turns true the outer loop takes the matching
     // grant branch.
+    ++entry.waiters;
     const bool ready = cv_.wait_until(lock, deadline, [&] {
       RowLock& r = entry.rows[rid];
       return r.exclusive_owner == txn || (!exclusive && r.sharers.count(txn)) ||
              RowGrantable(r, txn, exclusive);
     });
+    --entry.waiters;
     if (!ready) return Status::Conflict("row lock timeout");
   }
 }
@@ -166,6 +171,12 @@ size_t LockManager::HoldersOnTable(catalog::TableId table) {
   std::lock_guard<common::OrderedMutex> lock(mutex_);
   auto it = tables_.find(table);
   return it == tables_.end() ? 0 : it->second.holders.size();
+}
+
+size_t LockManager::WaitersOnTable(catalog::TableId table) {
+  std::lock_guard<common::OrderedMutex> lock(mutex_);
+  auto it = tables_.find(table);
+  return it == tables_.end() ? 0 : it->second.waiters;
 }
 
 }  // namespace opdelta::txn

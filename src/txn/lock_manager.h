@@ -62,6 +62,11 @@ class LockManager {
   /// table.
   size_t HoldersOnTable(catalog::TableId table);
 
+  /// Diagnostics: number of requests blocked right now on the table's lock
+  /// or one of its row locks. Tests wait on it to know that a request is
+  /// queued behind a holder, instead of sleeping.
+  size_t WaitersOnTable(catalog::TableId table);
+
  private:
   struct RowLock {
     std::set<TxnId> sharers;
@@ -71,6 +76,7 @@ class LockManager {
   struct TableEntry {
     std::map<TxnId, LockMode> holders;
     std::map<storage::Rid, RowLock> rows;
+    size_t waiters = 0;
   };
 
   bool TableGrantable(const TableEntry& entry, TxnId txn, LockMode mode) const;

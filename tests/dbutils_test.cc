@@ -363,11 +363,15 @@ TEST_F(DbUtilsTest, LoaderRowsVisibleToScansAndIndexableAfter) {
   // Create the index after the load: it must backfill the loaded rows.
   OPDELTA_ASSERT_OK(dst_->CreateIndex("parts", "id"));
   int count = 0;
-  OPDELTA_ASSERT_OK(dst_->IndexScan(nullptr, "parts", "id", 0, 499,
-                                    [&](const storage::Rid&, const Row&) {
-                                      ++count;
-                                      return true;
-                                    }));
+  OPDELTA_ASSERT_OK(dst_->Scan(
+      nullptr, "parts",
+      engine::Predicate::Where("id", engine::CompareOp::kGe,
+                               catalog::Value::Int64(0))
+          .And("id", engine::CompareOp::kLe, catalog::Value::Int64(499)),
+      [&](const storage::Rid&, const Row&) {
+        ++count;
+        return true;
+      }));
   EXPECT_EQ(count, 500);
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <map>
 #include <set>
@@ -225,10 +226,11 @@ TEST_F(DatabaseTest, AbortRestoresIndexConsistency) {
           .status());
   OPDELTA_ASSERT_OK(db_->Abort(txn.get()));
 
-  // Index scan must see exactly id=10 again.
+  // The index range must see exactly id=10 again.
   std::vector<int64_t> ids;
-  OPDELTA_ASSERT_OK(db_->IndexScan(
-      nullptr, "parts", "id", INT64_MIN, INT64_MAX,
+  OPDELTA_ASSERT_OK(db_->Scan(
+      nullptr, "parts",
+      Predicate::Where("id", CompareOp::kGe, Value::Int64(INT64_MIN)),
       [&](const storage::Rid&, const Row& row) {
         ids.push_back(row[0].AsInt64());
         return true;
@@ -400,15 +402,17 @@ TEST_F(DatabaseTest, IndexScanRange) {
   OPDELTA_ASSERT_OK(db_->CreateIndex("parts", "id"));
   for (int64_t i = 0; i < 100; ++i) OPDELTA_ASSERT_OK(InsertOne(i));
   std::vector<int64_t> ids;
-  OPDELTA_ASSERT_OK(db_->IndexScan(
-      nullptr, "parts", "id", 40, 49,
+  OPDELTA_ASSERT_OK(db_->Scan(
+      nullptr, "parts",
+      Predicate::Where("id", CompareOp::kGe, Value::Int64(40))
+          .And("id", CompareOp::kLe, Value::Int64(49)),
       [&](const storage::Rid&, const Row& row) {
         ids.push_back(row[0].AsInt64());
         return true;
       }));
-  ASSERT_EQ(ids.size(), 10u);
-  EXPECT_EQ(ids.front(), 40);
-  EXPECT_EQ(ids.back(), 49);
+  // Key order, as the B+tree range yields it.
+  EXPECT_EQ(ids, (std::vector<int64_t>{40, 41, 42, 43, 44, 45, 46, 47, 48,
+                                       49}));
 }
 
 TEST_F(DatabaseTest, IndexMaintainedThroughUpdates) {
@@ -425,14 +429,18 @@ TEST_F(DatabaseTest, IndexMaintainedThroughUpdates) {
   }));
   // Old timestamp entry must be gone; new one must be found.
   int found_old = 0, found_new = 0;
-  OPDELTA_ASSERT_OK(db_->IndexScan(
-      nullptr, "parts", "last_modified", first_ts, first_ts,
+  OPDELTA_ASSERT_OK(db_->Scan(
+      nullptr, "parts",
+      Predicate::Where("last_modified", CompareOp::kEq,
+                       Value::Timestamp(first_ts)),
       [&](const storage::Rid&, const Row&) {
         ++found_old;
         return true;
       }));
-  OPDELTA_ASSERT_OK(db_->IndexScan(
-      nullptr, "parts", "last_modified", first_ts + 1, INT64_MAX,
+  OPDELTA_ASSERT_OK(db_->Scan(
+      nullptr, "parts",
+      Predicate::Where("last_modified", CompareOp::kGt,
+                       Value::Timestamp(first_ts)),
       [&](const storage::Rid&, const Row&) {
         ++found_new;
         return true;
@@ -445,11 +453,14 @@ TEST_F(DatabaseTest, IndexBackfillsExistingRows) {
   for (int64_t i = 0; i < 50; ++i) OPDELTA_ASSERT_OK(InsertOne(i));
   OPDELTA_ASSERT_OK(db_->CreateIndex("parts", "id"));
   int count = 0;
-  OPDELTA_ASSERT_OK(db_->IndexScan(nullptr, "parts", "id", 0, 49,
-                                   [&](const storage::Rid&, const Row&) {
-                                     ++count;
-                                     return true;
-                                   }));
+  OPDELTA_ASSERT_OK(db_->Scan(
+      nullptr, "parts",
+      Predicate::Where("id", CompareOp::kGe, Value::Int64(0))
+          .And("id", CompareOp::kLe, Value::Int64(49)),
+      [&](const storage::Rid&, const Row&) {
+        ++count;
+        return true;
+      }));
   EXPECT_EQ(count, 50);
 }
 
@@ -483,8 +494,9 @@ class IndexUpkeepTest : public DatabaseTest {
   /// Every id entry leads to a row carrying that id, with `status`.
   void ExpectLookup(int64_t id, const std::string& status) {
     int found = 0;
-    OPDELTA_ASSERT_OK(db_->IndexScan(
-        nullptr, "parts", "id", id, id,
+    OPDELTA_ASSERT_OK(db_->Scan(
+        nullptr, "parts",
+        Predicate::Where("id", CompareOp::kEq, Value::Int64(id)),
         [&](const storage::Rid&, const Row& row) {
           EXPECT_EQ(row[0].AsInt64(), id);
           EXPECT_EQ(row[1].AsString(), status);
@@ -829,6 +841,121 @@ TEST_F(DatabaseTest, ConcurrentWritersOnDifferentRowsProceed) {
   EXPECT_EQ(contents.at(Value::Int64(1))[1].AsString(), "one");
   EXPECT_EQ(contents.at(Value::Int64(2))[1].AsString(), "two");
 }
+
+// The row path: a write that waited for a row's lock acts on the image
+// the lock's previous holder left committed, never on the one it saw
+// before the wait. Each case runs with and without an index on id, which
+// picks the B+tree range or the heap scan.
+class RowPathTest : public DatabaseTest,
+                    public ::testing::WithParamInterface<bool> {
+ protected:
+  void SetUp() override {
+    DatabaseTest::SetUp();
+    if (GetParam()) OPDELTA_ASSERT_OK(db_->CreateIndex("parts", "id"));
+    for (int64_t id = 1; id <= 3; ++id) OPDELTA_ASSERT_OK(InsertOne(id));
+    writer_ = db_->Begin();
+    OPDELTA_ASSERT_OK(
+        db_->UpdateWhere(writer_.get(), "parts", IdIs(2),
+                         {Assignment{"status", Value::String("dirty")}})
+            .status());
+  }
+
+  static Predicate IdIs(int64_t id) {
+    return Predicate::Where("id", CompareOp::kEq, Value::Int64(id));
+  }
+
+  /// Starts `stmt` in its own transaction on a thread and returns once the
+  /// statement waits for a lock the writer holds. `result` and `undo` get
+  /// the statement's result and its transaction's undo-log size; the
+  /// transaction then commits if the statement succeeded.
+  std::thread StartWaiter(
+      std::function<Result<size_t>(txn::Transaction*)> stmt,
+      Result<size_t>* result, size_t* undo) {
+    std::thread waiter([this, stmt, result, undo] {
+      std::unique_ptr<txn::Transaction> txn = db_->Begin();
+      *result = stmt(txn.get());
+      *undo = txn->undo_log().size();
+      if (result->ok()) {
+        OPDELTA_EXPECT_OK(db_->Commit(txn.get()));
+      } else {
+        OPDELTA_EXPECT_OK(db_->Abort(txn.get()));
+      }
+    });
+    const catalog::TableId table = db_->GetTable("parts")->id();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (db_->locks()->WaitersOnTable(table) == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(db_->locks()->WaitersOnTable(table), 1u);
+    return waiter;
+  }
+
+  std::unique_ptr<txn::Transaction> writer_;
+};
+
+TEST_P(RowPathTest, UpdateAfterAnAbortedWriterKeepsTheCommittedImage) {
+  Result<size_t> updated(size_t{0});
+  size_t undo = 0;
+  std::thread waiter = StartWaiter(
+      [&](txn::Transaction* txn) {
+        return db_->UpdateWhere(txn, "parts", IdIs(2),
+                                {Assignment{"payload", Value::String("x")}});
+      },
+      &updated, &undo);
+  OPDELTA_ASSERT_OK(db_->Abort(writer_.get()));
+  waiter.join();
+  OPDELTA_ASSERT_OK(updated.status());
+  EXPECT_EQ(updated.value(), 1u);
+  const Row row = TableContents(db_.get(), "parts").at(Value::Int64(2));
+  EXPECT_EQ(row[1].AsString(), "active");  // not the aborted "dirty"
+  EXPECT_EQ(row[2].AsString(), "x");
+}
+
+TEST_P(RowPathTest, DeleteSkipsARowOnlyTheAbortedImageMatched) {
+  Result<size_t> deleted(size_t{0});
+  size_t undo = 0;
+  std::thread waiter = StartWaiter(
+      [&](txn::Transaction* txn) {
+        return db_->DeleteWhere(
+            txn, "parts",
+            Predicate::Where("id", CompareOp::kGe, Value::Int64(0))
+                .And("id", CompareOp::kLt, Value::Int64(10))
+                .And("status", CompareOp::kEq, Value::String("dirty")));
+      },
+      &deleted, &undo);
+  OPDELTA_ASSERT_OK(db_->Abort(writer_.get()));
+  waiter.join();
+  OPDELTA_ASSERT_OK(deleted.status());
+  EXPECT_EQ(deleted.value(), 0u);
+  EXPECT_EQ(undo, 0u);
+  EXPECT_EQ(CountRows(db_.get(), "parts"), 3u);
+}
+
+TEST_P(RowPathTest, RowDeletedByTheLockHolderIsAConflict) {
+  Result<size_t> updated(size_t{0});
+  size_t undo = 0;
+  std::thread waiter = StartWaiter(
+      [&](txn::Transaction* txn) {
+        return db_->UpdateWhere(txn, "parts", IdIs(2),
+                                {Assignment{"payload", Value::String("x")}});
+      },
+      &updated, &undo);
+  OPDELTA_ASSERT_OK(db_->DeleteWhere(writer_.get(), "parts", IdIs(2)).status());
+  OPDELTA_ASSERT_OK(db_->Commit(writer_.get()));
+  waiter.join();
+  EXPECT_TRUE(updated.status().IsConflict()) << updated.status().ToString();
+  EXPECT_EQ(undo, 0u);  // the statement wrote nothing
+  const auto contents = TableContents(db_.get(), "parts");
+  EXPECT_EQ(contents.size(), 2u);
+  EXPECT_EQ(contents.count(Value::Int64(2)), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AccessPaths, RowPathTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return param.param ? "IndexOnId" : "HeapScan";
+                         });
 
 TEST(FreedSlotQuarantineTest, InsertSkipsSlotFreedByOpenDelete) {
   // A DELETE frees its heap slot at statement time but holds the rid's X

@@ -161,22 +161,25 @@ TEST_F(ExtractTest, TimestampExtractToFileMatchesToTable) {
   EXPECT_EQ(CountRows(db_.get(), "parts_ts_delta"), 100u);
 }
 
-TEST_F(ExtractTest, TimestampIndexVariantAgreesWithScan) {
+TEST_F(ExtractTest, TimestampExtractionOnAnIndexedColumn) {
   OPDELTA_ASSERT_OK(wl_.Populate(db_.get(), "parts", 300));
   OPDELTA_ASSERT_OK(db_->CreateIndex("parts", "last_modified"));
   const Micros watermark = db_->clock()->NowMicros();
   OPDELTA_ASSERT_OK(RunUpdate(100, 130, "idx"));
 
-  TimestampExtractor scan_extractor(db_.get(), "parts", "last_modified");
-  TimestampExtractor::Options opts;
-  opts.use_index = true;
-  TimestampExtractor index_extractor(db_.get(), "parts", "last_modified",
-                                     opts);
-  Result<DeltaBatch> a = scan_extractor.ExtractSince(watermark);
-  Result<DeltaBatch> b = index_extractor.ExtractSince(watermark);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->records.size(), 30u);
-  EXPECT_EQ(b->records.size(), 30u);
+  // `last_modified > watermark` takes the B+tree range.
+  TimestampExtractor extractor(db_.get(), "parts", "last_modified");
+  Result<DeltaBatch> batch = extractor.ExtractSince(watermark);
+  OPDELTA_ASSERT_OK(batch.status());
+  std::set<int64_t> ids;
+  for (const DeltaRecord& r : batch->records) {
+    EXPECT_GT(r.image[3].AsTimestamp(), watermark);
+    ids.insert(r.image[0].AsInt64());
+  }
+  EXPECT_EQ(batch->records.size(), 30u);
+  ASSERT_EQ(ids.size(), 30u);
+  EXPECT_EQ(*ids.begin(), 100);
+  EXPECT_EQ(*ids.rbegin(), 129);
 }
 
 TEST_F(ExtractTest, TimestampExtractorRejectsNonTimestampColumn) {

@@ -355,6 +355,77 @@ TEST(HubRestartTest, ShippedButUnappliedBatchesReplayWithoutLossOrDup) {
   OPDELTA_EXPECT_OK((*hub)->Stop());
 }
 
+// Drains order captured rows by their capture seq, so a change captured
+// after a restart must replay after one captured before it. Status 'A' is
+// captured and the hub stops before a round; a new hub over the same
+// source captures 'B'; the warehouse must end at 'B'. A trigger lives in
+// memory only, so for that method the source is closed and reopened too,
+// as a new process would find it.
+void ExpectCaptureOrderSurvivesARestart(pipeline::Method method) {
+  TempDir dir;
+  std::unique_ptr<engine::Database> src =
+      OpenDb(dir, "src", NoTimestampOptions());
+  auto wh = OpenDb(dir, "wh", NoTimestampOptions());
+  workload::PartsWorkload wl;
+  OPDELTA_ASSERT_OK(wl.CreateTable(src.get(), "parts"));
+  OPDELTA_ASSERT_OK(wl.CreateTable(wh.get(), "parts"));
+
+  HubOptions options;
+  options.work_dir = dir.Sub("hub");
+  SourceSpec spec;
+  spec.name = "s1";
+  spec.method = method;
+  spec.source_table = "parts";
+  spec.warehouse_table = "parts";
+  auto make_hub = [&]() -> Result<std::unique_ptr<DeltaHub>> {
+    spec.source = src.get();
+    OPDELTA_ASSIGN_OR_RETURN(std::unique_ptr<DeltaHub> hub,
+                             DeltaHub::Create(wh.get(), options));
+    OPDELTA_RETURN_IF_ERROR(hub->AddSource(spec));
+    OPDELTA_RETURN_IF_ERROR(hub->Setup());
+    return hub;
+  };
+  // One source transaction through the method's capture path.
+  auto run = [&](DeltaHub* hub, const sql::Statement& stmt) -> Status {
+    if (method == pipeline::Method::kOpDelta) {
+      return hub->capture("s1")->RunTransaction({stmt}).status();
+    }
+    return sql::Executor(src.get()).ExecuteSql(stmt.ToSql()).status();
+  };
+
+  {
+    Result<std::unique_ptr<DeltaHub>> hub = make_hub();
+    ASSERT_TRUE(hub.ok()) << hub.status().ToString();
+    OPDELTA_ASSERT_OK(run(hub->get(), wl.MakeInsert("parts", 0, 5)));
+    OPDELTA_ASSERT_OK((*hub)->RunRound());
+    OPDELTA_ASSERT_OK(run(hub->get(), wl.MakeUpdate("parts", 1, 2, "A")));
+    OPDELTA_ASSERT_OK((*hub)->Stop());
+  }
+  if (method == pipeline::Method::kTrigger) {
+    OPDELTA_ASSERT_OK(src->Close());
+    src = OpenDb(dir, "src", NoTimestampOptions());
+  }
+
+  Result<std::unique_ptr<DeltaHub>> hub = make_hub();
+  ASSERT_TRUE(hub.ok()) << hub.status().ToString();
+  OPDELTA_ASSERT_OK(run(hub->get(), wl.MakeUpdate("parts", 1, 2, "B")));
+  OPDELTA_ASSERT_OK((*hub)->RunRound());
+  OPDELTA_ASSERT_OK((*hub)->RunRound());
+  EXPECT_EQ(TableContents(src.get(), "parts").at(catalog::Value::Int64(1))[1]
+                .AsString(),
+            "B");
+  EXPECT_TRUE(TablesEqual(src.get(), "parts", wh.get(), "parts"));
+  OPDELTA_EXPECT_OK((*hub)->Stop());
+}
+
+TEST(HubRestartTest, OpDeltaCaptureAfterARestartAppliesLast) {
+  ExpectCaptureOrderSurvivesARestart(pipeline::Method::kOpDelta);
+}
+
+TEST(HubRestartTest, TriggerCaptureAfterAReopenAppliesLast) {
+  ExpectCaptureOrderSurvivesARestart(pipeline::Method::kTrigger);
+}
+
 TEST(HubExactlyOnceTest, ForcedRedeliveryIsDroppedByTheLedger) {
   // The queue is at-least-once: an ack is written but not synced, so a
   // power failure before the next durable ship loses it and the batch is

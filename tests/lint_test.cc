@@ -825,6 +825,69 @@ class Hub {
             ids.end());
 }
 
+// A locked call into a same-class helper that makes a blocking call.
+constexpr char kR8HelperIo[] = R"(
+class Log {
+ public:
+  Status Append() {
+    std::lock_guard<common::OrderedMutex> g(mu_);
+    return MaybeRoll();
+  }
+ private:
+  Status MaybeRoll() { return log_.Roll(false); }
+  common::RecordLog log_;
+  common::OrderedMutex mu_{OPDELTA_LOCK_RANK(log_mu, 10)};
+};
+)";
+
+TEST(LintR8Test, FlagsLockedCallIntoABlockingHelper) {
+  LintReport report = LintOne("src/a.cc", kR8HelperIo);
+  ASSERT_EQ(report.findings.size(), 1u);
+  EXPECT_EQ(report.findings[0].rule, RuleId::kR8BlockingUnderLock);
+  EXPECT_EQ(report.findings[0].line, 6u);
+  EXPECT_NE(report.findings[0].message.find("Log::MaybeRoll"),
+            std::string::npos)
+      << report.findings[0].message;
+  EXPECT_NE(report.findings[0].message.find("log_.Roll()"), std::string::npos)
+      << report.findings[0].message;
+  ExpectBaselineable("src/a.cc", kR8HelperIo);
+}
+
+TEST(LintR8Test, LockedCallIntoABlockingHelperIsSilentWithNolint) {
+  LintReport report = LintOne("src/a.cc", R"(
+class Log {
+ public:
+  Status Append() {
+    std::lock_guard<common::OrderedMutex> g(mu_);
+    return this->MaybeRoll();  // NOLINT(opdelta-R8: segments roll in frame order)
+  }
+ private:
+  Status MaybeRoll() { return log_.Roll(false); }
+  common::RecordLog log_;
+  common::OrderedMutex mu_{OPDELTA_LOCK_RANK(log_mu, 10)};
+};
+)");
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(report.suppressed.size(), 1u);
+}
+
+TEST(LintR8Test, NegativeForLockedCallIntoANonBlockingHelper) {
+  EXPECT_TRUE(LintOne("src/a.cc", R"(
+class Log {
+ public:
+  Status Append() {
+    std::lock_guard<common::OrderedMutex> g(mu_);
+    return Count();
+  }
+ private:
+  Status Count() { ++appends_; return Status::OK(); }
+  int appends_ = 0;
+  common::OrderedMutex mu_{OPDELTA_LOCK_RANK(log_mu, 10)};
+};
+)")
+                  .clean());
+}
+
 TEST(LintR8Test, SuppressedAndBaselined) {
   LintReport report = LintOne("src/a.cc", R"(
 class Store {

@@ -104,6 +104,10 @@ struct CallSite {
   std::vector<std::string> callees;  // candidate keys, tried in order
   std::string path;
   uint32_t line = 0;
+  /// R8's one-level follow: "Class::fn" for a bare or `this->` call made
+  /// from a method of Class in an R8-checked file; empty otherwise.
+  std::string own_method;
+  std::string snippet;
 };
 
 std::string Stem(const std::string& path) {
@@ -344,6 +348,7 @@ class Walker {
   Walker(const FileUnit& unit, const TreeIndex& tree, const SymbolIndex& index,
          std::map<std::string, std::set<std::string>>* fn_acquires,
          std::map<std::string, std::set<std::string>>* bare_owners,
+         std::map<std::string, std::string>* fn_blocking,
          std::vector<EdgeWitness>* edges, std::vector<CallSite>* calls,
          std::vector<Finding>* findings)
       : unit_(unit),
@@ -351,6 +356,7 @@ class Walker {
         index_(index),
         fn_acquires_(fn_acquires),
         bare_owners_(bare_owners),
+        fn_blocking_(fn_blocking),
         edges_(edges),
         calls_(calls),
         findings_(findings) {}
@@ -427,6 +433,8 @@ class Walker {
         }
         continue;
       }
+
+      if (i + 1 < toks.size() && toks[i + 1].IsPunct("(")) NoteBlocking(i);
 
       // Method or function call while locks are held.
       if (i + 1 < toks.size() && toks[i + 1].IsPunct("(") &&
@@ -647,6 +655,41 @@ class Walker {
     }
   }
 
+  bool R8Checked() const {
+    return InScope(unit_.path) && !R8Exempt(unit_.path);
+  }
+
+  /// Indexes the first blocking member call in each function body, held
+  /// lock or not, for R8's follow into same-class calls.
+  void NoteBlocking(size_t i) {
+    const auto& toks = unit_.tokens;
+    if (fns_.empty() || !R8Checked() || !IsBlockingMethod(toks[i].text) ||
+        i < 2 || !(toks[i - 1].IsPunct(".") || toks[i - 1].IsPunct("->")) ||
+        toks[i - 2].kind != TokenKind::kIdent) {
+      return;
+    }
+    for (const std::string& key : fns_.back().keys) {
+      fn_blocking_->emplace(key, toks[i - 2].text + "." + toks[i].text +
+                                     "()' (" + unit_.path + ":" +
+                                     std::to_string(toks[i].line) + ")");
+    }
+  }
+
+  /// "Class::fn" for a bare or `this->` call to `fn` from a method of
+  /// Class, else empty.
+  std::string OwnMethod(size_t i, bool member_call) const {
+    const auto& toks = unit_.tokens;
+    if (member_call ? !toks[i - 2].IsIdent("this")
+                    : (i >= 1 && toks[i - 1].IsPunct("::"))) {
+      return "";
+    }
+    if (fns_.empty() || fns_.back().keys.empty()) return "";
+    const std::string& key = fns_.back().keys.front();
+    const size_t sep = key.find("::");
+    if (sep == std::string::npos || sep == 0) return "";  // free function
+    return key.substr(0, sep) + "::" + toks[i].text;
+  }
+
   /// A call with locks held: R8 for blocking methods and stored callbacks;
   /// otherwise a candidate for one-level acquisition expansion.
   void OnCall(size_t i) {
@@ -655,7 +698,7 @@ class Walker {
     const bool member_call =
         i >= 2 && (toks[i - 1].IsPunct(".") || toks[i - 1].IsPunct("->")) &&
         toks[i - 2].kind == TokenKind::kIdent;
-    const bool checked = InScope(unit_.path) && !R8Exempt(unit_.path);
+    const bool checked = R8Checked();
 
     if (member_call && IsBlockingMethod(t.text) && checked) {
       Report(RuleId::kR8BlockingUnderLock, t.line,
@@ -683,6 +726,10 @@ class Walker {
     // held set; edges materialize once every function body is indexed.
     if (member_call && toks[i - 2].text != "std") {
       CallSite site;
+      if (checked) {
+        site.own_method = OwnMethod(i, member_call);
+        site.snippet = TrimmedLine(unit_, t.line);
+      }
       const auto mt = tree_.member_types.find(toks[i - 2].text);
       if (mt != tree_.member_types.end() && mt->second.size() == 1) {
         site.callees.push_back(*mt->second.begin() + "::" + t.text);
@@ -695,6 +742,10 @@ class Walker {
     } else if (!member_call &&
                !(i >= 1 && toks[i - 1].IsPunct("::"))) {
       CallSite site;
+      if (checked) {
+        site.own_method = OwnMethod(i, member_call);
+        site.snippet = TrimmedLine(unit_, t.line);
+      }
       site.callees.push_back(t.text);
       for (const ActiveLock& l : locks_) site.held.push_back(l.node);
       site.path = unit_.path;
@@ -708,6 +759,7 @@ class Walker {
   const SymbolIndex& index_;
   std::map<std::string, std::set<std::string>>* fn_acquires_;
   std::map<std::string, std::set<std::string>>* bare_owners_;
+  std::map<std::string, std::string>* fn_blocking_;
   std::vector<EdgeWitness>* edges_;
   std::vector<CallSite>* calls_;
   std::vector<Finding>* findings_;
@@ -826,13 +878,30 @@ void RunLockGraph(const std::vector<FileUnit>& units, const SymbolIndex& index,
 
   std::map<std::string, std::set<std::string>> fn_acquires;
   std::map<std::string, std::set<std::string>> bare_owners;
+  std::map<std::string, std::string> fn_blocking;
   std::vector<EdgeWitness> edges;
   std::vector<CallSite> calls;
   for (const FileUnit& unit : units) {
     if (!PathContains(unit.path, "src/")) continue;
-    Walker(unit, tree, index, &fn_acquires, &bare_owners, &edges, &calls,
-           findings)
+    Walker(unit, tree, index, &fn_acquires, &bare_owners, &fn_blocking,
+           &edges, &calls, findings)
         .Run();
+  }
+
+  // R8 one call deep: a lock held across a call into a method of the same
+  // class is held across that method's blocking calls.
+  for (const CallSite& site : calls) {
+    if (site.own_method.empty()) continue;
+    auto it = fn_blocking.find(site.own_method);
+    if (it == fn_blocking.end()) continue;
+    findings->push_back(Finding{
+        RuleId::kR8BlockingUnderLock, site.path, site.line,
+        "call to '" + site.own_method + "()' while holding lock '" +
+            site.held.back() + "' reaches potentially blocking '" +
+            it->second +
+            "; move the call outside the critical section or document the "
+            "serialization with NOLINT(opdelta-R8: reason)",
+        site.snippet});
   }
 
   // One-level call expansion: a lock held across a call reaches every lock

@@ -23,7 +23,10 @@ namespace opdelta::lint {
 ///     member-type index, or a globally unique free function);
 ///   - R8 findings: a potentially blocking call — Env/file I/O,
 ///     PersistentQueue traffic, transport Ship, a cv wait while more than
-///     one lock is held, or a stored user callback — under a live lock;
+///     one lock is held, or a stored user callback — under a live lock,
+///     and a call under a live lock into a method of the same class (a
+///     bare or `this->` call) whose body makes a blocking member call,
+///     followed one call deep;
 ///   - R9 findings: mutex members with no declared rank.
 ///
 /// The finished graph is checked for declared-rank inversions (an edge
