@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <string>
 
-#include "backfill/backfiller.h"
+#include "backfill/chunk_window.h"
 #include "bench/harness.h"
 #include "pipeline/source_leg.h"
 #include "scrub/scrubber.h"
@@ -52,7 +52,7 @@ ScrubResult RunScrub(const ScratchDir& dir, const std::string& tag,
   BENCH_OK(wh_wl.Populate(wh.get(), "parts", rows));
   // Op-delta windows ship their watermark rows down the stream; the
   // warehouse needs the signal table to apply them.
-  BENCH_OK(backfill::Backfiller::EnsureSignalTable(wh.get()));
+  BENCH_OK(backfill::ChunkWindow::EnsureSignalTable(wh.get()));
 
   pipeline::PipelineOptions po;
   po.method = pipeline::Method::kOpDelta;

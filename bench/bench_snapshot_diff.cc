@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "bench/harness.h"
-#include "engine/snapshot.h"
+#include "dbutils/export.h"
 #include "extract/snapshot_differential.h"
 #include "sql/executor.h"
 #include "workload/workload.h"
@@ -45,7 +45,7 @@ void Run() {
                                     engine::DatabaseOptions(), &db));
     BENCH_OK(wl.CreateTable(db.get(), "parts"));
     BENCH_OK(wl.Populate(db.get(), "parts", rows));
-    BENCH_OK(engine::Snapshot::Write(db.get(), "parts", dir.Sub("s1")));
+    BENCH_OK(dbutils::ExportUtil::Export(db.get(), "parts", dir.Sub("s1")));
 
     // Mutate ~10% of rows (update), delete 2%, insert 2%.
     sql::Executor exec(db.get());
@@ -59,7 +59,7 @@ void Run() {
     BENCH_OK(
         exec.ExecuteSql(wl.MakeInsert("parts", rows, rows / 50).ToSql())
             .status());
-    BENCH_OK(engine::Snapshot::Write(db.get(), "parts", dir.Sub("s2")));
+    BENCH_OK(dbutils::ExportUtil::Export(db.get(), "parts", dir.Sub("s2")));
 
     uint64_t merge_records = 0, window_records = 0;
     for (auto algo : {SnapshotDifferential::Algorithm::kSortMerge,

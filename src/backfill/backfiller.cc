@@ -8,14 +8,6 @@ namespace opdelta::backfill {
 
 using catalog::ValueType;
 
-catalog::Schema Backfiller::SignalTableSchema() {
-  return ChunkWindow::SignalTableSchema();
-}
-
-Status Backfiller::EnsureSignalTable(engine::Database* db) {
-  return ChunkWindow::EnsureSignalTable(db);
-}
-
 Backfiller::Backfiller(pipeline::SourceLeg* leg, BackfillOptions options)
     : leg_(leg),
       source_(leg->source()),
@@ -46,7 +38,7 @@ Result<std::unique_ptr<Backfiller>> Backfiller::Create(
 
 Status Backfiller::Setup() {
   if (setup_done_) return Status::OK();
-  OPDELTA_RETURN_IF_ERROR(EnsureSignalTable(source_));
+  OPDELTA_RETURN_IF_ERROR(ChunkWindow::EnsureSignalTable(source_));
   OPDELTA_RETURN_IF_ERROR(ledger_.Setup());
   OPDELTA_ASSIGN_OR_RETURN(ChunkLedger::Progress progress,
                            ledger_.Get(table_));

@@ -56,15 +56,6 @@ class Backfiller {
   static Result<std::unique_ptr<Backfiller>> Create(pipeline::SourceLeg* leg,
                                                     BackfillOptions options);
 
-  /// (sig INT64, kind STRING, tbl STRING) — no timestamp column, so the
-  /// engine's auto-stamping never rewrites a signal row.
-  static catalog::Schema SignalTableSchema();
-
-  /// Creates the watermark-signal table (ChunkWindow::kSignalTable) if
-  /// missing. Idempotent. Call on the warehouse too when backfilling an
-  /// op-delta source (the captured signal inserts replay there).
-  static Status EnsureSignalTable(engine::Database* db);
-
   /// Creates signal + ledger tables in the source database, loads the
   /// durable cursor. Call after the leg's Setup. Idempotent.
   Status Setup();

@@ -17,8 +17,13 @@ Status ExportUtil::Export(engine::Database* db, const std::string& table,
   engine::Table* t = db->GetTable(table);
   if (t == nullptr) return Status::NotFound("table " + table);
 
+  // Written under a temporary name, synced, then renamed over `path` (as
+  // WriteFileAtomic does): a failed or crashed export never replaces a good
+  // dump with a torn one.
+  Env* env = Env::Default();
+  const std::string tmp = path + ".tmp";
   std::unique_ptr<WritableFile> file;
-  OPDELTA_RETURN_IF_ERROR(Env::Default()->NewWritableFile(path, &file));
+  OPDELTA_RETURN_IF_ERROR(env->NewWritableFile(tmp, &file));
 
   std::string header;
   PutFixed32(&header, kExportMagic);
@@ -55,7 +60,8 @@ Status ExportUtil::Export(engine::Database* db, const std::string& table,
   PutFixed32(&footer, crc);
   OPDELTA_RETURN_IF_ERROR(file->Append(Slice(footer)));
   OPDELTA_RETURN_IF_ERROR(file->Sync());
-  return file->Close();
+  OPDELTA_RETURN_IF_ERROR(file->Close());
+  return env->RenameFile(tmp, path);
 }
 
 Status ExportUtil::ReadExportFile(

@@ -12,10 +12,17 @@ namespace opdelta::dbutils {
 /// The DBMS "Export" utility (paper §3, Table 1): dumps a table to a
 /// proprietary binary file that only the matching Import utility can read —
 /// modeling the real-world constraint that "the same database product
-/// [must] exist in the source and in the data warehouse".
+/// [must] exist in the source and in the data warehouse". It is also the
+/// snapshot method's dump (§3.1.2): extract::SnapshotDifferential diffs two
+/// export files.
+///
+/// File format: magic, schema, length-prefixed RowCodec rows, fixed64 row
+/// count, and a CRC32C of everything before the count.
 class ExportUtil {
  public:
-  /// Dumps `table` of `db` to `path`.
+  /// Dumps `table` of `db` to `path`. The dump is written to `<path>.tmp`,
+  /// synced, and renamed over `path`, so `path` holds either its previous
+  /// content or the whole new dump.
   static Status Export(engine::Database* db, const std::string& table,
                        const std::string& path);
 

@@ -967,15 +967,15 @@ Status Database::ScanCommitted(
   Predicate bound = pred;
   OPDELTA_RETURN_IF_ERROR(bound.Bind(table->schema()));
 
-  // Pass 1 — candidates: rids only, from a latch-only scan. Dirty rows
-  // are possible here; pass 2 resolves each against its committed image.
+  // Pass 1 — candidates: the rids whose current image matches, from a
+  // latch-only scan. Dirty rows are possible here; pass 2 resolves each
+  // against its committed image.
   std::vector<Rid> candidates;
   OPDELTA_RETURN_IF_ERROR(
-      Scan(nullptr, table_name, Predicate::True(),
-           [&](const Rid& rid, const Row&) {
-             candidates.push_back(rid);
-             return true;
-           }));
+      Scan(nullptr, table_name, pred, [&](const Rid& rid, const Row&) {
+        candidates.push_back(rid);
+        return true;
+      }));
 
   // Pass 2 — committed images under row S locks in one transaction,
   // aborted on any error so the locks never leak. A vanished rid (the row

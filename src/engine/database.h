@@ -171,15 +171,16 @@ class Database {
   Result<bool> UpsertByKey(txn::Transaction* txn, const std::string& table,
                            catalog::Row row);
 
-  // Point operations by rid — used by log replay
-  // (extract::LogExtractor::ReplayInto), the snapshot-differential apply
-  // and the aggregate-view maintainer. UpdateAt and DeleteAt take the row
-  // path with no recheck, so an empty slot returns Conflict. They push the
-  // same undo entries (before the WAL append, so Abort rolls back even a
-  // write whose log append failed) and write the same WAL records as the
-  // predicate forms. UpdateAt reports the (possibly relocated) rid.
-  // Triggers do NOT fire for point ops: they model a recovery-manager-style
-  // apply path below the trigger layer.
+  // Point operations by rid. ReadAt serves the committed-read paths
+  // (ScanCommitted, the backfill chunk reader); UpdateAt and DeleteAt serve
+  // the aggregate-view maintainer, which writes its view rows raw by rid (a
+  // timestamp-typed group column must not be re-stamped). UpdateAt and
+  // DeleteAt take the row path with no recheck, so an empty slot returns
+  // Conflict. They push the same undo entries (before the WAL append, so
+  // Abort rolls back even a write whose log append failed) and write the
+  // same WAL records as the predicate forms. UpdateAt reports the (possibly
+  // relocated) rid. Triggers do NOT fire for point ops: they write below
+  // the trigger layer.
   Status ReadAt(txn::Transaction* txn, const std::string& table,
                 const storage::Rid& rid, catalog::Row* out);
   Status UpdateAt(txn::Transaction* txn, const std::string& table,
@@ -203,14 +204,19 @@ class Database {
               const std::function<bool(const storage::Rid&,
                                        const catalog::Row&)>& fn);
 
-  /// Committed-read scan: a latch-only candidate pass collects rids, then
-  /// one internal transaction re-reads each candidate under a row S lock
-  /// (committed image; blocks on in-flight writers) and re-checks `pred`
-  /// against it. The transaction is committed — or aborted on any error —
-  /// before returning, so no lock outlives the call. Unlike Scan, `fn`
-  /// runs *without* the table latch held. Rows inserted or relocated after
-  /// the candidate pass are not revisited; callers needing stronger
-  /// guarantees bracket the scan with watermarks (see backfill/scrub).
+  /// Committed-read scan: a latch-only candidate pass collects the rids
+  /// whose current image matches `pred` (an index range when one covers
+  /// it), then one internal transaction re-reads each candidate under a row
+  /// S lock (committed image; blocks on in-flight writers) and re-checks
+  /// `pred` against it. Only candidates are locked, so a writer holding a
+  /// row outside the predicate does not block the scan. The transaction is
+  /// committed — or aborted on any error — before returning, so no lock
+  /// outlives the call. Unlike Scan, `fn` runs *without* the table latch
+  /// held. Rows inserted or relocated after the candidate pass are not
+  /// revisited, and neither is a row whose committed image matches but an
+  /// in-flight writer moved out of the predicate (just as one it deleted
+  /// is not); callers needing stronger guarantees bracket the scan with
+  /// watermarks (see backfill/scrub).
   Status ScanCommitted(const std::string& table, const Predicate& pred,
                        const std::function<bool(const catalog::Row&)>& fn);
 

@@ -1,14 +1,11 @@
 #ifndef OPDELTA_EXTRACT_LOG_EXTRACTOR_H_
 #define OPDELTA_EXTRACT_LOG_EXTRACTOR_H_
 
-#include <map>
 #include <optional>
 #include <string>
 
 #include "common/status.h"
-#include "engine/database.h"
 #include "extract/delta.h"
-#include "txn/recovery.h"
 #include "txn/wal.h"
 
 namespace opdelta::extract {
@@ -18,13 +15,12 @@ namespace opdelta::extract {
 /// committed DML into value deltas — zero overhead on source transactions,
 /// because "redo logs are being captured anyway".
 ///
-/// The paper's caveats hold here by construction:
-///  - records are physiological (rid + schema-encoded images), so decoding
-///    requires the *exact* source schema — a schema mismatch is detected as
-///    corruption, mirroring "log based techniques depend on the schema of
-///    the source and the destination to match exactly";
-///  - ReplayInto can only re-create tables wholesale, "much like a recovery
-///    manager does".
+/// Records are physiological (rid + schema-encoded images), so decoding
+/// requires the *exact* source schema — a schema mismatch is detected as
+/// corruption, mirroring "log based techniques depend on the schema of the
+/// source and the destination to match exactly". The log is read as a
+/// change stream for one downstream applier (warehouse::ApplyNetChanges),
+/// not replayed as redo.
 class LogExtractor {
  public:
   /// `wal_dir` is the source database's WAL/archive directory
@@ -53,16 +49,6 @@ class LogExtractor {
                                   const std::string& table_name,
                                   const catalog::Schema& schema,
                                   txn::Lsn* new_watermark);
-
-  /// Ships the archive to another database and applies it with a
-  /// recovery-manager-style pass: rebuilds each mapped table from the
-  /// committed redo stream. `table_map` maps source TableId -> destination
-  /// table name; destination schemas must match the source exactly.
-  /// Destination tables must start empty.
-  static Status ReplayInto(const std::string& wal_dir, engine::Database* dest,
-                           const std::map<catalog::TableId, std::string>&
-                               table_map,
-                           txn::RecoveryStats* stats = nullptr);
 
  private:
   /// Where a call handed back `watermark` for `table_id` resumes.

@@ -4,7 +4,7 @@
 #include <deque>
 #include <map>
 
-#include "engine/snapshot.h"
+#include "dbutils/export.h"
 
 namespace opdelta::extract {
 
@@ -23,7 +23,7 @@ Status LoadSnapshot(const std::string& path, catalog::Schema* schema,
                     std::vector<KeyedRow>* out) {
   out->clear();
   OPDELTA_RETURN_IF_ERROR(
-      engine::Snapshot::Read(path, schema, [&](const Row& row) {
+      dbutils::ExportUtil::ReadExportFile(path, schema, [&](const Row& row) {
         out->push_back(KeyedRow{row[0], row});
         return true;
       }));
@@ -181,57 +181,6 @@ Result<DeltaBatch> SnapshotDifferential::Diff(const std::string& old_path,
 
   if (stats != nullptr) *stats = local;
   return batch;
-}
-
-Status SnapshotDifferential::Apply(engine::Database* db,
-                                   const std::string& table,
-                                   const DeltaBatch& batch) {
-  // Build key -> rid for the current table state.
-  std::map<Value, storage::Rid> by_key;
-  OPDELTA_RETURN_IF_ERROR(db->Scan(
-      nullptr, table, engine::Predicate::True(),
-      [&](const storage::Rid& rid, const Row& row) {
-        by_key[row[0]] = rid;
-        return true;
-      }));
-
-  return db->WithTransaction([&](txn::Transaction* txn) -> Status {
-    for (const DeltaRecord& r : batch.records) {
-      const Value& key = r.image[0];
-      switch (r.op) {
-        case DeltaOp::kInsert: {
-          storage::Rid rid;
-          OPDELTA_RETURN_IF_ERROR(db->InsertRaw(txn, table, r.image, &rid));
-          by_key[key] = rid;
-          break;
-        }
-        case DeltaOp::kDelete: {
-          auto it = by_key.find(key);
-          if (it == by_key.end()) {
-            return Status::NotFound("apply: missing key for delete");
-          }
-          OPDELTA_RETURN_IF_ERROR(db->DeleteAt(txn, table, it->second));
-          by_key.erase(it);
-          break;
-        }
-        case DeltaOp::kUpdateAfter: {
-          auto it = by_key.find(key);
-          if (it == by_key.end()) {
-            return Status::NotFound("apply: missing key for update");
-          }
-          storage::Rid new_rid;
-          OPDELTA_RETURN_IF_ERROR(
-              db->UpdateAt(txn, table, it->second, r.image, &new_rid));
-          it->second = new_rid;
-          break;
-        }
-        case DeltaOp::kUpdateBefore:
-        case DeltaOp::kUpsert:
-          break;  // before images carry no action; upserts not produced here
-      }
-    }
-    return Status::OK();
-  });
 }
 
 }  // namespace opdelta::extract

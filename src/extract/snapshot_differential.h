@@ -4,15 +4,15 @@
 #include <string>
 
 #include "common/status.h"
-#include "engine/database.h"
 #include "extract/delta.h"
 
 namespace opdelta::extract {
 
 /// Differential-snapshot extraction (paper §3 method 2, §3.1.2): "deltas
 /// can be computed by obtaining a dump of the current state and comparing
-/// it with a previously stored snapshot". Two algorithms after Labio &
-/// Garcia-Molina [18]:
+/// it with a previously stored snapshot". The dumps are the DBMS Export
+/// utility's files (dbutils::ExportUtil::Export), the dump Table 1 measures.
+/// Two algorithms after Labio & Garcia-Molina [18]:
 ///
 ///  - kSortMerge: load both snapshots, sort by key, merge — exact, but
 ///    memory- and CPU-hungry ("prohibitively resource intensive").
@@ -42,9 +42,10 @@ class SnapshotDifferential {
     uint64_t peak_resident_rows = 0;
   };
 
-  /// Computes the delta turning the snapshot at `old_path` into the one at
-  /// `new_path`. Both must share a schema; rows are keyed by the schema's
-  /// key column. Emits kInsert / kDelete / kUpdateBefore+kUpdateAfter.
+  /// Computes the delta turning the export file at `old_path` into the one
+  /// at `new_path`. Both must share a schema; rows are keyed by the schema's
+  /// key column. Emits kInsert / kDelete / kUpdateBefore+kUpdateAfter, which
+  /// warehouse::ApplyNetChanges applies.
   static Result<DeltaBatch> Diff(const std::string& old_path,
                                  const std::string& new_path,
                                  const Options& options, Stats* stats);
@@ -53,11 +54,6 @@ class SnapshotDifferential {
                                  const std::string& new_path) {
     return Diff(old_path, new_path, Options(), nullptr);
   }
-
-  /// Applies a diff to a table whose state equals the old snapshot, making
-  /// it equal to the new one. Used by the round-trip property tests.
-  static Status Apply(engine::Database* db, const std::string& table,
-                      const DeltaBatch& batch);
 };
 
 }  // namespace opdelta::extract

@@ -16,6 +16,13 @@ namespace opdelta::hub {
 
 namespace {
 
+/// Uniform ± fraction of a retry delay, added to desynchronize retries
+/// across groups hitting a shared fault.
+constexpr double kBackoffJitter = 0.2;
+/// Group i's retry-jitter RNG is seeded with kRetrySeed + i, so retry
+/// delays repeat from run to run.
+constexpr uint64_t kRetrySeed = 1;
+
 /// Transient integration failures: the batch stays queued and
 /// SuperviseRound's backoff re-drives it. Everything else (Corruption,
 /// InvalidArgument, NotSupported, NotFound, ...) is deterministic —
@@ -122,32 +129,13 @@ Status DeltaHub::AddSource(const SourceSpec& spec) {
   if (dst == nullptr) {
     return Status::NotFound("warehouse table " + spec.warehouse_table);
   }
-  engine::Table* src = spec.source->GetTable(spec.source_table);
-  if (src == nullptr) {
+  if (spec.source->GetTable(spec.source_table) == nullptr) {
     return Status::NotFound("source table " + spec.source_table);
   }
-  if (!(src->schema() == dst->schema())) {
-    // An op-delta warehouse may lag the source by one or more captured
-    // ALTERs when the hub restarts between DDL capture and its apply: the
-    // migration events are still queued, so a warehouse matching any
-    // *earlier* source epoch catches up by replay. Anything else is drift.
-    bool lags_by_captured_ddl = false;
-    if (spec.method == pipeline::Method::kOpDelta) {
-      for (uint64_t e = spec.source->ddl_epoch(); e >= 1; --e) {
-        Result<std::shared_ptr<const catalog::SchemaMap>> at =
-            spec.source->SchemaMapAt(e);
-        if (!at.ok()) break;
-        auto it = (*at)->find(spec.source_table);
-        if (it != (*at)->end() && it->second == dst->schema()) {
-          lags_by_captured_ddl = true;
-          break;
-        }
-      }
-    }
-    if (!lags_by_captured_ddl) {
-      return Status::InvalidArgument(
-          "source and warehouse table schemas must match for " + spec.name);
-    }
+  if (!pipeline::WarehouseSchemaFits(spec.method, spec.source,
+                                     spec.source_table, dst->schema())) {
+    return Status::InvalidArgument(
+        "source and warehouse table schemas must match for " + spec.name);
   }
   if (spec.method == pipeline::Method::kOpDelta &&
       !spec.replica_group.empty()) {
@@ -224,7 +212,7 @@ Status DeltaHub::BuildGroups() {
     group->members.push_back(source.get());
   }
   for (size_t i = 0; i < groups_.size(); ++i) {
-    groups_[i]->rng = Rng(options_.retry_seed + i);
+    groups_[i]->rng = Rng(kRetrySeed + i);
   }
   lanes_.clear();
   std::unordered_map<std::string, size_t> table_lane;
@@ -259,7 +247,7 @@ Status DeltaHub::Setup() {
         // Captured watermark-signal statements replay at the warehouse,
         // so it needs the signal table too.
         OPDELTA_RETURN_IF_ERROR(
-            backfill::Backfiller::EnsureSignalTable(warehouse_));
+            backfill::ChunkWindow::EnsureSignalTable(warehouse_));
       }
       backfill::BackfillOptions bf_options;
       bf_options.chunk_rows = source->spec.backfill_chunk_rows;
@@ -273,7 +261,7 @@ Status DeltaHub::Setup() {
         // Captured scrub-watermark statements replay at the warehouse,
         // so it needs the signal table (shared with backfill's).
         OPDELTA_RETURN_IF_ERROR(
-            backfill::Backfiller::EnsureSignalTable(warehouse_));
+            backfill::ChunkWindow::EnsureSignalTable(warehouse_));
       }
       Group* group = nullptr;
       for (const auto& g : groups_) {
@@ -461,9 +449,7 @@ Status DeltaHub::SuperviseRound(Group* group) {
                       static_cast<double>(uint64_t{1} << attempt);
     delay_ms = std::min(
         delay_ms, static_cast<double>(options_.backoff_max.count()));
-    // Jitter desynchronizes retries across groups hitting a shared fault.
-    delay_ms *= 1.0 + options_.backoff_jitter *
-                          (2.0 * group->rng.NextDouble() - 1.0);
+    delay_ms *= 1.0 + kBackoffJitter * (2.0 * group->rng.NextDouble() - 1.0);
     {
       std::lock_guard<common::OrderedMutex> lock(stats_mutex_);
       for (Source* source : group->members) {

@@ -98,14 +98,10 @@ struct HubOptions {
   /// First retry delay; doubles per retry up to backoff_max.
   std::chrono::milliseconds backoff_initial{10};
   std::chrono::milliseconds backoff_max{1000};
-  /// Uniform ± fraction of the delay added to desynchronize retries.
-  double backoff_jitter = 0.2;
   /// Consecutive failed rounds after which a group is quarantined: skipped
   /// by subsequent rounds and probed at growing backoff intervals. A
   /// successful probe lifts the quarantine. <= 0 disables quarantining.
   int quarantine_after = 3;
-  /// Seed for the retry-jitter RNG (deterministic tests).
-  uint64_t retry_seed = 1;
 };
 
 /// Per-source counters inside a HubStats snapshot.

@@ -229,6 +229,22 @@ Status ApplyShipped(engine::Database* warehouse, const std::string& table,
   return Status::OK();
 }
 
+bool WarehouseSchemaFits(Method method, engine::Database* source,
+                         const std::string& source_table,
+                         const catalog::Schema& warehouse_schema) {
+  engine::Table* table = source->GetTable(source_table);
+  if (table != nullptr && table->schema() == warehouse_schema) return true;
+  if (method != Method::kOpDelta) return false;
+  for (uint64_t e = source->ddl_epoch(); e >= 1; --e) {
+    Result<std::shared_ptr<const catalog::SchemaMap>> at =
+        source->SchemaMapAt(e);
+    if (!at.ok()) break;
+    auto it = (*at)->find(source_table);
+    if (it != (*at)->end() && it->second == warehouse_schema) return true;
+  }
+  return false;
+}
+
 SourceLeg::SourceLeg(engine::Database* source, PipelineOptions options)
     : source_(source),
       options_(std::move(options)),

@@ -216,6 +216,16 @@ Status ApplyShipped(engine::Database* warehouse, const std::string& table,
                     sql::StatementCache* cache,
                     warehouse::IntegrationStats* stats);
 
+/// Whether a warehouse table of `warehouse_schema` may be fed from
+/// `source_table` of `source` by `method`: the schemas are equal, or the
+/// method is op-delta and the warehouse trails the source by captured
+/// ALTERs — it equals the table's schema at an earlier DDL epoch, as after
+/// a restart between a DDL capture and its apply, and the still-queued
+/// migration events catch it up. Any other difference is drift.
+bool WarehouseSchemaFits(Method method, engine::Database* source,
+                         const std::string& source_table,
+                         const catalog::Schema& warehouse_schema);
+
 }  // namespace opdelta::pipeline
 
 #endif  // OPDELTA_PIPELINE_SOURCE_LEG_H_

@@ -75,28 +75,12 @@ Result<std::unique_ptr<Scrubber>> Scrubber::Create(pipeline::SourceLeg* leg,
     return Status::NotFound("warehouse table " +
                             leg->options().warehouse_table);
   }
-  if (!(dst->schema() == schema)) {
-    // An op-delta warehouse restarting between a captured ALTER and its
-    // apply lags the source by queued migration events; the first Step's
-    // drain catches it up, and the per-chunk schema guard keeps any
-    // residual lag inconclusive. Any other mismatch is drift.
-    bool lags_by_captured_ddl = false;
-    if (leg->options().method == pipeline::Method::kOpDelta) {
-      for (uint64_t e = leg->source()->ddl_epoch(); e >= 1; --e) {
-        Result<std::shared_ptr<const catalog::SchemaMap>> at =
-            leg->source()->SchemaMapAt(e);
-        if (!at.ok()) break;
-        auto it = (*at)->find(source_table);
-        if (it != (*at)->end() && it->second == dst->schema()) {
-          lags_by_captured_ddl = true;
-          break;
-        }
-      }
-    }
-    if (!lags_by_captured_ddl) {
-      return Status::InvalidArgument(
-          "source and warehouse schemas must match to scrub " + source_table);
-    }
+  // A warehouse trailing by captured ALTERs catches up in the first Step's
+  // drain; the per-chunk schema guard keeps any residual lag inconclusive.
+  if (!pipeline::WarehouseSchemaFits(leg->options().method, leg->source(),
+                                     source_table, dst->schema())) {
+    return Status::InvalidArgument(
+        "source and warehouse schemas must match to scrub " + source_table);
   }
   return std::unique_ptr<Scrubber>(
       new Scrubber(leg, warehouse, std::move(drain), std::move(options)));

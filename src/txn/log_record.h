@@ -36,8 +36,9 @@ struct LogRecord {
   catalog::TableId table_id = catalog::kInvalidTableId;
   storage::Rid rid;
   /// For kUpdate only: the row's rid *after* the update. Differs from
-  /// `rid` when the update grew the row and the heap relocated it. Log
-  /// consumers that track rows by rid (ReplayInto) need both.
+  /// `rid` when the update grew the row and the heap relocated it. The
+  /// engine's undo entry and UpdateAt take the new rid from here; the log's
+  /// reader (extract::LogExtractor) decodes images, not rids.
   storage::Rid rid2;
   std::string before;  // RowCodec-encoded (update/delete)
   std::string after;   // RowCodec-encoded (insert/update)

@@ -232,7 +232,7 @@ struct LegFixture {
     workload::PartsWorkload wl;
     OPDELTA_EXPECT_OK(wl.CreateTable(src.get(), "parts"));
     OPDELTA_EXPECT_OK(wl.CreateTable(wh.get(), "parts"));
-    OPDELTA_EXPECT_OK(Backfiller::EnsureSignalTable(wh.get()));
+    OPDELTA_EXPECT_OK(ChunkWindow::EnsureSignalTable(wh.get()));
     pipeline::PipelineOptions po;
     po.method = method;
     po.source_table = "parts";

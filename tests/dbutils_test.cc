@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/fault_env.h"
 #include "common/random.h"
 #include "dbutils/ascii_dump.h"
 #include "dbutils/export.h"
@@ -209,11 +210,44 @@ TEST_F(DbUtilsTest, ImportDoesMorePhysicalIoThanLoader) {
 TEST_F(DbUtilsTest, ExportReportsAFailedChunkWrite) {
   ASSERT_NO_FATAL_FAILURE(CreateBigTable(src_.get()));
   const std::string path = dir_.Sub("big.exp");
-  // Append 1 is the header; append 2 is the first 1 MiB chunk of rows.
-  FailOneAppendEnv env(Env::Default(), path, 2);
+  // Export writes `<path>.tmp`, then renames it. Append 1 is the header;
+  // append 2 is the first 1 MiB chunk of rows.
+  FailOneAppendEnv env(Env::Default(), path + ".tmp", 2);
   opdelta::testing::ScopedEnvOverride scoped(&env);
   const Status st = ExportUtil::Export(src_.get(), "big", path);
   EXPECT_TRUE(st.IsIOError()) << st.ToString();
+}
+
+TEST_F(DbUtilsTest, FailedExportLeavesTheEarlierDumpReadable) {
+  // Export publishes by rename: a dump whose writes fail, cleanly or torn,
+  // never replaces the good dump already at its path.
+  const std::string path = dir_.Sub("parts.exp");
+  OPDELTA_ASSERT_OK(ExportUtil::Export(src_.get(), "parts", path));
+  OPDELTA_ASSERT_OK(src_->WithTransaction([&](txn::Transaction* txn) {
+    return src_
+        ->DeleteWhere(txn, "parts",
+                      engine::Predicate::Where("id", engine::CompareOp::kLt,
+                                               Value::Int64(100)))
+        .status();
+  }));
+  for (bool torn : {false, true}) {
+    {
+      FaultInjectionEnv fenv(Env::Default());
+      fenv.SetScope(path);
+      fenv.SetErrorProbability(FaultInjectionEnv::OpKind::kWrite, 1.0);
+      fenv.SetShortWriteProbability(torn ? 1.0 : 0.0);
+      opdelta::testing::ScopedEnvOverride scoped(&fenv);
+      const Status st = ExportUtil::Export(src_.get(), "parts", path);
+      EXPECT_TRUE(st.IsIOError()) << st.ToString();
+    }
+    int rows = 0;
+    OPDELTA_ASSERT_OK(ExportUtil::ReadExportFile(path, nullptr,
+                                                 [&](const Row&) {
+                                                   ++rows;
+                                                   return true;
+                                                 }));
+    EXPECT_EQ(rows, 500) << (torn ? "torn" : "clean") << " write";
+  }
 }
 
 class ExportImportPropertyTest : public ::testing::TestWithParam<uint64_t> {

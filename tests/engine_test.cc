@@ -10,8 +10,6 @@
 #include "catalog/row_codec.h"
 #include "common/fault_env.h"
 #include "engine/database.h"
-#include "engine/snapshot.h"
-#include "txn/recovery.h"
 #include "workload/workload.h"
 #include "tests/test_util.h"
 
@@ -762,36 +760,6 @@ TEST(DatabasePersistenceTest, DropTableRemovesData) {
   EXPECT_TRUE(db->CreateTable("t", PartsSchema()).ok());  // recreatable
 }
 
-// --------------------------------------------------------------- Snapshot
-
-TEST_F(DatabaseTest, SnapshotRoundTrip) {
-  for (int64_t i = 0; i < 25; ++i) OPDELTA_ASSERT_OK(InsertOne(i));
-  const std::string path = dir_.Sub("snap.bin");
-  OPDELTA_ASSERT_OK(Snapshot::Write(db_.get(), "parts", path));
-
-  catalog::Schema schema;
-  int rows = 0;
-  OPDELTA_ASSERT_OK(Snapshot::Read(path, &schema, [&](const Row& row) {
-    EXPECT_EQ(row.size(), 4u);
-    ++rows;
-    return true;
-  }));
-  EXPECT_EQ(rows, 25);
-  EXPECT_TRUE(schema == PartsSchema());
-}
-
-TEST_F(DatabaseTest, SnapshotDetectsCorruption) {
-  OPDELTA_ASSERT_OK(InsertOne(1));
-  const std::string path = dir_.Sub("snap.bin");
-  OPDELTA_ASSERT_OK(Snapshot::Write(db_.get(), "parts", path));
-  std::string data;
-  OPDELTA_ASSERT_OK(Env::Default()->ReadFileToString(path, &data));
-  data[data.size() / 2] ^= 0x1;
-  OPDELTA_ASSERT_OK(Env::Default()->WriteStringToFile(path, Slice(data)));
-  Status st = Snapshot::Read(path, nullptr, [](const Row&) { return true; });
-  EXPECT_TRUE(st.IsCorruption());
-}
-
 // ------------------------------------------------------------ Concurrency
 
 TEST_F(DatabaseTest, ExclusiveLockBlocksReaderTransaction) {
@@ -810,11 +778,56 @@ TEST_F(DatabaseTest, ExclusiveLockBlocksReaderTransaction) {
       (void)db_->Abort(txn.get());
     }
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const catalog::TableId table = db_->GetTable("parts")->id();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (db_->locks()->WaitersOnTable(table) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(db_->locks()->WaitersOnTable(table), 1u);
   EXPECT_FALSE(reader_done.load());  // blocked by X
   OPDELTA_ASSERT_OK(db_->Commit(writer.get()));
   reader.join();
   EXPECT_TRUE(reader_done.load());
+}
+
+TEST(ScanCommittedTest, LocksOnlyTheRowsItsPredicateCanMatch) {
+  // The scrubber reads one key range of a warehouse table at a time
+  // through ScanCommitted. A writer holding a row outside the range must
+  // not make that read wait for it, or time out (here after 200 ms).
+  TempDir dir;
+  DatabaseOptions options;
+  options.lock_timeout = std::chrono::milliseconds(200);
+  auto db = OpenDb(dir, "db", options);
+  OPDELTA_ASSERT_OK(db->CreateTable("parts", PartsSchema()));
+  OPDELTA_ASSERT_OK(db->WithTransaction([&](txn::Transaction* txn) {
+    for (int64_t id = 0; id < 100; ++id) {
+      OPDELTA_RETURN_IF_ERROR(db->Insert(txn, "parts", PartsRow(id, "old")));
+    }
+    return Status::OK();
+  }));
+
+  auto writer = db->Begin();
+  Result<size_t> updated = db->UpdateWhere(
+      writer.get(), "parts",
+      Predicate::Where("id", CompareOp::kEq, Value::Int64(90)),
+      {Assignment{"status", Value::String("dirty")}});
+  OPDELTA_ASSERT_OK(updated.status());
+  ASSERT_EQ(*updated, 1u);
+
+  std::set<int64_t> ids;
+  OPDELTA_ASSERT_OK(db->ScanCommitted(
+      "parts", Predicate::Where("id", CompareOp::kLe, Value::Int64(9)),
+      [&](const Row& row) {
+        EXPECT_EQ(row[1].AsString(), "old");
+        ids.insert(row[0].AsInt64());
+        return true;
+      }));
+  EXPECT_EQ(ids.size(), 10u);
+  EXPECT_EQ(*ids.begin(), 0);
+  EXPECT_EQ(*ids.rbegin(), 9);
+  OPDELTA_ASSERT_OK(db->Commit(writer.get()));
 }
 
 TEST_F(DatabaseTest, ConcurrentWritersOnDifferentRowsProceed) {
@@ -1078,8 +1091,8 @@ class WalRepairTest : public ::testing::Test {
   }
 
   // Closes and reopens the database, then reads the whole log: it must
-  // read back with dense LSNs, and replay exactly `acknowledged` inserts.
-  // Returns the log's records.
+  // read back with dense LSNs, and its committed transactions must insert
+  // exactly `acknowledged`. Returns the log's records.
   std::vector<txn::LogRecord> ReopenAndReadLog(
       const std::set<int64_t>& acknowledged) {
     std::vector<txn::LogRecord> records;
@@ -1097,20 +1110,22 @@ class WalRepairTest : public ::testing::Test {
     for (size_t i = 1; i < records.size(); ++i) {
       EXPECT_EQ(records[i].lsn, records[i - 1].lsn + 1) << "record " << i;
     }
+    std::set<txn::TxnId> committed;
+    for (const txn::LogRecord& r : records) {
+      if (r.type == txn::LogRecordType::kCommit) committed.insert(r.txn_id);
+    }
     const catalog::Schema schema = PartsSchema();
     std::set<int64_t> replayed;
-    st = txn::ReplayCommitted(
-        db_->wal()->dir(),
-        [&](const txn::LogRecord& r) {
-          if (r.type != txn::LogRecordType::kInsert) return Status::OK();
-          Row row;
-          OPDELTA_RETURN_IF_ERROR(
-              catalog::RowCodec::Decode(schema, Slice(r.after), &row));
-          replayed.insert(row[0].AsInt64());
-          return Status::OK();
-        },
-        nullptr);
-    EXPECT_TRUE(st.ok()) << st.ToString();
+    for (const txn::LogRecord& r : records) {
+      if (r.type != txn::LogRecordType::kInsert ||
+          committed.count(r.txn_id) == 0) {
+        continue;
+      }
+      Row row;
+      st = catalog::RowCodec::Decode(schema, Slice(r.after), &row);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      if (st.ok()) replayed.insert(row[0].AsInt64());
+    }
     EXPECT_EQ(replayed, acknowledged);
     return records;
   }

@@ -6,7 +6,7 @@
 
 #include "catalog/row_codec.h"
 #include "common/random.h"
-#include "engine/snapshot.h"
+#include "dbutils/export.h"
 #include "extract/delta.h"
 #include "extract/log_extractor.h"
 #include "extract/reconciler.h"
@@ -14,6 +14,7 @@
 #include "extract/timestamp_extractor.h"
 #include "extract/trigger_extractor.h"
 #include "sql/executor.h"
+#include "warehouse/integrator.h"
 #include "workload/workload.h"
 #include "tests/test_util.h"
 
@@ -22,6 +23,7 @@ namespace {
 
 using catalog::Row;
 using catalog::Value;
+using dbutils::ExportUtil;
 using engine::CompareOp;
 using engine::Predicate;
 using opdelta::testing::CountRows;
@@ -198,8 +200,7 @@ TEST_P(SnapshotDiffTest, DiffCapturesInsertDeleteUpdate) {
   auto db = OpenDb(dir, "src");
   OPDELTA_ASSERT_OK(wl.CreateTable(db.get(), "parts"));
   OPDELTA_ASSERT_OK(wl.Populate(db.get(), "parts", 100));
-  OPDELTA_ASSERT_OK(engine::Snapshot::Write(db.get(), "parts",
-                                            dir.Sub("old.snap")));
+  OPDELTA_ASSERT_OK(ExportUtil::Export(db.get(), "parts", dir.Sub("old.snap")));
 
   sql::Executor exec(db.get());
   OPDELTA_ASSERT_OK(
@@ -209,8 +210,7 @@ TEST_P(SnapshotDiffTest, DiffCapturesInsertDeleteUpdate) {
           .status());
   OPDELTA_ASSERT_OK(
       exec.ExecuteSql(wl.MakeInsert("parts", 100, 5).ToSql()).status());
-  OPDELTA_ASSERT_OK(engine::Snapshot::Write(db.get(), "parts",
-                                            dir.Sub("new.snap")));
+  OPDELTA_ASSERT_OK(ExportUtil::Export(db.get(), "parts", dir.Sub("new.snap")));
 
   SnapshotDifferential::Options options;
   options.algorithm = GetParam();
@@ -254,20 +254,16 @@ TEST_P(SnapshotDiffTest, ApplyDiffReproducesNewSnapshot) {
   auto db = OpenDb(dir, "src");
   OPDELTA_ASSERT_OK(wl.CreateTable(db.get(), "parts"));
   OPDELTA_ASSERT_OK(wl.Populate(db.get(), "parts", 200));
-  OPDELTA_ASSERT_OK(engine::Snapshot::Write(db.get(), "parts",
-                                            dir.Sub("s1.snap")));
+  OPDELTA_ASSERT_OK(ExportUtil::Export(db.get(), "parts", dir.Sub("s1.snap")));
 
-  // Rebuild a replica of S1 before mutating the source.
-  auto replica = OpenDb(dir, "replica");
+  // Load a replica of S1 before mutating the source. It keeps the dumped
+  // timestamps: the apply must not re-stamp them.
+  engine::DatabaseOptions replica_options;
+  replica_options.auto_timestamp = false;
+  auto replica = OpenDb(dir, "replica", replica_options);
   OPDELTA_ASSERT_OK(wl.CreateTable(replica.get(), "parts"));
-  OPDELTA_ASSERT_OK(replica->WithTransaction([&](txn::Transaction* txn) {
-    Status st;
-    return engine::Snapshot::Read(dir.Sub("s1.snap"), nullptr,
-                                  [&](const Row& row) {
-                                    st = replica->InsertRaw(txn, "parts", row);
-                                    return st.ok();
-                                  });
-  }));
+  OPDELTA_ASSERT_OK(
+      dbutils::ImportUtil::Import(replica.get(), "parts", dir.Sub("s1.snap")));
 
   Rng rng(99);
   sql::Executor exec(db.get());
@@ -293,8 +289,7 @@ TEST_P(SnapshotDiffTest, ApplyDiffReproducesNewSnapshot) {
         break;
     }
   }
-  OPDELTA_ASSERT_OK(engine::Snapshot::Write(db.get(), "parts",
-                                            dir.Sub("s2.snap")));
+  OPDELTA_ASSERT_OK(ExportUtil::Export(db.get(), "parts", dir.Sub("s2.snap")));
 
   SnapshotDifferential::Options options;
   options.algorithm = GetParam();
@@ -303,7 +298,7 @@ TEST_P(SnapshotDiffTest, ApplyDiffReproducesNewSnapshot) {
       dir.Sub("s1.snap"), dir.Sub("s2.snap"), options, nullptr);
   ASSERT_TRUE(diff.ok()) << diff.status().ToString();
   OPDELTA_ASSERT_OK(
-      SnapshotDifferential::Apply(replica.get(), "parts", *diff));
+      warehouse::ApplyNetChanges(replica.get(), "parts", *diff, nullptr));
   EXPECT_TRUE(TablesEqual(db.get(), "parts", replica.get(), "parts"));
 }
 
@@ -320,10 +315,8 @@ TEST(SnapshotDiffErrorTest, SchemaMismatchRejected) {
   OPDELTA_ASSERT_OK(db->CreateTable(
       "other",
       catalog::Schema({catalog::Column{"k", catalog::ValueType::kInt64}})));
-  OPDELTA_ASSERT_OK(
-      engine::Snapshot::Write(db.get(), "parts", dir.Sub("a.snap")));
-  OPDELTA_ASSERT_OK(
-      engine::Snapshot::Write(db.get(), "other", dir.Sub("b.snap")));
+  OPDELTA_ASSERT_OK(ExportUtil::Export(db.get(), "parts", dir.Sub("a.snap")));
+  OPDELTA_ASSERT_OK(ExportUtil::Export(db.get(), "other", dir.Sub("b.snap")));
   EXPECT_FALSE(
       SnapshotDifferential::Diff(dir.Sub("a.snap"), dir.Sub("b.snap")).ok());
 }
@@ -899,33 +892,30 @@ TEST_F(ExtractTest, ReopenReleasesTheResumePinOfATransactionLeftOpen) {
           .IsCorruption());
 }
 
-TEST_F(ExtractTest, ReplayIntoRebuildsExactReplica) {
+TEST_F(ExtractTest, LogExtractionFromLsnZeroRebuildsExactReplica) {
   // "These logs contain deltas and can be shipped to another similar
-  // database and applied using tools based on the DBMS recovery managers."
+  // database": the whole log, extracted and applied as net changes,
+  // rebuilds the table exactly.
   OPDELTA_ASSERT_OK(wl_.Populate(db_.get(), "parts", 100));
   OPDELTA_ASSERT_OK(RunUpdate(10, 40, "u1"));
   OPDELTA_ASSERT_OK(RunDelete(50, 70));
   OPDELTA_ASSERT_OK(RunUpdate(0, 5, "u2"));
 
-  auto dest = OpenDb(dir_, "standby");
-  OPDELTA_ASSERT_OK(wl_.CreateTable(dest.get(), "parts"));
-  txn::RecoveryStats stats;
-  OPDELTA_ASSERT_OK(LogExtractor::ReplayInto(
-      db_->wal()->dir(), dest.get(),
-      {{db_->GetTable("parts")->id(), "parts"}}, &stats));
-  EXPECT_TRUE(TablesEqual(db_.get(), "parts", dest.get(), "parts"));
-  EXPECT_GT(stats.redo_applied, 100u);
-}
+  engine::Table* t = db_->GetTable("parts");
+  LogExtractor extractor(db_->wal()->dir());
+  Result<DeltaBatch> batch =
+      extractor.ExtractSince(0, t->id(), "parts", t->schema(), nullptr);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_GT(batch->records.size(), 100u);
 
-TEST_F(ExtractTest, ReplayIntoRequiresEmptyDestination) {
-  OPDELTA_ASSERT_OK(wl_.Populate(db_.get(), "parts", 5));
-  auto dest = OpenDb(dir_, "standby");
+  // The replica keeps the source's timestamps: the apply must not re-stamp.
+  engine::DatabaseOptions options;
+  options.auto_timestamp = false;
+  auto dest = OpenDb(dir_, "standby", options);
   OPDELTA_ASSERT_OK(wl_.CreateTable(dest.get(), "parts"));
-  OPDELTA_ASSERT_OK(wl_.Populate(dest.get(), "parts", 1));
-  Status st = LogExtractor::ReplayInto(
-      db_->wal()->dir(), dest.get(),
-      {{db_->GetTable("parts")->id(), "parts"}});
-  EXPECT_FALSE(st.ok());
+  OPDELTA_ASSERT_OK(
+      warehouse::ApplyNetChanges(dest.get(), "parts", *batch, nullptr));
+  EXPECT_TRUE(TablesEqual(db_.get(), "parts", dest.get(), "parts"));
 }
 
 TEST(LogArchiveModeTest, RecyclingCheckpointLosesHistoryArchiveKeepsIt) {

@@ -481,7 +481,12 @@ TEST_F(SelfHealingHubTest, RunRoundAndStopReportEveryFailingSource) {
   // The Start() driver is a supervisor: failed rounds are retained, the
   // loop keeps driving instead of halting after the first error.
   OPDELTA_ASSERT_OK((*hub)->Start());
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((*hub)->Stats().rounds <= 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   Status stop = (*hub)->Stop();
   EXPECT_FALSE(stop.ok());
   EXPECT_NE(stop.message().find("injected write fault"), std::string::npos)

@@ -7,7 +7,6 @@
 #include "dbutils/ascii_dump.h"
 #include "dbutils/export.h"
 #include "dbutils/loader.h"
-#include "engine/snapshot.h"
 #include "extract/log_extractor.h"
 #include "extract/op_delta.h"
 #include "extract/reconciler.h"
@@ -187,22 +186,16 @@ TEST_F(EndToEndTest, TimestampExtractConvergesLiveRows) {
 TEST_F(EndToEndTest, SnapshotDifferentialExtractIntegrate) {
   OPDELTA_ASSERT_OK(wl_.Populate(src_.get(), "parts", 80));
   OPDELTA_ASSERT_OK(
-      engine::Snapshot::Write(src_.get(), "parts", dir_.Sub("s1.snap")));
+      dbutils::ExportUtil::Export(src_.get(), "parts", dir_.Sub("s1.snap")));
 
   // Initial-load the warehouse from the first snapshot.
-  OPDELTA_ASSERT_OK(wh_->WithTransaction([&](txn::Transaction* txn) {
-    Status st;
-    return engine::Snapshot::Read(dir_.Sub("s1.snap"), nullptr,
-                                  [&](const Row& row) {
-                                    st = wh_->InsertRaw(txn, "parts", row);
-                                    return st.ok();
-                                  });
-  }));
+  OPDELTA_ASSERT_OK(
+      dbutils::ImportUtil::Import(wh_.get(), "parts", dir_.Sub("s1.snap")));
 
   next_id_ = 80;
   OPDELTA_ASSERT_OK(RunWorkload(3, 20));
   OPDELTA_ASSERT_OK(
-      engine::Snapshot::Write(src_.get(), "parts", dir_.Sub("s2.snap")));
+      dbutils::ExportUtil::Export(src_.get(), "parts", dir_.Sub("s2.snap")));
 
   // Ship both snapshots (the method's transport cost) then diff + apply.
   transport::NetworkSimulator net(transport::NetworkSimulator::Loopback());
@@ -213,7 +206,7 @@ TEST_F(EndToEndTest, SnapshotDifferentialExtractIntegrate) {
       dir_.Sub("s1.snap"), dir_.Sub("s2w.snap"));
   ASSERT_TRUE(diff.ok());
   OPDELTA_ASSERT_OK(
-      extract::SnapshotDifferential::Apply(wh_.get(), "parts", *diff));
+      warehouse::ApplyNetChanges(wh_.get(), "parts", *diff, nullptr));
   EXPECT_TRUE(TablesEqual(src_.get(), "parts", wh_.get(), "parts"));
 }
 
@@ -331,12 +324,12 @@ TEST_F(EndToEndTest, ExportImportMovesDeltaTableBetweenSystems) {
 TEST_F(EndToEndTest, AllValueDeltaMethodsAgreeOnNetChanges) {
   ASSERT_TRUE(extract::TriggerExtractor::Install(src_.get(), "parts").ok());
   OPDELTA_ASSERT_OK(
-      engine::Snapshot::Write(src_.get(), "parts", dir_.Sub("pre.snap")));
+      dbutils::ExportUtil::Export(src_.get(), "parts", dir_.Sub("pre.snap")));
 
   OPDELTA_ASSERT_OK(RunWorkload(6, 25));
 
   OPDELTA_ASSERT_OK(
-      engine::Snapshot::Write(src_.get(), "parts", dir_.Sub("post.snap")));
+      dbutils::ExportUtil::Export(src_.get(), "parts", dir_.Sub("post.snap")));
 
   Result<DeltaBatch> trigger_batch =
       extract::TriggerExtractor::Drain(src_.get(), "parts");

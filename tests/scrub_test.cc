@@ -10,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "backfill/backfiller.h"
+#include "backfill/chunk_window.h"
 #include "catalog/row_codec.h"
 #include "common/env.h"
 #include "hub/delta_hub.h"
@@ -201,7 +201,7 @@ struct ScrubFixture {
     workload::PartsWorkload src_wl, wh_wl;
     OPDELTA_EXPECT_OK(src_wl.CreateTable(src.get(), "parts"));
     OPDELTA_EXPECT_OK(wh_wl.CreateTable(wh.get(), "parts"));
-    OPDELTA_EXPECT_OK(backfill::Backfiller::EnsureSignalTable(wh.get()));
+    OPDELTA_EXPECT_OK(backfill::ChunkWindow::EnsureSignalTable(wh.get()));
     if (rows > 0) {
       OPDELTA_EXPECT_OK(src_wl.Populate(src.get(), "parts", rows));
       OPDELTA_EXPECT_OK(wh_wl.Populate(wh.get(), "parts", rows));

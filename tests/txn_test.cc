@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "common/coding.h"
 #include "common/fault_env.h"
 #include "txn/lock_manager.h"
 #include "txn/log_record.h"
-#include "txn/recovery.h"
 #include "txn/wal.h"
 #include "tests/test_util.h"
 
@@ -829,7 +829,13 @@ TEST(LockManagerTest, BlockedRequestWakesOnRelease) {
     Status st = lm.LockTable(2, 5, LockMode::kS, std::chrono::seconds(5));
     if (st.ok()) granted = true;
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (lm.WaitersOnTable(5) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(lm.WaitersOnTable(5), 1u);
   EXPECT_FALSE(granted.load());
   lm.ReleaseAll(1);
   waiter.join();
@@ -914,70 +920,6 @@ TEST(LockManagerTest, RowEntryTakenBeforeATableUpgradeStaysUntilReleaseAll) {
                   .IsConflict());
   lm.ReleaseAll(1);
   OPDELTA_EXPECT_OK(lm.LockRow(2, 8, r, false, std::chrono::milliseconds(30)));
-}
-
-// --------------------------------------------------------------- Recovery
-
-TEST(RecoveryTest, ReplaysOnlyCommittedInLsnOrder) {
-  TempDir dir;
-  {
-    Wal wal;
-    OPDELTA_ASSERT_OK(wal.Open(dir.Sub("wal"), WalOptions()));
-    auto append = [&](LogRecordType type, TxnId txn, const std::string& data) {
-      LogRecord rec;
-      rec.type = type;
-      rec.txn_id = txn;
-      rec.after = data;
-      OPDELTA_ASSERT_OK(wal.Append(&rec));
-    };
-    // Txn 1 commits, txn 2 aborts, txn 3 is left open.
-    append(LogRecordType::kBegin, 1, "");
-    append(LogRecordType::kInsert, 1, "a1");
-    append(LogRecordType::kBegin, 2, "");
-    append(LogRecordType::kInsert, 2, "b1");
-    append(LogRecordType::kInsert, 1, "a2");
-    append(LogRecordType::kCommit, 1, "");
-    append(LogRecordType::kAbort, 2, "");
-    append(LogRecordType::kBegin, 3, "");
-    append(LogRecordType::kInsert, 3, "c1");
-    OPDELTA_ASSERT_OK(wal.Close());
-  }
-
-  std::vector<std::string> applied;
-  RecoveryStats stats;
-  OPDELTA_ASSERT_OK(ReplayCommitted(
-      dir.Sub("wal"),
-      [&](const LogRecord& r) -> Status {
-        applied.push_back(r.after);
-        return Status::OK();
-      },
-      &stats));
-  EXPECT_EQ(applied, (std::vector<std::string>{"a1", "a2"}));
-  EXPECT_EQ(stats.committed_txns, 1u);
-  EXPECT_EQ(stats.aborted_or_open_txns, 2u);
-  EXPECT_EQ(stats.redo_applied, 2u);
-}
-
-TEST(RecoveryTest, ApplyErrorPropagates) {
-  TempDir dir;
-  {
-    Wal wal;
-    OPDELTA_ASSERT_OK(wal.Open(dir.Sub("wal"), WalOptions()));
-    LogRecord rec;
-    rec.type = LogRecordType::kBegin;
-    rec.txn_id = 1;
-    OPDELTA_ASSERT_OK(wal.Append(&rec));
-    rec.type = LogRecordType::kInsert;
-    OPDELTA_ASSERT_OK(wal.Append(&rec));
-    rec.type = LogRecordType::kCommit;
-    OPDELTA_ASSERT_OK(wal.Append(&rec));
-    OPDELTA_ASSERT_OK(wal.Close());
-  }
-  Status st = ReplayCommitted(
-      dir.Sub("wal"),
-      [](const LogRecord&) { return Status::IOError("apply boom"); },
-      nullptr);
-  EXPECT_TRUE(st.IsIOError());
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 //   opdelta_cli tables <dbdir>                  list tables and row counts
 //   opdelta_cli dump <dbdir> <table>            print a table as CSV
 //   opdelta_cli sql <dbdir> "<statement>"       run DML or SELECT
-//   opdelta_cli snapshot <dbdir> <table> <out>  write a snapshot file
+//   opdelta_cli snapshot <dbdir> <table> <out>  export a table (snapshot dump)
 //   opdelta_cli diff <old.snap> <new.snap>      summarize a snapshot diff
 //   opdelta_cli extract-log <dbdir> <table>     decode the archive log
 //   opdelta_cli oplog <file>                    pretty-print an op-delta log
@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "dbutils/ascii_dump.h"
+#include "dbutils/export.h"
 #include "engine/database.h"
-#include "engine/snapshot.h"
 #include "extract/log_extractor.h"
 #include "extract/op_delta.h"
 #include "extract/snapshot_differential.h"
@@ -157,7 +157,7 @@ int CmdSnapshot(const std::string& dir, const std::string& table,
                 const std::string& out) {
   Result<std::unique_ptr<engine::Database>> db = OpenExisting(dir);
   if (!db.ok()) return Fail(db.status());
-  CLI_OK(engine::Snapshot::Write(db->get(), table, out));
+  CLI_OK(dbutils::ExportUtil::Export(db->get(), table, out));
   uint64_t size = 0;
   CLI_OK(Env::Default()->GetFileSize(out, &size));
   std::printf("wrote %s (%llu bytes)\n", out.c_str(),
