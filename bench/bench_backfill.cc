@@ -143,11 +143,10 @@ void Run() {
                   FormatMicros(online.wall), "0us",
                   std::to_string(online.live_txns),
                   std::to_string(online.rows_deduped)});
-    if (online.rows_backfilled < static_cast<uint64_t>(p.rows)) {
-      std::printf("WARN %s: only %llu of %lld rows backfilled\n", p.label,
-                  static_cast<unsigned long long>(online.rows_backfilled),
-                  static_cast<long long>(p.rows));
-    }
+    bench::CheckThat(online.rows_backfilled >= static_cast<uint64_t>(p.rows),
+                     std::string(p.label) + ": only " +
+                         std::to_string(online.rows_backfilled) + " of " +
+                         std::to_string(p.rows) + " rows backfilled");
   }
   table.Print();
 }

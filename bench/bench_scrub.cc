@@ -1,12 +1,18 @@
 // Anti-entropy scrub cost: wall time for one full watermark-consistent
 // verification pass over a converged mirror (the steady-state background
 // cost of the scrubber), and the latency to detect + repair a damaged
-// chunk, as table size grows.
+// chunk, as table size grows — with the key column unindexed and with it
+// indexed on both sides (as cdcbench's rig indexes `id`).
 //
-// Expected shape: clean-pass time grows linearly with table size (every
-// row is read and digested on both sides once per pass) with per-chunk
-// window overhead amortized by chunk_rows; repair latency stays roughly
-// flat — a mismatch re-ships one chunk, independent of table size.
+// Expected shape: with the key indexed, clean-pass time grows linearly
+// with table size (every row is read and digested on both sides once per
+// pass; each chunk read walks the B+tree and stops at its last key) and
+// the repaired pass costs about a clean pass plus one chunk. Unindexed,
+// every chunk read scans the heap above its cursor, so a pass is
+// superlinear (about chunks x table size).
+//
+// Run with --json to write BENCH_scrub.json. Exits nonzero if a clean pass
+// reports a mismatch or the damage goes unrepaired.
 #include <cstdio>
 #include <string>
 
@@ -20,6 +26,7 @@ namespace opdelta {
 namespace {
 
 using bench::FormatMicros;
+using bench::JsonReport;
 using bench::ScratchDir;
 using bench::TablePrinter;
 
@@ -36,7 +43,7 @@ struct ScrubResult {
 };
 
 ScrubResult RunScrub(const ScratchDir& dir, const std::string& tag,
-                     int64_t rows, uint64_t chunk_rows) {
+                     int64_t rows, uint64_t chunk_rows, bool indexed) {
   engine::DatabaseOptions options;
   options.auto_timestamp = false;
   std::unique_ptr<engine::Database> src;
@@ -50,6 +57,10 @@ ScrubResult RunScrub(const ScratchDir& dir, const std::string& tag,
   BENCH_OK(wh_wl.CreateTable(wh.get(), "parts"));
   BENCH_OK(src_wl.Populate(src.get(), "parts", rows));
   BENCH_OK(wh_wl.Populate(wh.get(), "parts", rows));
+  if (indexed) {
+    BENCH_OK(src->CreateIndex("parts", "id"));
+    BENCH_OK(wh->CreateIndex("parts", "id"));
+  }
   // Op-delta windows ship their watermark rows down the stream; the
   // warehouse needs the signal table to apply them.
   BENCH_OK(backfill::ChunkWindow::EnsureSignalTable(wh.get()));
@@ -97,9 +108,8 @@ ScrubResult RunScrub(const ScratchDir& dir, const std::string& tag,
   while (scrubber->stats().passes < 1) BENCH_OK(scrubber->Step());
   result.clean_pass = clean.ElapsedMicros();
   result.chunks = scrubber->stats().chunks_scrubbed;
-  if (scrubber->stats().chunks_mismatched != 0) {
-    std::printf("WARN %s: clean pass saw mismatches\n", tag.c_str());
-  }
+  bench::CheckThat(scrubber->stats().chunks_mismatched == 0,
+                   tag + ": clean pass saw mismatches");
 
   // Damage one mid-table chunk and measure detect + repair + re-verify.
   const int64_t lo = rows / 2;
@@ -118,13 +128,12 @@ ScrubResult RunScrub(const ScratchDir& dir, const std::string& tag,
   while (scrubber->stats().passes < 2) BENCH_OK(scrubber->Step());
   result.repair = repair.ElapsedMicros();
   result.rows_repaired = scrubber->stats().rows_repaired;
-  if (scrubber->stats().chunks_repaired == 0) {
-    std::printf("WARN %s: damage was not repaired\n", tag.c_str());
-  }
+  bench::CheckThat(scrubber->stats().chunks_repaired != 0,
+                   tag + ": damage was not repaired");
   return result;
 }
 
-void Run() {
+void Run(JsonReport* report) {
   bench::PrintHeader(
       "Online anti-entropy scrub: verify pass cost and chunk repair latency",
       "watermark-consistent checksums over the Ram & Do delta pipeline",
@@ -137,18 +146,28 @@ void Run() {
       {"20k", bench::Scaled(20000)},
   };
 
-  TablePrinter table({"rows", "clean pass", "rows/s", "chunks",
+  TablePrinter table({"rows", "key", "clean pass", "rows/s", "chunks",
                       "damage->repaired pass", "rows repaired"});
-  for (const Point& p : points) {
-    ScratchDir dir("scrub");
-    const ScrubResult r = RunScrub(dir, p.label, p.rows, /*chunk_rows=*/512);
-    const double secs = static_cast<double>(r.clean_pass) / 1e6;
-    const uint64_t rate =
-        secs > 0 ? static_cast<uint64_t>(static_cast<double>(p.rows) / secs)
-                 : 0;
-    table.AddRow({p.label, FormatMicros(r.clean_pass), std::to_string(rate),
-                  std::to_string(r.chunks), FormatMicros(r.repair),
-                  std::to_string(r.rows_repaired)});
+  for (const bool indexed : {false, true}) {
+    for (const Point& p : points) {
+      ScratchDir dir("scrub");
+      const std::string key = indexed ? "indexed" : "unindexed";
+      const ScrubResult r = RunScrub(dir, std::string(p.label) + "_" + key,
+                                     p.rows, /*chunk_rows=*/512, indexed);
+      const double secs = static_cast<double>(r.clean_pass) / 1e6;
+      const uint64_t rate =
+          secs > 0
+              ? static_cast<uint64_t>(static_cast<double>(p.rows) / secs)
+              : 0;
+      table.AddRow({p.label, key, FormatMicros(r.clean_pass),
+                    std::to_string(rate), std::to_string(r.chunks),
+                    FormatMicros(r.repair), std::to_string(r.rows_repaired)});
+      const std::string suffix = std::string("_") + p.label + "_" + key;
+      report->Add("clean_pass_ms" + suffix,
+                  static_cast<double>(r.clean_pass) / 1e3);
+      report->Add("repaired_pass_ms" + suffix,
+                  static_cast<double>(r.repair) / 1e3);
+    }
   }
   table.Print();
 }
@@ -156,7 +175,8 @@ void Run() {
 }  // namespace
 }  // namespace opdelta
 
-int main() {
-  opdelta::Run();
+int main(int argc, char** argv) {
+  opdelta::bench::JsonReport report("scrub", argc, argv);
+  opdelta::Run(&report);
   return 0;
 }

@@ -87,11 +87,10 @@ void Run() {
            std::to_string(stats.peak_resident_rows),
            std::to_string(stats.spilled_rows)});
     }
-    if (merge_records != window_records) {
-      std::printf("WARNING: algorithms disagree (%llu vs %llu records)\n",
-                  static_cast<unsigned long long>(merge_records),
-                  static_cast<unsigned long long>(window_records));
-    }
+    bench::CheckThat(merge_records == window_records,
+                     "algorithms disagree (" + std::to_string(merge_records) +
+                         " vs " + std::to_string(window_records) +
+                         " records)");
   }
   table.Print();
   std::printf("shape check: window peak resident rows bounded near the "

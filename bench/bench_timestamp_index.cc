@@ -85,13 +85,12 @@ void Run() {
     BENCH_OK(batch.status());
     const Micros t_index = sw_index.ElapsedMicros();
 
-    if (batch->records.size() != scan_rows ||
-        scan_rows != static_cast<uint64_t>(delta_rows)) {
-      std::printf("WARNING: extraction mismatch (%llu vs %llu vs %lld)\n",
-                  static_cast<unsigned long long>(batch->records.size()),
-                  static_cast<unsigned long long>(scan_rows),
-                  static_cast<long long>(delta_rows));
-    }
+    bench::CheckThat(batch->records.size() == scan_rows &&
+                         scan_rows == static_cast<uint64_t>(delta_rows),
+                     "extraction mismatch (" +
+                         std::to_string(batch->records.size()) + " vs " +
+                         std::to_string(scan_rows) + " vs " +
+                         std::to_string(delta_rows) + ")");
 
     const double speedup =
         static_cast<double>(t_scan) / static_cast<double>(t_index);

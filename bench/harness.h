@@ -26,6 +26,14 @@ inline void CheckOk(const Status& st, const char* context) {
 
 #define BENCH_OK(expr) ::opdelta::bench::CheckOk((expr), #expr)
 
+/// A bench's own correctness check: figures measured on wrong results mean
+/// nothing, so a failed check exits nonzero instead of printing on.
+inline void CheckThat(bool ok, const std::string& what) {
+  if (ok) return;
+  std::fprintf(stderr, "FAILED check: %s\n", what.c_str());
+  std::exit(1);
+}
+
 /// Workload scale multiplier. 1.0 reproduces the default (≈100× smaller
 /// than the paper's 1999 hardware run, finishing in seconds per bench);
 /// raise via OPDELTA_BENCH_SCALE=10 for closer-to-paper sizes.

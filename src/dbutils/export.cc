@@ -70,6 +70,10 @@ Status ExportUtil::ReadExportFile(
   std::string data;
   OPDELTA_RETURN_IF_ERROR(Env::Default()->ReadFileToString(path, &data));
   if (data.size() < 16) return Status::Corruption("export file too small");
+  // The magic first: a file of another format is not a corrupt dump.
+  if (DecodeFixed32(data.data()) != kExportMagic) {
+    return Status::Corruption("not an export file (bad magic): " + path);
+  }
 
   const uint64_t rows = DecodeFixed64(data.data() + data.size() - 12);
   const uint32_t expected_crc = DecodeFixed32(data.data() + data.size() - 4);
@@ -77,11 +81,7 @@ Status ExportUtil::ReadExportFile(
     return Status::Corruption("export crc mismatch: " + path);
   }
 
-  Slice input(data.data(), data.size() - 12);
-  uint32_t magic = 0;
-  if (!GetFixed32(&input, &magic) || magic != kExportMagic) {
-    return Status::Corruption("not an export file: " + path);
-  }
+  Slice input(data.data() + 4, data.size() - 16);
   catalog::Schema schema;
   OPDELTA_RETURN_IF_ERROR(catalog::Schema::DecodeFrom(&input, &schema));
   if (schema_out != nullptr) *schema_out = schema;

@@ -175,7 +175,6 @@ Status DeltaHub::AddSource(const SourceSpec& spec) {
   leg_options.source_id = spec.name;
   leg_options.source_table = spec.source_table;
   leg_options.warehouse_table = spec.warehouse_table;
-  leg_options.timestamp_column = spec.timestamp_column;
   leg_options.op_log_table = spec.op_log_table;
   leg_options.work_dir = options_.work_dir + "/" + spec.name;
 
@@ -242,13 +241,14 @@ Status DeltaHub::Setup() {
     entry.warehouse_table = source->spec.warehouse_table;
     stats_.sources.push_back(std::move(entry));
     OPDELTA_RETURN_IF_ERROR(source->leg->Setup());
+    if ((source->spec.backfill || source->spec.scrub) &&
+        source->spec.method == pipeline::Method::kOpDelta) {
+      // Captured watermark-signal statements replay at the warehouse, so
+      // it needs the signal table too.
+      OPDELTA_RETURN_IF_ERROR(
+          backfill::ChunkWindow::EnsureSignalTable(warehouse_));
+    }
     if (source->spec.backfill) {
-      if (source->spec.method == pipeline::Method::kOpDelta) {
-        // Captured watermark-signal statements replay at the warehouse,
-        // so it needs the signal table too.
-        OPDELTA_RETURN_IF_ERROR(
-            backfill::ChunkWindow::EnsureSignalTable(warehouse_));
-      }
       backfill::BackfillOptions bf_options;
       bf_options.chunk_rows = source->spec.backfill_chunk_rows;
       OPDELTA_ASSIGN_OR_RETURN(
@@ -257,12 +257,6 @@ Status DeltaHub::Setup() {
       OPDELTA_RETURN_IF_ERROR(source->backfiller->Setup());
     }
     if (source->spec.scrub) {
-      if (source->spec.method == pipeline::Method::kOpDelta) {
-        // Captured scrub-watermark statements replay at the warehouse,
-        // so it needs the signal table (shared with backfill's).
-        OPDELTA_RETURN_IF_ERROR(
-            backfill::ChunkWindow::EnsureSignalTable(warehouse_));
-      }
       Group* group = nullptr;
       for (const auto& g : groups_) {
         if (std::find(g->members.begin(), g->members.end(), source.get()) !=

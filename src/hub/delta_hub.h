@@ -39,8 +39,6 @@ struct SourceSpec {
   /// the site-priority order on conflicts.
   std::string replica_group;
 
-  /// Method::kTimestamp: the auto-maintained timestamp column.
-  std::string timestamp_column = "last_modified";
   /// Method::kOpDelta: the DB-sink log table (created by Setup).
   std::string op_log_table = "op_log";
 

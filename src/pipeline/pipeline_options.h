@@ -37,9 +37,6 @@ struct PipelineOptions {
   /// restarts. Empty: defaults to source_table.
   std::string source_id;
 
-  /// kTimestamp: the auto-maintained timestamp column.
-  std::string timestamp_column = "last_modified";
-
   /// kOpDelta: the DB-sink log table (created by Setup).
   std::string op_log_table = "op_log";
 

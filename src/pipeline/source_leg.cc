@@ -255,8 +255,16 @@ Result<std::unique_ptr<SourceLeg>> SourceLeg::Create(
   if (options.work_dir.empty()) {
     return Status::InvalidArgument("work_dir required");
   }
-  if (source->GetTable(options.source_table) == nullptr) {
+  engine::Table* table = source->GetTable(options.source_table);
+  if (table == nullptr) {
     return Status::NotFound("source table " + options.source_table);
+  }
+  if (options.method == Method::kTimestamp &&
+      table->schema().TimestampColumnIndex() < 0) {
+    // The method extracts by the engine-stamped column.
+    return Status::InvalidArgument("timestamp source table has no "
+                                   "TIMESTAMP column: " +
+                                   options.source_table);
   }
   if (options.source_id.empty()) options.source_id = options.source_table;
   if (options.method == Method::kOpDelta &&
@@ -349,15 +357,21 @@ Status SourceLeg::ExtractPending() {
 
   switch (options_.method) {
     case Method::kTimestamp: {
-      extract::TimestampExtractor extractor(source_, options_.source_table,
-                                            options_.timestamp_column);
+      // The schema's stamped column (Create checked there is one; a DDL
+      // may have dropped it since).
+      const int ts_col = src->schema().TimestampColumnIndex();
+      if (ts_col < 0) {
+        return Status::NotSupported("no TIMESTAMP column in " +
+                                    options_.source_table);
+      }
+      extract::TimestampExtractor extractor(
+          source_, options_.source_table,
+          src->schema().column(static_cast<size_t>(ts_col)).name);
       Micros watermark = static_cast<Micros>(position_);
       OPDELTA_ASSIGN_OR_RETURN(DeltaBatch batch,
                                extractor.ExtractSince(watermark));
       if (batch.records.empty()) return Status::OK();
       // Advance conservatively to the largest timestamp actually seen.
-      const int ts_col =
-          src->schema().ColumnIndex(options_.timestamp_column);
       for (const extract::DeltaRecord& r : batch.records) {
         if (!r.image[ts_col].is_null() &&
             r.image[ts_col].AsTimestamp() > watermark) {

@@ -7,14 +7,12 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "backfill/chunk_window.h"
-#include "common/digest.h"
+#include "backfill/cursor_ledger.h"
 #include "common/status.h"
 #include "engine/database.h"
 #include "pipeline/source_leg.h"
-#include "scrub/scrub_ledger.h"
 
 namespace opdelta::scrub {
 
@@ -25,11 +23,6 @@ struct ScrubOptions {
   /// Repair confirmed mismatches by re-shipping the chunk as a snapshot
   /// frame. false = report-only: mismatches are counted and skipped.
   bool repair = true;
-
-  /// Error out (instead of repairing again) once the same chunk has been
-  /// repaired this many times without verifying clean in between — the
-  /// hub's supervision then quarantines the source. <= 0 disables.
-  int escalate_after = 3;
 };
 
 struct ScrubStats {
@@ -48,9 +41,9 @@ struct ScrubStats {
 ///
 /// Each Step() verifies one chunk:
 ///
-///   1. open a watermark window (ChunkWindow, the primitive backfill
-///      uses) and read the chunk's committed rows on the source;
-///   2. close the window in *detect* mode: drain capture until the high
+///   1. read the chunk's committed rows on the source through a watermark
+///      window (ChunkWindow::Read, the read backfill uses);
+///   2. the window closes in *detect* mode: capture drains until the high
 ///      marker ships. Any in-window event on the table makes the chunk
 ///      INCONCLUSIVE — it is retried next round, never reported. A clean
 ///      window proves the chunk equals the source's state at the high
@@ -69,10 +62,10 @@ struct ScrubStats {
 ///      exactly-once ledger path, then drain again. Idempotent and
 ///      crash-safe for the same reason backfill chunks are.
 ///
-/// The cursor persists in a ScrubLedger (source database); a completed
+/// The cursor persists in a CursorLedger (source database); a completed
 /// pass wraps to the smallest key, so scrubbing runs forever in bounded
-/// space. Repeated repair of one chunk without an intervening clean
-/// verify escalates to an error so the hub can quarantine the source.
+/// space. A chunk repaired kEscalateAfter (3) times without an intervening
+/// clean verify escalates to an error so the hub can quarantine the source.
 ///
 /// The digest compare is sound for op-delta and trigger sources (every
 /// committed change ships, so an untouched window pins both sides).
@@ -117,18 +110,6 @@ class Scrubber {
   Scrubber(pipeline::SourceLeg* leg, engine::Database* warehouse,
            DrainFn drain, ScrubOptions options);
 
-  /// Monotone window id, distinct from any id a previous incarnation used:
-  /// a stale high-marker row still in the op log must never close one of
-  /// our windows early (that would silently un-bracket the chunk read).
-  uint64_t NextWindowId();
-
-  /// Folds one row into `digest`, skipping the auto-timestamp column.
-  void AddRowDigest(const catalog::Row& row, SetDigest* digest) const;
-
-  /// Digest + key set of the committed warehouse rows in (lo, hi].
-  Status WarehouseChunk(std::optional<int64_t> lo, std::optional<int64_t> hi,
-                        SetDigest* digest, std::set<int64_t>* keys);
-
   /// Re-reads (lo, hi] through a repair window and ships it as a snapshot
   /// frame: upserts for fresh source rows, deletes for `wh_keys` no fresh
   /// row covers.
@@ -136,9 +117,8 @@ class Scrubber {
                      const std::set<int64_t>& wh_keys);
 
   /// Advances the durable cursor past the verified chunk; wraps the pass
-  /// when `more` is false.
-  Status AdvanceCursor(const std::vector<backfill::WindowRow>& rows,
-                       bool more);
+  /// when the chunk reached the end of the table.
+  Status AdvanceCursor(const backfill::ChunkWindow::Chunk& chunk);
 
   pipeline::SourceLeg* leg_;
   engine::Database* source_;
@@ -147,11 +127,8 @@ class Scrubber {
   ScrubOptions options_;
   std::string table_;     // source table
   std::string wh_table_;  // warehouse mirror
-  catalog::Schema schema_;
-  int key_col_ = 0;
-  int ts_col_ = -1;       // auto-timestamp column; excluded from digests
   backfill::ChunkWindow window_;
-  ScrubLedger ledger_;
+  backfill::CursorLedger ledger_;
   bool setup_done_ = false;
 
   uint64_t pass_ = 1;
@@ -159,7 +136,6 @@ class Scrubber {
   int64_t cursor_ = 0;
   uint64_t chunks_this_pass_ = 0;
   bool pass_just_completed_ = false;
-  uint64_t last_window_id_ = 0;
 
   /// Consecutive repairs per chunk (keyed by the chunk's lower bound),
   /// erased by a clean verify. Chunk boundaries drift as rows come and

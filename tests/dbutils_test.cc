@@ -173,6 +173,18 @@ TEST_F(DbUtilsTest, ImportDetectsCorruptFile) {
   EXPECT_TRUE(ImportUtil::Import(dst_.get(), "parts", path).IsCorruption());
 }
 
+TEST_F(DbUtilsTest, ReadingAnotherFormatNamesTheMagic) {
+  // A file that is not an Export dump at all (here a CSV dump) fails on
+  // its magic, not as a corrupt dump.
+  const std::string path = dir_.Sub("parts.csv");
+  OPDELTA_ASSERT_OK(AsciiDump::DumpTable(src_.get(), "parts",
+                                         engine::Predicate::True(), path));
+  const Status st = ExportUtil::ReadExportFile(
+      path, nullptr, [](const Row&) { return true; });
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.ToString().find("magic"), std::string::npos) << st.ToString();
+}
+
 TEST_F(DbUtilsTest, ImportDoesMorePhysicalIoThanLoader) {
   // Reproduce Table 1's qualitative result at unit-test scale: the Import
   // path writes more pages than the Loader path for the same data.
