@@ -30,8 +30,8 @@ struct Column {
   }
 };
 
-/// An ordered list of columns. The engine treats the column named by
-/// `timestamp_column()` (if any, by convention "last_modified", type
+/// An ordered list of columns. The engine treats the column at
+/// `TimestampColumnIndex()` (if any, by convention "last_modified", type
 /// kTimestamp) as auto-maintained: every insert/update stamps it.
 class Schema {
  public:
